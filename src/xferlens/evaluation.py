@@ -453,28 +453,6 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def flat_record_rows(report: EvalReport) -> list[list[str]]:
-    """Rows of the flat CSV: model,protocol,task,heldout,pivot,target,y,yhat,abs_err."""
-    rows = []
-    for fragment in report.fragments:
-        for fold in fragment.folds:
-            for r in fold.records:
-                rows.append(
-                    [
-                        report.spec.kind,
-                        report.protocol,
-                        fragment.task,
-                        fold.held_out,
-                        r.pivot,
-                        r.target,
-                        repr(r.y_true),
-                        repr(r.y_pred),
-                        repr(r.abs_err),
-                    ]
-                )
-    return rows
-
-
 def render_table(report_dicts: Sequence[dict]) -> str:
     """Text table of MAE x 100 per task and model, with the two average rows."""
     if not report_dicts:

@@ -21,7 +21,17 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .data import TaskId
-from .numerics import MlpParams, cholesky, init_mlp, mlp_backward, mlp_forward
+# mlp_backward is unused here but stays a module attribute: bench/tracing.py
+# counts calls through gp.mlp_forward and gp.mlp_backward.
+from .numerics import (  # noqa: F401
+    MlpParams,
+    cholesky,
+    init_mlp,
+    mlp_activations,
+    mlp_backprop,
+    mlp_backward,
+    mlp_forward,
+)
 
 DEFAULT_HIDDEN = (50, 10)
 
@@ -58,6 +68,8 @@ class GpState:
     alpha: np.ndarray  # (K + noise)^-1 y_centered
     jitter: float
     mll_trace: tuple[float, ...]
+    mll_evals: int  # likelihood evaluations made by the fit, rejected candidates included
+    stopped_early: bool  # True when no step improved the likelihood before the last epoch
 
 
 def _latent(mlp: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -140,15 +152,42 @@ def _unpack(prob: _Problem, vec: np.ndarray):
     return mlp, log_ls, log_sv, log_noise, a_root
 
 
-def _mll_and_grad(prob: _Problem, vec: np.ndarray) -> tuple[float, np.ndarray, dict]:
+@dataclass
+class _Likelihood:
+    """The marginal log-likelihood at one parameter vector, with the
+    intermediates its gradient and the fitted state are built from."""
+
+    mll: float
+    mlp: MlpParams
+    log_ls: float
+    log_sv: float
+    log_noise: np.ndarray
+    a_root: np.ndarray
+    acts: list[np.ndarray]  # network activations; acts[-1] is g_lin
+    latent: np.ndarray  # g = relu(g_lin)
+    sq: np.ndarray  # pairwise squared latent distances
+    k_rbf: np.ndarray
+    k_nf: np.ndarray  # noise-free covariance
+    noise: np.ndarray  # per-row noise variance
+    task_cov: np.ndarray
+    chol: np.ndarray
+    alpha: np.ndarray
+    jitter: float
+
+
+def _likelihood(prob: _Problem, vec: np.ndarray) -> _Likelihood:
+    """Kernel, Cholesky factor, alpha and mll; no gradient work.
+
+    Raises ``numpy.linalg.LinAlgError`` when the covariance cannot be factored.
+    """
     mlp, log_ls, log_sv, log_noise, a_root = _unpack(prob, vec)
     ls = math.exp(log_ls)
     sv = math.exp(log_sv)
-    x, y, ix = prob.x, prob.y, prob.task_idx
+    y, ix = prob.y, prob.task_idx
     m = len(y)
 
-    g_lin = mlp_forward(mlp, x)
-    g = np.maximum(g_lin, 0.0)
+    acts = mlp_activations(mlp, prob.x)
+    g = np.maximum(acts[-1], 0.0)
     sq_norms = (g**2).sum(axis=1)
     sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (g @ g.T)
     np.fill_diagonal(sq, 0.0)
@@ -167,44 +206,57 @@ def _mll_and_grad(prob: _Problem, vec: np.ndarray) -> tuple[float, np.ndarray, d
         - float(np.log(np.diag(chol)).sum())
         - 0.5 * m * math.log(2.0 * math.pi)
     )
+    return _Likelihood(
+        mll=mll,
+        mlp=mlp,
+        log_ls=log_ls,
+        log_sv=log_sv,
+        log_noise=np.array(log_noise, dtype=float),
+        a_root=np.array(a_root, dtype=float),
+        acts=acts,
+        latent=g,
+        sq=sq,
+        k_rbf=k_rbf,
+        k_nf=k_nf,
+        noise=noise,
+        task_cov=q_task,
+        chol=chol,
+        alpha=alpha,
+        jitter=jit,
+    )
 
-    k_inv = cho_solve((chol, True), np.eye(m))
-    s = 0.5 * (np.outer(alpha, alpha) - k_inv)  # d mll / d K
+
+def _gradient(prob: _Problem, lik: _Likelihood) -> np.ndarray:
+    """d mll / d vec at the point ``lik`` was evaluated, packed like ``vec``."""
+    ls = math.exp(lik.log_ls)
+    ix = prob.task_idx
+    m = len(prob.y)
+    g, k_nf, noise = lik.latent, lik.k_nf, lik.noise
+
+    k_inv = cho_solve((lik.chol, True), np.eye(m))
+    s = 0.5 * (np.outer(lik.alpha, lik.alpha) - k_inv)  # d mll / d K
 
     g_log_sv = float(np.sum(s * k_nf))
-    g_log_ls = float(np.sum(s * k_nf * sq) / ls**2)
+    g_log_ls = float(np.sum(s * k_nf * lik.sq) / ls**2)
     g_log_noise = np.array(
         [float(np.sum(np.diag(s)[ix == t] * noise[ix == t])) for t in range(prob.n_tasks)]
     )
     if prob.multi_task:
-        w_task = s * k_rbf
+        w_task = s * lik.k_rbf
         onehot = np.eye(prob.n_tasks)[ix]  # m x T
         m_block = onehot.T @ w_task @ onehot
-        g_a = 2.0 * m_block @ a_root
+        g_a = 2.0 * m_block @ lik.a_root
     else:
         g_a = None
 
     w_in = s * k_nf
     row_sums = w_in.sum(axis=1)
     d_g = (2.0 / ls**2) * (w_in @ g - row_sums[:, None] * g)
-    d_g_lin = d_g * (g_lin > 0.0)
-    w_grads, b_grads, _ = mlp_backward(mlp, x, d_g_lin)
+    d_g_lin = d_g * (lik.acts[-1] > 0.0)
+    w_grads, b_grads, _ = mlp_backprop(lik.mlp, lik.acts, d_g_lin)
 
     grad_mlp = MlpParams(prob.layer_sizes, w_grads, b_grads)
-    grad = _pack(prob, grad_mlp, g_log_ls, g_log_sv, g_log_noise, g_a)
-    caches = {
-        "latent": g,
-        "chol": chol,
-        "alpha": alpha,
-        "jitter": jit,
-        "task_cov": q_task,
-        "mlp": mlp,
-        "log_ls": log_ls,
-        "log_sv": log_sv,
-        "log_noise": np.array(log_noise, dtype=float),
-        "a_root": np.array(a_root, dtype=float),
-    }
-    return mll, grad, caches
+    return _pack(prob, grad_mlp, g_log_ls, g_log_sv, g_log_noise, g_a)
 
 
 def _build_problem(
@@ -279,8 +331,8 @@ def mll_function(
     vec0 = _init_vec(prob, seed, init_lengthscale, init_signal_variance, init_noise_variance)
 
     def f(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        mll, grad, _ = _mll_and_grad(prob, vec)
-        return mll, grad
+        lik = _likelihood(prob, vec)
+        return lik.mll, _gradient(prob, lik)
 
     return f, vec0
 
@@ -301,52 +353,62 @@ def fit_gp(
 
     A step that would decrease the likelihood is retried with a halved step
     size (up to 30 halvings); if no improving step exists the fit stops early,
-    so the likelihood trace is non-decreasing by construction.
+    so the likelihood trace is non-decreasing by construction. Candidate steps
+    are scored by the likelihood alone; the gradient is computed only at an
+    accepted point, once, when the next epoch needs it. ``mll_evals`` and
+    ``stopped_early`` on the result report that line-search work.
     """
     prob, tasks, means = _build_problem(data_by_task, multi_task, hidden)
     vec = _init_vec(prob, seed, init_lengthscale, init_signal_variance, init_noise_variance)
     ns = prob.noise_slice()
     floor = math.log(noise_floor)
 
-    mll, grad, caches = _mll_and_grad(prob, vec)
-    trace = [mll]
+    lik = _likelihood(prob, vec)
+    evals = 1
+    trace = [lik.mll]
+    stopped_early = False
     for _ in range(epochs):
+        grad = _gradient(prob, lik)
         step = lr
-        accepted = False
+        accepted = None
         for _ in range(30):
             cand = vec + step * grad
             cand[ns] = np.maximum(cand[ns], floor)
+            evals += 1
             try:
-                cand_mll, cand_grad, cand_caches = _mll_and_grad(prob, cand)
+                cand_lik = _likelihood(prob, cand)
             except np.linalg.LinAlgError:
                 step *= 0.5
                 continue
-            if cand_mll >= mll:
-                accepted = True
+            if cand_lik.mll >= lik.mll:
+                accepted = cand_lik
                 break
             step *= 0.5
-        if not accepted:
+        if accepted is None:
+            stopped_early = True
             break
-        vec, mll, grad, caches = cand, cand_mll, cand_grad, cand_caches
-        trace.append(mll)
+        vec, lik = cand, accepted
+        trace.append(lik.mll)
 
     return GpState(
-        mlp=caches["mlp"],
-        log_lengthscale=caches["log_ls"],
-        log_signal_variance=caches["log_sv"],
-        log_noise_variance=caches["log_noise"],
-        task_root=caches["a_root"],
+        mlp=lik.mlp,
+        log_lengthscale=lik.log_ls,
+        log_signal_variance=lik.log_sv,
+        log_noise_variance=lik.log_noise,
+        task_root=lik.a_root,
         tasks=tasks,
         multi_task=multi_task,
         train_x=prob.x,
-        train_latent=caches["latent"],
+        train_latent=lik.latent,
         train_task_idx=prob.task_idx,
         task_means=means,
-        task_cov=caches["task_cov"],
-        chol=caches["chol"],
-        alpha=caches["alpha"],
-        jitter=caches["jitter"],
+        task_cov=lik.task_cov,
+        chol=lik.chol,
+        alpha=lik.alpha,
+        jitter=lik.jitter,
         mll_trace=tuple(trace),
+        mll_evals=evals,
+        stopped_early=stopped_early,
     )
 
 

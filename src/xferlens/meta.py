@@ -6,6 +6,11 @@ the epoch index), adapts a copy of the shared initialization on the support
 half, and accumulates the query-loss gradient evaluated at the adapted
 parameters. The outer update applies the task-averaged gradient to the
 initialization.
+
+Every inner step and query gradient is one call into the single-pass kernel
+of :mod:`xferlens.numerics` (one forward pass whose activations the backward
+pass reuses), on arrays checked once per ``adapt`` call rather than once per
+step.
 """
 
 from __future__ import annotations
@@ -16,7 +21,16 @@ from typing import Mapping
 import numpy as np
 
 from .data import TaskId
-from .numerics import MlpParams, init_mlp, mlp_backward, mlp_forward
+# mlp_backward is unused here but stays a module attribute: bench/tracing.py
+# counts calls through meta.mlp_forward and meta.mlp_backward.
+from .numerics import (  # noqa: F401
+    MlpParams,
+    init_mlp,
+    mlp_activations,
+    mlp_backprop,
+    mlp_backward,
+    mlp_forward,
+)
 
 
 @dataclass(frozen=True)
@@ -41,18 +55,27 @@ class MamlConfig:
             raise ValueError("second-order MAML is not supported")
 
 
+def _mse_grads(
+    params: MlpParams, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Residuals and exact MSE gradients on checked 2-D ``x`` and 1-D ``y``."""
+    acts = mlp_activations(params, x)
+    err = acts[-1][:, 0] - y
+    upstream = (2.0 / len(y)) * err[:, None]
+    w_grads, b_grads, _ = mlp_backprop(params, acts, upstream)
+    return err, w_grads, b_grads
+
+
 def mse_and_grads(
     params: MlpParams, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean squared error and its exact parameter gradients."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
-    preds = mlp_forward(params, x)[:, 0]
-    err = preds - y
-    loss = float(np.mean(err**2))
-    upstream = (2.0 / len(y)) * err[:, None]
-    w_grads, b_grads, _ = mlp_backward(params, x, upstream)
-    return loss, w_grads, b_grads
+    if x.shape[1] != params.layer_sizes[0]:
+        raise ValueError("input width does not match first layer")
+    err, w_grads, b_grads = _mse_grads(params, x, y)
+    return float(np.mean(err**2)), w_grads, b_grads
 
 
 def adapt(
@@ -63,9 +86,11 @@ def adapt(
     support_y = np.asarray(support_y, dtype=float)
     if len(support_y) == 0:
         raise ValueError("empty support set")
+    if support_x.shape[1] != theta.layer_sizes[0]:
+        raise ValueError("input width does not match first layer")
     params = theta.copy()
     for _ in range(cfg.inner_steps):
-        _, w_grads, b_grads = mse_and_grads(params, support_x, support_y)
+        _, w_grads, b_grads = _mse_grads(params, support_x, support_y)
         for w, gw in zip(params.weights, w_grads):
             w -= cfg.inner_lr * gw
         for b, gb in zip(params.biases, b_grads):
@@ -108,7 +133,7 @@ def meta_train(
             half = len(y) // 2
             sup, qry = perm[:half], perm[half:]
             adapted = adapt(theta, x[sup], y[sup], cfg)
-            _, w_grads, b_grads = mse_and_grads(adapted, x[qry], y[qry])
+            _, w_grads, b_grads = _mse_grads(adapted, x[qry], y[qry])
             for acc, g in zip(w_accum, w_grads):
                 acc += g
             for acc, g in zip(b_accum, b_grads):

@@ -2,8 +2,16 @@
 backpropagation, and a finite-difference gradient checker.
 
 Everything runs in float64 numpy. The MLP is a plain stack of affine layers
-with ReLU between them and a linear final layer; the GP and MAML trainers
-chain their own gradients through :func:`mlp_backward`.
+with ReLU between them and a linear final layer.
+
+The MLP kernel is single-pass: :func:`mlp_activations` runs the forward pass
+once and keeps every layer's activations, and :func:`mlp_backprop` runs the
+backward pass from them, so a trainer that needs both the network output (to
+form its loss gradient) and the parameter gradients never recomputes the
+forward pass. Both take a 2-D float batch and validate nothing; the GP and
+MAML trainers check their inputs once and then call them in their inner loops.
+:func:`mlp_forward` and :func:`mlp_backward` are the checked entry points for
+everything else.
 """
 
 from __future__ import annotations
@@ -31,7 +39,9 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, float]:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=1e-10, atol=1e-12):
+    # Exact symmetry (the GP's covariances) skips allclose, which costs more
+    # than the factorization itself at m~50; NaNs still fall through to it.
+    if not ((a == a.T).all() or np.allclose(a, a.T, rtol=1e-10, atol=1e-12)):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
     current = float(jitter)
@@ -93,6 +103,44 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+def mlp_activations(p: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Unchecked forward pass over a 2-D batch, keeping every activation.
+
+    Returns ``[x, h_1, ..., h_{L-1}, out]``: the input of each affine layer
+    (ReLU outputs for the hidden layers) followed by the linear output.
+    """
+    acts = [x]
+    last = len(p.weights) - 1
+    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        h = acts[-1] @ w + b
+        acts.append(np.maximum(h, 0.0) if i < last else h)
+    return acts
+
+
+def mlp_backprop(
+    p: MlpParams, acts: list[np.ndarray], upstream: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Unchecked backward pass from :func:`mlp_activations` output.
+
+    ``upstream`` is d(objective)/d(output), one row per input. Returns
+    ``(weight_grads, bias_grads, delta)`` where ``delta`` is the gradient at
+    the first layer's pre-activation; the input gradient is
+    ``delta @ p.weights[0].T``, left to the callers that need it.
+    """
+    n_layers = len(p.weights)
+    weight_grads: list[np.ndarray] = [np.empty(0)] * n_layers
+    bias_grads: list[np.ndarray] = [np.empty(0)] * n_layers
+    delta = upstream
+    for i in range(n_layers - 1, -1, -1):
+        weight_grads[i] = acts[i].T @ delta
+        bias_grads[i] = delta.sum(axis=0)
+        if i > 0:
+            # A hidden unit passes gradient where its ReLU was active, i.e.
+            # where its output (the next layer's input) is positive.
+            delta = (delta @ p.weights[i].T) * (acts[i] > 0.0)
+    return weight_grads, bias_grads, delta
+
+
 def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Affine + ReLU composition; the final layer has no activation.
 
@@ -103,12 +151,8 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input width {h.shape[1]} does not match first layer {p.layer_sizes[0]}"
         )
-    last = len(p.weights) - 1
-    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return h[0] if single else h
+    out = mlp_activations(p, h)[-1]
+    return out[0] if single else out
 
 
 def mlp_backward(
@@ -128,28 +172,9 @@ def mlp_backward(
         raise ValueError(
             f"upstream shape {ub.shape} does not match output ({xb.shape[0]}, {p.layer_sizes[-1]})"
         )
-    last = len(p.weights) - 1
-    # Forward pass, caching layer inputs and pre-activations.
-    inputs = [xb]
-    preacts = []
-    h = xb
-    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        z = h @ w + b
-        preacts.append(z)
-        h = np.maximum(z, 0.0) if i < last else z
-        inputs.append(h)
-
-    weight_grads: list[np.ndarray] = [np.empty(0)] * len(p.weights)
-    bias_grads: list[np.ndarray] = [np.empty(0)] * len(p.weights)
-    delta = ub
-    for i in range(last, -1, -1):
-        weight_grads[i] = inputs[i].T @ delta
-        bias_grads[i] = delta.sum(axis=0)
-        delta = delta @ p.weights[i].T
-        if i > 0:
-            delta = delta * (preacts[i - 1] > 0.0)
-    input_grad = delta[0] if single else delta
-    return weight_grads, bias_grads, input_grad
+    weight_grads, bias_grads, delta = mlp_backprop(p, mlp_activations(p, xb), ub)
+    input_grad = delta @ p.weights[0].T
+    return weight_grads, bias_grads, input_grad[0] if single else input_grad
 
 
 def grad_check(

@@ -1,9 +1,19 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
-from xferlens.gp import fit_gp, kernel_rbf, mll_function, multitask_kernel, predict_gp
+import xferlens.gp as gp_module
+from xferlens.gp import (
+    _build_problem,
+    _likelihood,
+    fit_gp,
+    kernel_rbf,
+    mll_function,
+    multitask_kernel,
+    predict_gp,
+)
 from xferlens.numerics import grad_check
 
 
@@ -188,3 +198,104 @@ class TestDeterminism:
         for wa, wb in zip(a.mlp.weights, b.mlp.weights):
             assert wa.tobytes() == wb.tobytes()
         np.testing.assert_array_equal(a.alpha, b.alpha)
+
+
+def reference_fit(data, multi_task, lr, epochs, seed, hidden):
+    """The line search as it ran before likelihood-only scoring: every
+    candidate pays for ``mll_function``'s value and gradient."""
+    f, vec = mll_function(data, multi_task, seed=seed, hidden=hidden)
+    ns = _build_problem(data, multi_task, hidden)[0].noise_slice()
+    floor = math.log(1e-8)
+    mll, grad = f(vec)
+    evals, halvings, trace = 1, 0, [mll]
+    for _ in range(epochs):
+        step = lr
+        accepted = False
+        for _ in range(30):
+            cand = vec + step * grad
+            cand[ns] = np.maximum(cand[ns], floor)
+            evals += 1
+            try:
+                cand_mll, cand_grad = f(cand)
+            except np.linalg.LinAlgError:
+                step *= 0.5
+                halvings += 1
+                continue
+            if cand_mll >= mll:
+                accepted = True
+                break
+            step *= 0.5
+            halvings += 1
+        if not accepted:
+            return vec, tuple(trace), evals, halvings, True
+        vec, mll, grad = cand, cand_mll, cand_grad
+        trace.append(mll)
+    return vec, tuple(trace), evals, halvings, False
+
+
+def state_vector(state):
+    parts = [a.ravel() for pair in zip(state.mlp.weights, state.mlp.biases) for a in pair]
+    parts.append(np.array([state.log_lengthscale, state.log_signal_variance]))
+    parts.append(state.log_noise_variance)
+    if state.multi_task:
+        parts.append(state.task_root.ravel())
+    return np.concatenate(parts)
+
+
+def random_tasks(seed, sizes, width):
+    rng = np.random.default_rng(seed)
+    return {
+        f"t{i}": (rng.standard_normal((n, width)), rng.standard_normal(n))
+        for i, n in enumerate(sizes)
+    }
+
+
+def assert_fit_matches_reference(data, lr, epochs, seed):
+    """Fit both ways and require bitwise agreement; return the reference's
+    (halvings, stopped_early)."""
+    multi_task, hidden = len(data) > 1, (3, 2)
+    vec, trace, evals, halvings, stopped = reference_fit(data, multi_task, lr, epochs, seed, hidden)
+    state = fit_gp(data, multi_task=multi_task, lr=lr, epochs=epochs, seed=seed, hidden=hidden)
+    assert state.mll_trace == trace
+    assert state.mll_evals == evals
+    assert state.stopped_early == stopped
+    assert state_vector(state).tobytes() == vec.tobytes()
+    ref = _likelihood(_build_problem(data, multi_task, hidden)[0], vec)
+    assert state.chol.tobytes() == ref.chol.tobytes()
+    assert state.alpha.tobytes() == ref.alpha.tobytes()
+    return halvings > 0, stopped
+
+
+class TestLineSearchMatchesReference:
+    """fit_gp scores candidates by likelihood alone; it must accept exactly the
+    steps the gradient-per-candidate loop accepted, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "data_seed, sizes, lr, epochs, halves, stops_early",
+        [
+            (1, (9,), 0.01, 25, False, False),  # single-task, every first step accepted
+            (2, (6, 9, 4), 0.01, 25, True, False),  # multi-task, ragged tasks
+            (3, (8, 5), 0.5, 15, True, False),  # multi-task, large first steps
+            (22, (5,), 0.01, 150, True, True),  # no improving step after 68 epochs
+        ],
+    )
+    def test_bitwise_equal(self, data_seed, sizes, lr, epochs, halves, stops_early):
+        data = random_tasks(data_seed, sizes, 2)
+        assert assert_fit_matches_reference(data, lr, epochs, data_seed) == (halves, stops_early)
+
+    def test_failed_factorizations_count_and_halve(self, monkeypatch):
+        real = gp_module.cholesky
+        initial = []
+
+        def fails_on_a_third(a, jitter=0.0):
+            # Keyed on the matrix bytes, so both fits fail on the same
+            # candidates; the initial covariance (shared by both) always factors.
+            key = a.tobytes()
+            initial[:] = initial or [key]
+            if key != initial[0] and zlib.crc32(key) % 3 == 0:
+                raise np.linalg.LinAlgError("injected")
+            return real(a, jitter)
+
+        monkeypatch.setattr(gp_module, "cholesky", fails_on_a_third)
+        data = random_tasks(4, (7, 5), 2)
+        assert assert_fit_matches_reference(data, 0.01, 10, 4) == (True, False)

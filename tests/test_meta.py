@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xferlens.meta import MamlConfig, adapt, meta_train, mse_and_grads, predict_net
-from xferlens.numerics import init_mlp
+from xferlens.numerics import init_mlp, mlp_backward, mlp_forward
 
 
 def params_digest(params):
@@ -175,3 +175,91 @@ class TestMetaTrain:
     def test_second_order_not_supported(self):
         with pytest.raises(ValueError, match="second-order"):
             MamlConfig(first_order=False)
+
+
+def reference_mse_and_grads(params, x, y):
+    """Two-pass reference: a forward pass for the loss, then mlp_backward."""
+    err = mlp_forward(params, x)[:, 0] - y
+    w_grads, b_grads, _ = mlp_backward(params, x, (2.0 / len(y)) * err[:, None])
+    return float(np.mean(err**2)), w_grads, b_grads
+
+
+def reference_adapt(theta, x, y, cfg):
+    params = theta.copy()
+    for _ in range(cfg.inner_steps):
+        _, w_grads, b_grads = reference_mse_and_grads(params, x, y)
+        for w, gw in zip(params.weights, w_grads):
+            w -= cfg.inner_lr * gw
+        for b, gb in zip(params.biases, b_grads):
+            b -= cfg.inner_lr * gb
+    return params
+
+
+def reference_meta_train(tasks, cfg, seed):
+    theta = init_mlp(cfg.net_shape, seed)
+    names = sorted(tasks)
+    for epoch in range(cfg.meta_epochs):
+        rng = np.random.default_rng([seed, epoch])
+        w_accum = [np.zeros_like(w) for w in theta.weights]
+        b_accum = [np.zeros_like(b) for b in theta.biases]
+        for name in names:
+            x, y = tasks[name]
+            perm = rng.permutation(len(y))
+            sup, qry = perm[: len(y) // 2], perm[len(y) // 2 :]
+            adapted = reference_adapt(theta, x[sup], y[sup], cfg)
+            _, w_grads, b_grads = reference_mse_and_grads(adapted, x[qry], y[qry])
+            for acc, g in zip(w_accum, w_grads):
+                acc += g
+            for acc, g in zip(b_accum, b_grads):
+                acc += g
+        scale = cfg.outer_lr / len(names)
+        for w, acc in zip(theta.weights, w_accum):
+            w -= scale * acc
+        for b, acc in zip(theta.biases, b_accum):
+            b -= scale * acc
+    return theta
+
+
+def ragged_tasks(seed, width=9):
+    """Helper tasks of 2, 7 and 12 rows: odd and even support/query splits."""
+    rng = np.random.default_rng(seed)
+    return {
+        f"task{n:02d}": (rng.standard_normal((n, width)), rng.uniform(0.0, 1.0, n))
+        for n in (2, 7, 12)
+    }
+
+
+class TestMatchesTwoPassReference:
+    """The single-pass kernel must reproduce the forward-then-backward
+    arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("inner_steps", [0, 5])
+    def test_meta_train(self, inner_steps):
+        tasks = ragged_tasks(31)
+        cfg = MamlConfig(inner_steps=inner_steps, inner_lr=0.05, outer_lr=0.01, meta_epochs=20)
+        got = meta_train(tasks, cfg, seed=4)
+        assert params_digest(got) == params_digest(reference_meta_train(tasks, cfg, seed=4))
+
+    @pytest.mark.parametrize("inner_steps", [0, 5])
+    def test_adapt(self, inner_steps):
+        cfg = MamlConfig(inner_steps=inner_steps, inner_lr=0.05)
+        theta = init_mlp(cfg.net_shape, seed=8)
+        for x, y in ragged_tasks(32).values():
+            got = adapt(theta, x, y, cfg)
+            assert params_digest(got) == params_digest(reference_adapt(theta, x, y, cfg))
+
+    def test_mse_and_grads(self):
+        theta = init_mlp((9, 50, 10, 1), seed=9)
+        for x, y in ragged_tasks(33).values():
+            loss, wg, bg = mse_and_grads(theta, x, y)
+            ref_loss, ref_wg, ref_bg = reference_mse_and_grads(theta, x, y)
+            assert loss == ref_loss
+            assert [g.tobytes() for g in wg + bg] == [g.tobytes() for g in ref_wg + ref_bg]
+
+    def test_width_mismatch_rejected(self):
+        theta = init_mlp((3, 4, 1), seed=0)
+        cfg = MamlConfig(inner_steps=0, net_shape=(3, 4, 1))
+        with pytest.raises(ValueError, match="input width"):
+            mse_and_grads(theta, np.zeros((4, 2)), np.zeros(4))
+        with pytest.raises(ValueError, match="input width"):
+            adapt(theta, np.zeros((4, 2)), np.zeros(4), cfg)

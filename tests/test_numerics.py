@@ -6,6 +6,8 @@ from xferlens.numerics import (
     cholesky,
     grad_check,
     init_mlp,
+    mlp_activations,
+    mlp_backprop,
     mlp_backward,
     mlp_forward,
 )
@@ -49,6 +51,16 @@ class TestCholesky:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_accepts_rounding_asymmetry(self):
+        a = np.array([[2.0, 0.5], [0.5 + 1e-14, 2.0]])
+        l, jit = cholesky(a)
+        assert jit == 0.0
+        np.testing.assert_allclose(l @ l.T, a, atol=1e-12)
 
 
 class TestMlpForward:
@@ -154,6 +166,46 @@ class TestMlpBackward:
             return value, dx
 
         assert grad_check(f, x0) < 1e-6
+
+
+def reference_backward(p, x, upstream):
+    """Two-pass reference on a batch: a fresh forward pass caching
+    pre-activations, then backpropagation masked by them."""
+    last = len(p.weights) - 1
+    inputs, preacts, h = [x], [], x
+    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        z = h @ w + b
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if i < last else z
+        inputs.append(h)
+    weight_grads, bias_grads = [None] * len(p.weights), [None] * len(p.weights)
+    delta = upstream
+    for i in range(last, -1, -1):
+        weight_grads[i] = inputs[i].T @ delta
+        bias_grads[i] = delta.sum(axis=0)
+        delta = delta @ p.weights[i].T
+        if i > 0:
+            delta = delta * (preacts[i - 1] > 0.0)
+    return weight_grads, bias_grads, delta
+
+
+class TestSinglePassKernel:
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("sizes", [(9, 50, 10, 1), (3, 4, 2), (2, 1)])
+    def test_bitwise_equal_to_two_pass_reference(self, rows, sizes):
+        rng = np.random.default_rng(rows * 100 + len(sizes))
+        p = init_mlp(sizes, seed=rows)
+        x = rng.standard_normal((rows, sizes[0]))
+        upstream = rng.standard_normal((rows, sizes[-1]))
+        ref_w, ref_b, ref_dx = reference_backward(p, x, upstream)
+        acts = mlp_activations(p, x)
+        assert acts[-1].tobytes() == mlp_forward(p, x).tobytes()
+        w, b, delta = mlp_backprop(p, acts, upstream)
+        assert [g.tobytes() for g in w + b] == [g.tobytes() for g in ref_w + ref_b]
+        assert (delta @ p.weights[0].T).tobytes() == ref_dx.tobytes()
+        w, b, dx = mlp_backward(p, x, upstream)
+        assert [g.tobytes() for g in w + b] == [g.tobytes() for g in ref_w + ref_b]
+        assert dx.tobytes() == ref_dx.tobytes()
 
 
 class TestGradCheck:
