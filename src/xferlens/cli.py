@@ -17,9 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, explain, factorization, gp, meta, sparse_linear
-from .baselines import fit_gbt, predict_gbt
-from .data import (
+from . import evaluation, explain, sparse_linear
+# fit_gbt, predict_gbt, fit_scaler and standardize are unused here but stay
+# module attributes: bench/tracing.py installs its wrappers through them.
+from .baselines import fit_gbt, predict_gbt  # noqa: F401
+from .data import (  # noqa: F401
     FEATURE_NAMES,
     DataError,
     Dataset,
@@ -293,33 +295,15 @@ def _fit_linear_artifact(ds: Dataset, kind: str, seed: int) -> dict:
     """Fit the linear model on the full dataset; returns a JSON-able artifact
     carrying the weights and the per-task feature scalers needed to apply it."""
     tasks = sorted(ds.tasks)
-    scalers: dict[str, dict] = {}
-    models: dict[str, dict] = {}
+    predictors = evaluation.fit_predictors(ModelSpec(kind, {}, seed), ds, tasks, seed)
+    scalers = {
+        task: {"mean": p.scaler.mean.tolist(), "scale": p.scaler.scale.tolist()}
+        for task, p in predictors.items()
+    }
     if kind == "group-lasso":
-        hp = ModelSpec("group-lasso", {}, seed).merged()
-        xs, ys = [], []
-        for task in tasks:
-            recs = ds.task_records(task)
-            x_raw = ds.feature_matrix(recs)
-            x_std, scaler = standardize(x_raw, x_raw)
-            scalers[task] = {"mean": scaler.mean.tolist(), "scale": scaler.scale.tolist()}
-            xs.append(x_std)
-            ys.append(ds.scores(recs))
-        model = sparse_linear.fit_group_lasso(
-            xs, ys, hp["lambda_group"], hp["tol"], hp["max_iter"], tasks=tasks
-        )
-        models["joint"] = sparse_linear.linear_model_to_dict(model)
+        models = {"joint": sparse_linear.linear_model_to_dict(predictors[tasks[0]].model)}
     else:
-        hp = ModelSpec("lasso", {}, seed).merged()
-        for task in tasks:
-            recs = ds.task_records(task)
-            x_raw = ds.feature_matrix(recs)
-            x_std, scaler = standardize(x_raw, x_raw)
-            scalers[task] = {"mean": scaler.mean.tolist(), "scale": scaler.scale.tolist()}
-            model = sparse_linear.fit_lasso(
-                x_std, ds.scores(recs), hp["lambda"], hp["tol"], hp["max_iter"]
-            )
-            models[task] = sparse_linear.linear_model_to_dict(model)
+        models = {t: sparse_linear.linear_model_to_dict(p.model) for t, p in predictors.items()}
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "tasks": tasks,
             "scalers": scalers, "models": models}
 
@@ -337,7 +321,7 @@ def _attribution_rows_from_artifact(ds: Dataset, artifact: dict):
             continue
         entry = artifact["scalers"][task]
         scaler = Scaler(np.asarray(entry["mean"]), np.asarray(entry["scale"]))
-        x_std = np.array([scaler.transform(row) for row in ds.feature_matrix(ds.task_records(task))])
+        x_std = scaler.transform(ds.feature_matrix(ds.task_records(task)))
         background = x_std.mean(axis=0)
         if kind == "group-lasso":
             values = explain.mean_abs_shap(joint, task, x_std, background)
@@ -349,114 +333,10 @@ def _attribution_rows_from_artifact(ds: Dataset, artifact: dict):
 
 
 def _permutation_predictors(ds: Dataset, kind: str, seed: int):
-    """Per-task predict-on-raw-feature-matrix closures for a full-data fit."""
-    tasks = sorted(ds.tasks)
-    spec = ModelSpec(kind, {}, seed)
-    hp = spec.merged()
-    predictors = {}
-
-    if kind in ("lasso", "gbt", "dgpr"):
-        for task in tasks:
-            recs = ds.task_records(task)
-            x_raw = ds.feature_matrix(recs)
-            y = ds.scores(recs)
-            if kind == "lasso":
-                x_std, scaler = standardize(x_raw, x_raw)
-                model = sparse_linear.fit_lasso(x_std, y, hp["lambda"], hp["tol"], hp["max_iter"])
-                predictors[task] = lambda x, m=model, s=scaler: np.array(
-                    [sparse_linear.predict_linear(m, s.transform(row)) for row in x]
-                )
-            elif kind == "gbt":
-                scaler = fit_scaler(x_raw)
-                model = fit_gbt(
-                    scaler.impute(x_raw), y, hp["n_estimators"], hp["max_depth"],
-                    hp["learning_rate"], seed,
-                )
-                predictors[task] = lambda x, m=model, s=scaler: np.array(
-                    [predict_gbt(m, s.impute(row)) for row in x]
-                )
-            else:
-                x_std, scaler = standardize(x_raw, x_raw)
-                state = gp.fit_gp(
-                    {task: (x_std, y)}, multi_task=False, lr=hp["lr"],
-                    epochs=hp["epochs"], seed=seed, hidden=tuple(hp["hidden"]),
-                )
-                predictors[task] = lambda x, st=state, s=scaler, t=task: np.array(
-                    [gp.predict_gp(st, s.transform(row), t)[0] for row in x]
-                )
-        return predictors
-
-    if kind == "group-lasso":
-        xs, ys, scalers = [], [], {}
-        for task in tasks:
-            recs = ds.task_records(task)
-            x_raw = ds.feature_matrix(recs)
-            x_std, scalers[task] = standardize(x_raw, x_raw)
-            xs.append(x_std)
-            ys.append(ds.scores(recs))
-        model = sparse_linear.fit_group_lasso(
-            xs, ys, hp["lambda_group"], hp["tol"], hp["max_iter"], tasks=tasks
-        )
-        for task in tasks:
-            predictors[task] = lambda x, m=model, s=scalers[task], t=task: np.array(
-                [sparse_linear.predict_linear(m, s.transform(row), task=t) for row in x]
-            )
-        return predictors
-
-    if kind == "mdgpr":
-        scaler = fit_scaler(ds.feature_matrix(ds.records))
-        data = {
-            task: (scaler.transform(ds.feature_matrix(ds.task_records(task))),
-                   ds.scores(ds.task_records(task)))
-            for task in tasks
-        }
-        state = gp.fit_gp(
-            data, multi_task=True, lr=hp["lr"], epochs=hp["epochs"], seed=seed,
-            hidden=tuple(hp["hidden"]),
-        )
-        for task in tasks:
-            predictors[task] = lambda x, st=state, s=scaler, t=task: np.array(
-                [gp.predict_gp(st, s.transform(row), t)[0] for row in x]
-            )
-        return predictors
-
-    if kind == "cmf":
-        pairs = sorted({(r.pivot, r.target) for r in ds.records})
-        x_pairs_raw = np.array([ds.features[p].as_array() for p in pairs])
-        imputer = fit_scaler(x_pairs_raw)
-        model = factorization.fit_cmf(
-            [(r.task, (r.pivot, r.target), r.score) for r in ds.records],
-            pairs, imputer.impute(x_pairs_raw), hp["d_latent"], hp["reg"],
-            hp["alpha"], hp["sweeps"], seed, hp["restarts"],
-        )
-        for task in tasks:
-            predictors[task] = lambda x, m=model, im=imputer, t=task: np.array(
-                [factorization.predict_cold_start(m, t, im.impute(row)) for row in x]
-            )
-        return predictors
-
-    if kind == "maml":
-        scaler = fit_scaler(ds.feature_matrix(ds.records))
-        all_data = {
-            task: (scaler.transform(ds.feature_matrix(ds.task_records(task))),
-                   ds.scores(ds.task_records(task)))
-            for task in tasks
-        }
-        n_features = ds.feature_matrix(ds.records).shape[1]
-        cfg = meta.MamlConfig(
-            inner_steps=hp["inner_steps"], inner_lr=hp["inner_lr"],
-            outer_lr=hp["outer_lr"], meta_epochs=hp["meta_epochs"],
-            net_shape=(n_features, *tuple(hp["hidden"]), 1),
-        )
-        theta = meta.meta_train(all_data, cfg, seed)
-        for task in tasks:
-            adapted = meta.adapt(theta, *all_data[task], cfg)
-            predictors[task] = lambda x, p=adapted, s=scaler: meta.predict_net(
-                p, s.transform(np.atleast_2d(x))
-            )
-        return predictors
-
-    raise DataError(f"model kind {kind!r} has no feature pathway for permutation importance")
+    """Per-task predictors of a full-data fit; maml meta-trains on every task."""
+    if kind in ("awt", "aat"):
+        raise DataError(f"model kind {kind!r} has no feature pathway for permutation importance")
+    return evaluation.fit_predictors(ModelSpec(kind, {}, seed), ds, sorted(ds.tasks), seed)
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -490,7 +370,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 x_raw = ds.feature_matrix(recs)
                 y = ds.scores(recs)
                 imp = explain.permutation_importance(
-                    predictors[task], x_raw, y, repeats=args.repeats, seed=args.seed
+                    predictors[task].predict, x_raw, y, repeats=args.repeats, seed=args.seed
                 )
                 rows.extend(
                     (args.model, task, name, float(v), "permutation")
@@ -520,12 +400,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
             json.dumps(artifact_out, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     path = out_dir / "attribution.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_stamp(config_hash, args.seed) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["model", "task", "feature", "value", "method"])
-        for model_kind, task, feature, value, method in rows:
-            writer.writerow([model_kind, task, feature, repr(float(value)), method])
+    _write_csv(
+        path,
+        ["model", "task", "feature", "value", "method"],
+        [[kind, task, feature, repr(float(value)), method]
+         for kind, task, feature, value, method in rows],
+        _stamp(config_hash, args.seed),
+    )
     print(f"wrote {len(rows)} attribution rows to {path}")
     return EXIT_OK
 

@@ -3,8 +3,7 @@
 The dataset model is deliberately small: performance records keyed by
 (model, task, pivot, target), one feature vector per (pivot, target) pair,
 and optional per-language metadata (resource class, pre-training word count).
-Datasets and splits are immutable after construction and safe to share
-across concurrent fold evaluations.
+Datasets and splits are immutable after construction.
 """
 
 from __future__ import annotations
@@ -302,11 +301,22 @@ def load_dataset(
     features_path: str | Path,
     meta_path: str | Path | None = None,
 ) -> Dataset:
-    """Load and cross-validate the three CSV inputs into a Dataset."""
+    """Load and cross-validate the three CSV inputs into a Dataset.
+
+    Tasks are keyed by name alone, so the scores must all come from one
+    multilingual model; a second ``model`` value is rejected, not pooled.
+    """
     scored = load_scores_csv(scores_path)
     features = load_features_csv(features_path)
     meta = load_meta_csv(meta_path) if meta_path is not None else {}
     for lineno, record in scored:
+        if record.model != scored[0][1].model:
+            raise DataError(
+                f"model {record.model!r} differs from {scored[0][1].model!r}: "
+                "a scores file holds one model's scores",
+                path=Path(scores_path),
+                line=lineno,
+            )
         if (record.pivot, record.target) not in features:
             raise DataError(
                 f"no feature row for pair ({record.pivot}, {record.target})",

@@ -4,17 +4,22 @@ per-record absolute errors, and aggregate them into a report.
 Single-task kinds (lasso, gbt, dgpr, and the within-task baseline) are fit on
 the eval task's train rows only; multi-task kinds additionally see the full
 data of every helper task, including the held-out language, mirroring the
-test protocols. Folds are independent and may be evaluated concurrently
-(``XFERLENS_THREADS``); results merge in fold order so output is
-deterministic either way.
+test protocols.
+
+``fit_predictors`` is the one estimator layer: it fits a kind once on a
+``Dataset`` and returns a ``Predictor`` per requested task, mapping raw
+feature rows to scores. ``evaluate`` fits it on each fold's train side and
+``explain`` on the full data. Two kinds have modes, chosen by the caller:
+maml meta-trains on an explicit task list (the helpers of the eval task
+under a protocol, every task for ``explain``), and cmf predicts pairs seen
+in training from its factors only when the rows' (pivot, target) pairs are
+given; ``explain`` gives none, so its cmf rows are all cold-start.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .data import (
     Dataset,
     LangId,
     PerformanceRecord,
+    Scaler,
     TaskId,
     fit_scaler,
     make_llro_split,
@@ -139,10 +145,215 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# Model adapters
+# Estimator layer: the one fit of each kind, shared by evaluate and explain
+
+Pair = tuple[LangId, LangId]
+RowPredict = Callable[[np.ndarray, Sequence[Pair] | None], Sequence[float]]
+
+
+@dataclass(frozen=True)
+class Predictor:
+    """A fitted model kind's predictions for one task (see ``fit_predictors``).
+
+    ``predict(x, pairs)`` maps raw feature rows (NaN marks a missing value)
+    to scores; ``pairs`` holds each row's (pivot, target). awt and aat read
+    only the pairs. cmf predicts a pair seen in training from its factors
+    when the pairs are given, and every row cold-start from its features
+    when they are not. ``model`` and ``scaler`` are the fitted linear model
+    and feature scaler of lasso and group-lasso, for linear attributions.
+    """
+
+    rows: RowPredict
+    model: sparse_linear.LassoModel | sparse_linear.GroupLassoModel | None = None
+    scaler: Scaler | None = None
+
+    def predict(self, x: np.ndarray, pairs: Sequence[Pair] | None = None) -> np.ndarray:
+        return np.asarray(self.rows(np.atleast_2d(np.asarray(x, dtype=float)), pairs), dtype=float)
+
 
 def _gp_hidden(hp: dict) -> tuple[int, ...]:
     return tuple(int(h) for h in hp["hidden"])
+
+
+def _task_xy(ds: Dataset, task: TaskId) -> tuple[np.ndarray, np.ndarray]:
+    records = ds.task_records(task)
+    return ds.feature_matrix(records), ds.scores(records)
+
+
+def _pooled_scaling(ds: Dataset) -> tuple[Scaler, dict[TaskId, tuple[np.ndarray, np.ndarray]]]:
+    """One scaler fit on every row of ``ds``, and each task's scaled rows."""
+    scaler = fit_scaler(ds.feature_matrix(ds.records))
+    data = {}
+    for task in sorted(ds.tasks):
+        x_raw, y = _task_xy(ds, task)
+        data[task] = (scaler.transform(x_raw), y)
+    return scaler, data
+
+
+def _fit_gp(data, multi_task: bool, hp: dict, seed: int) -> gp.GpState:
+    return gp.fit_gp(data, multi_task=multi_task, lr=hp["lr"], epochs=hp["epochs"],
+                     seed=seed, hidden=_gp_hidden(hp))
+
+
+def _baseline_rows(predict_one, ds: Dataset, task: TaskId) -> RowPredict:
+    def rows(x, pairs):
+        if pairs is None:
+            raise ValueError("the averaging baselines predict from (pivot, target) pairs")
+        return [predict_one(ds, task, pivot, target) for pivot, target in pairs]
+
+    return rows
+
+
+def _linear_rows(model, scaler: Scaler, task: TaskId | None) -> RowPredict:
+    return lambda x, pairs: [
+        sparse_linear.predict_linear(model, row, task=task) for row in scaler.transform(x)
+    ]
+
+
+def _gp_rows(state: gp.GpState, scaler: Scaler, task: TaskId) -> RowPredict:
+    return lambda x, pairs: [gp.predict_gp(state, row, task)[0] for row in scaler.transform(x)]
+
+
+def _fit_awt(ds: Dataset, task: TaskId, hp: dict, seed: int) -> Predictor:
+    return Predictor(_baseline_rows(baselines.predict_awt, ds, task))
+
+
+def _fit_aat(ds: Dataset, task: TaskId, hp: dict, seed: int) -> Predictor:
+    return Predictor(_baseline_rows(baselines.predict_aat, ds, task))
+
+
+def _fit_lasso(ds: Dataset, task: TaskId, hp: dict, seed: int) -> Predictor:
+    x_raw, y = _task_xy(ds, task)
+    x_std, scaler = standardize(x_raw, x_raw)
+    model = sparse_linear.fit_lasso(x_std, y, hp["lambda"], hp["tol"], hp["max_iter"])
+    return Predictor(_linear_rows(model, scaler, None), model, scaler)
+
+
+def _fit_gbt(ds: Dataset, task: TaskId, hp: dict, seed: int) -> Predictor:
+    x_raw, y = _task_xy(ds, task)
+    scaler = fit_scaler(x_raw)
+    model = baselines.fit_gbt(
+        scaler.impute(x_raw), y, hp["n_estimators"], hp["max_depth"], hp["learning_rate"], seed
+    )
+    return Predictor(
+        lambda x, pairs: [baselines.predict_gbt(model, row) for row in scaler.impute(x)]
+    )
+
+
+def _fit_dgpr(ds: Dataset, task: TaskId, hp: dict, seed: int) -> Predictor:
+    x_raw, y = _task_xy(ds, task)
+    x_std, scaler = standardize(x_raw, x_raw)
+    state = _fit_gp({task: (x_std, y)}, False, hp, seed)
+    return Predictor(_gp_rows(state, scaler, task))
+
+
+def _fit_group_lasso(
+    ds: Dataset, tasks: Sequence[TaskId], hp: dict, seed: int
+) -> dict[TaskId, Predictor]:
+    all_tasks = sorted(ds.tasks)
+    xs, ys, scalers = [], [], {}
+    for task in all_tasks:
+        x_raw, y = _task_xy(ds, task)
+        x_std, scalers[task] = standardize(x_raw, x_raw)
+        xs.append(x_std)
+        ys.append(y)
+    model = sparse_linear.fit_group_lasso(
+        xs, ys, hp["lambda_group"], hp["tol"], hp["max_iter"], tasks=all_tasks
+    )
+    return {
+        task: Predictor(_linear_rows(model, scalers[task], task), model, scalers[task])
+        for task in tasks
+    }
+
+
+def _fit_cmf(
+    ds: Dataset, tasks: Sequence[TaskId], hp: dict, seed: int
+) -> dict[TaskId, Predictor]:
+    train_pairs = sorted({(r.pivot, r.target) for r in ds.records})
+    x_pairs_raw = np.array([ds.features[p].as_array() for p in train_pairs])
+    imputer = fit_scaler(x_pairs_raw)
+    model = factorization.fit_cmf(
+        [(r.task, (r.pivot, r.target), r.score) for r in ds.records],
+        train_pairs, imputer.impute(x_pairs_raw), hp["d_latent"], hp["reg"], hp["alpha"],
+        hp["sweeps"], seed, hp["restarts"],
+    )
+
+    def cmf_rows(task: TaskId) -> RowPredict:
+        def rows(x, pairs):
+            x = imputer.impute(x)
+            if pairs is None:
+                return [factorization.predict_cold_start(model, task, row) for row in x]
+            return [
+                factorization.predict_cmf(model, task, pair)
+                if pair in model.pair_index
+                else factorization.predict_cold_start(model, task, row)
+                for pair, row in zip(pairs, x)
+            ]
+
+        return rows
+
+    return {task: Predictor(cmf_rows(task)) for task in tasks}
+
+
+def _fit_mdgpr(
+    ds: Dataset, tasks: Sequence[TaskId], hp: dict, seed: int
+) -> dict[TaskId, Predictor]:
+    scaler, data = _pooled_scaling(ds)
+    state = _fit_gp(data, True, hp, seed)
+    return {task: Predictor(_gp_rows(state, scaler, task)) for task in tasks}
+
+
+def _fit_maml(
+    ds: Dataset, tasks: Sequence[TaskId], hp: dict, seed: int, meta_tasks: Sequence[TaskId]
+) -> dict[TaskId, Predictor]:
+    if not meta_tasks:
+        raise ValueError("maml requires at least one helper task")
+    scaler, data = _pooled_scaling(ds)
+    cfg = meta.MamlConfig(
+        inner_steps=hp["inner_steps"],
+        inner_lr=hp["inner_lr"],
+        outer_lr=hp["outer_lr"],
+        meta_epochs=hp["meta_epochs"],
+        net_shape=(len(scaler.mean), *_gp_hidden(hp), 1),
+    )
+    theta = meta.meta_train({task: data[task] for task in meta_tasks}, cfg, seed)
+
+    def net_rows(task: TaskId) -> RowPredict:
+        adapted = meta.adapt(theta, *data[task], cfg)
+        return lambda x, pairs: meta.predict_net(adapted, scaler.transform(x))
+
+    return {task: Predictor(net_rows(task)) for task in tasks}
+
+
+#: Kinds fit once per requested task, on that task's rows only.
+_PER_TASK_FITS = {
+    "awt": _fit_awt, "aat": _fit_aat, "lasso": _fit_lasso, "gbt": _fit_gbt, "dgpr": _fit_dgpr,
+}
+#: Kinds fit once, jointly, on every task of the dataset.
+_JOINT_FITS = {"group-lasso": _fit_group_lasso, "cmf": _fit_cmf, "mdgpr": _fit_mdgpr}
+
+
+def fit_predictors(
+    spec: ModelSpec,
+    ds: Dataset,
+    tasks: Sequence[TaskId],
+    seed: int,
+    meta_tasks: Sequence[TaskId] | None = None,
+) -> dict[TaskId, Predictor]:
+    """Fit ``spec.kind`` on ``ds``; a predictor for each of ``tasks``.
+
+    lasso, gbt and dgpr fit once per requested task; group-lasso, cmf and
+    mdgpr fit once on every task of ``ds``. maml meta-trains once on
+    ``meta_tasks`` (every task of ``ds`` when None), in that order, then
+    adapts to each requested task's rows. awt and aat fit nothing.
+    """
+    hp = spec.merged()
+    if spec.kind == "maml":
+        meta_tasks = sorted(ds.tasks) if meta_tasks is None else meta_tasks
+        return _fit_maml(ds, tasks, hp, seed, meta_tasks)
+    if spec.kind in _JOINT_FITS:
+        return _JOINT_FITS[spec.kind](ds, tasks, hp, seed)
+    return {task: _PER_TASK_FITS[spec.kind](ds, task, hp, seed) for task in tasks}
 
 
 def _fit_and_predict(
@@ -151,166 +362,19 @@ def _fit_and_predict(
     test_records: Sequence[PerformanceRecord],
     eval_task: TaskId,
     seed: int,
-) -> list[float]:
-    kind = spec.kind
-    hp = spec.merged()
+) -> np.ndarray:
+    """Fit on a fold's train side, then predict its test rows.
 
-    if kind == "awt":
-        return [
-            baselines.predict_awt(train, eval_task, r.pivot, r.target) for r in test_records
-        ]
-    if kind == "aat":
-        return [
-            baselines.predict_aat(train, eval_task, r.pivot, r.target) for r in test_records
-        ]
-
-    eval_records = train.task_records(eval_task)
-    x_eval_raw = train.feature_matrix(eval_records)
-    y_eval = train.scores(eval_records)
-    x_test_raw = train.feature_matrix(test_records)
-
-    if kind == "lasso":
-        x_std, scaler = standardize(x_eval_raw, x_eval_raw)
-        model = sparse_linear.fit_lasso(x_std, y_eval, hp["lambda"], hp["tol"], hp["max_iter"])
-        return [
-            sparse_linear.predict_linear(model, scaler.transform(row)) for row in x_test_raw
-        ]
-
-    if kind == "gbt":
-        scaler = fit_scaler(x_eval_raw)
-        model = baselines.fit_gbt(
-            scaler.impute(x_eval_raw),
-            y_eval,
-            hp["n_estimators"],
-            hp["max_depth"],
-            hp["learning_rate"],
-            seed,
-        )
-        return [baselines.predict_gbt(model, scaler.impute(row)) for row in x_test_raw]
-
-    if kind == "dgpr":
-        x_std, scaler = standardize(x_eval_raw, x_eval_raw)
-        state = gp.fit_gp(
-            {eval_task: (x_std, y_eval)},
-            multi_task=False,
-            lr=hp["lr"],
-            epochs=hp["epochs"],
-            seed=seed,
-            hidden=_gp_hidden(hp),
-        )
-        return [
-            gp.predict_gp(state, scaler.transform(row), eval_task)[0] for row in x_test_raw
-        ]
-
-    tasks = sorted(train.tasks)
-
-    if kind == "group-lasso":
-        xs, ys, scalers = [], [], {}
-        for task in tasks:
-            recs = train.task_records(task)
-            x_raw = train.feature_matrix(recs)
-            x_std, scalers[task] = standardize(x_raw, x_raw)
-            xs.append(x_std)
-            ys.append(train.scores(recs))
-        model = sparse_linear.fit_group_lasso(
-            xs, ys, hp["lambda_group"], hp["tol"], hp["max_iter"], tasks=tasks
-        )
-        scaler = scalers[eval_task]
-        return [
-            sparse_linear.predict_linear(model, scaler.transform(row), task=eval_task)
-            for row in x_test_raw
-        ]
-
-    if kind == "cmf":
-        pairs = sorted({(r.pivot, r.target) for r in train.records})
-        x_pairs_raw = np.array([train.features[p].as_array() for p in pairs])
-        imputer = fit_scaler(x_pairs_raw)
-        model = factorization.fit_cmf(
-            [(r.task, (r.pivot, r.target), r.score) for r in train.records],
-            pairs,
-            imputer.impute(x_pairs_raw),
-            hp["d_latent"],
-            hp["reg"],
-            hp["alpha"],
-            hp["sweeps"],
-            seed,
-            hp["restarts"],
-        )
-        preds = []
-        for r, row in zip(test_records, x_test_raw):
-            pair = (r.pivot, r.target)
-            if pair in model.pair_index:
-                preds.append(factorization.predict_cmf(model, eval_task, pair))
-            else:
-                preds.append(
-                    factorization.predict_cold_start(model, eval_task, imputer.impute(row))
-                )
-        return preds
-
-    if kind == "mdgpr":
-        x_all_raw = train.feature_matrix(train.records)
-        scaler = fit_scaler(x_all_raw)
-        data = {}
-        for task in tasks:
-            recs = train.task_records(task)
-            data[task] = (scaler.transform(train.feature_matrix(recs)), train.scores(recs))
-        state = gp.fit_gp(
-            data,
-            multi_task=True,
-            lr=hp["lr"],
-            epochs=hp["epochs"],
-            seed=seed,
-            hidden=_gp_hidden(hp),
-        )
-        return [
-            gp.predict_gp(state, scaler.transform(row), eval_task)[0] for row in x_test_raw
-        ]
-
-    if kind == "maml":
-        helpers = [t for t in tasks if t != eval_task]
-        if not helpers:
-            raise ValueError("maml requires at least one helper task")
-        x_all_raw = train.feature_matrix(train.records)
-        scaler = fit_scaler(x_all_raw)
-        helper_data = {}
-        for task in helpers:
-            recs = train.task_records(task)
-            helper_data[task] = (
-                scaler.transform(train.feature_matrix(recs)),
-                train.scores(recs),
-            )
-        n_features = x_all_raw.shape[1]
-        cfg = meta.MamlConfig(
-            inner_steps=hp["inner_steps"],
-            inner_lr=hp["inner_lr"],
-            outer_lr=hp["outer_lr"],
-            meta_epochs=hp["meta_epochs"],
-            net_shape=(n_features, *_gp_hidden(hp), 1),
-        )
-        theta = meta.meta_train(helper_data, cfg, seed)
-        adapted = meta.adapt(theta, scaler.transform(x_eval_raw), y_eval, cfg)
-        return [float(v) for v in meta.predict_net(adapted, scaler.transform(x_test_raw))]
-
-    raise ValueError(f"unknown model kind {kind!r}")
+    maml meta-trains on the helper tasks only, never on the eval task.
+    """
+    helpers = [t for t in sorted(train.tasks) if t != eval_task]
+    predictor = fit_predictors(spec, train, [eval_task], seed, meta_tasks=helpers)[eval_task]
+    pairs = [(r.pivot, r.target) for r in test_records]
+    return predictor.predict(train.feature_matrix(test_records), pairs)
 
 
 # ---------------------------------------------------------------------------
 # Protocol runners
-
-def _fold_workers() -> int:
-    try:
-        return max(0, int(os.environ.get("XFERLENS_THREADS", "0")))
-    except ValueError:
-        return 0
-
-
-def _map_ordered(fn, items):
-    workers = _fold_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
 
 def _check_fold_integrity(
     train: Dataset, eval_task: TaskId, held_out_targets: set[LangId], full_counts: dict[TaskId, int]
@@ -337,9 +401,8 @@ def run_lolo(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> TaskFragment:
     """One fold per target language of the eval task; helpers keep all data."""
     splits = make_lolo_splits(ds, eval_task)
     full_counts = {t: len(ds.task_records(t)) for t in ds.tasks}
-
-    def run_fold(arg: tuple[int, object]) -> FoldResult:
-        i, split = arg
+    folds = []
+    for i, split in enumerate(splits):
         _check_fold_integrity(split.train, eval_task, {split.held_out}, full_counts)
         try:
             preds = _fit_and_predict(
@@ -354,9 +417,7 @@ def run_lolo(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> TaskFragment:
             PredictionRecord(r.pivot, r.target, r.score, float(p))
             for r, p in zip(split.test.records, preds)
         )
-        return FoldResult(split.held_out, records)
-
-    folds = _map_ordered(run_fold, list(enumerate(splits)))
+        folds.append(FoldResult(split.held_out, records))
     return TaskFragment(eval_task, "lolo", len(splits), tuple(folds))
 
 

@@ -8,9 +8,7 @@ base value plus attributions reconstructs the prediction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,14 +112,3 @@ def permutation_importance(
             mae = float(np.mean(np.abs(predict(shuffled) - y)))
             importances[j] += mae - base_mae
     return importances / repeats
-
-
-def write_attribution_csv(
-    rows: Sequence[tuple[str, TaskId, str, float, str]], path: str | Path
-) -> None:
-    """Flat CSV ``model,task,feature,value,method``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "task", "feature", "value", "method"])
-        for model_kind, task, feature, value, method in rows:
-            writer.writerow([model_kind, task, feature, repr(float(value)), method])

@@ -178,11 +178,17 @@ class _Likelihood:
 def _likelihood(prob: _Problem, vec: np.ndarray) -> _Likelihood:
     """Kernel, Cholesky factor, alpha and mll; no gradient work.
 
-    Raises ``numpy.linalg.LinAlgError`` when the covariance cannot be factored.
+    Raises ``numpy.linalg.LinAlgError`` when the covariance cannot be factored
+    or is not finite (an overflowing hyperparameter), and when the mll is not
+    finite, so that the line search treats such a point as a failed step.
     """
     mlp, log_ls, log_sv, log_noise, a_root = _unpack(prob, vec)
-    ls = math.exp(log_ls)
-    sv = math.exp(log_sv)
+    try:
+        ls = math.exp(log_ls)
+        sv = math.exp(log_sv)
+        two_ls_sq = 2.0 * ls**2
+    except OverflowError:
+        raise np.linalg.LinAlgError("kernel hyperparameters overflow") from None
     y, ix = prob.y, prob.task_idx
     m = len(y)
 
@@ -192,12 +198,14 @@ def _likelihood(prob: _Problem, vec: np.ndarray) -> _Likelihood:
     sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (g @ g.T)
     np.fill_diagonal(sq, 0.0)
     sq = np.maximum(sq, 0.0)
-    k_rbf = sv * np.exp(-sq / (2.0 * ls**2))
+    k_rbf = sv * np.exp(-sq / two_ls_sq)
     q_task = a_root @ a_root.T
     q = q_task[np.ix_(ix, ix)]
     k_nf = k_rbf * q
     noise = np.exp(log_noise)[ix]
     k = k_nf + np.diag(noise)
+    if not np.isfinite(k).all():
+        raise np.linalg.LinAlgError("covariance is not finite")
 
     chol, jit = cholesky(k, jitter=0.0)
     alpha = cho_solve((chol, True), y)
@@ -206,6 +214,8 @@ def _likelihood(prob: _Problem, vec: np.ndarray) -> _Likelihood:
         - float(np.log(np.diag(chol)).sum())
         - 0.5 * m * math.log(2.0 * math.pi)
     )
+    if not math.isfinite(mll):
+        raise np.linalg.LinAlgError("marginal likelihood is not finite")
     return _Likelihood(
         mll=mll,
         mlp=mlp,

@@ -44,7 +44,6 @@ class GroupLassoModel:
     n_iter: int
     objective_trace: tuple[float, ...]
     lambda_l1: float = 0.0
-    q: float = 2.0
 
 
 def lasso_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float) -> float:

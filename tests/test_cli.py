@@ -18,6 +18,16 @@ def toy_paths(tmp_path):
     return save_dataset(ds, tmp_path / "data")
 
 
+@pytest.fixture
+def five_task_paths(tmp_path):
+    """Five tasks: cmf's default d_latent of 5 needs at least five."""
+    langs = lang_codes(6)
+    w = np.zeros(9)
+    w[1] = 0.1
+    tasks = {"A": langs[:4], "B": langs, "C": langs[1:], "D": langs[:5], "E": langs[2:]}
+    return save_dataset(planted_dataset(tasks, w, seed=1), tmp_path / "data5")
+
+
 def write_resources(tmp_path):
     vocab_dir = tmp_path / "vocabs"
     vocab_dir.mkdir()
@@ -154,6 +164,15 @@ class TestEvaluateCommand:
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["failures"]
         assert {r["model"]["kind"] for r in payload["results"]} == {"awt"}
+
+    def test_multi_model_scores_exit_two(self, toy_paths, tmp_path, capsys):
+        lines = toy_paths["scores"].read_text().splitlines()
+        lines[2] = lines[2].replace("toy-model", "other-model", 1)
+        toy_paths["scores"].write_text("\n".join(lines) + "\n")
+        code = self.run_eval(toy_paths, tmp_path / "out")
+        assert code == 2
+        assert "scores.csv:3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_model_exit_two(self, toy_paths, tmp_path, capsys):
         code = main(
@@ -318,6 +337,49 @@ class TestExplainCommand:
         assert code == 0
         content = (tmp_path / "out" / "attribution.csv").read_text()
         assert "permutation" in content
+
+
+    def run_permutation(self, paths, kind, out_dir):
+        return main(
+            [
+                "explain",
+                "--scores", str(paths["scores"]),
+                "--features", str(paths["features"]),
+                "--model", kind,
+                "--method", "permutation",
+                "--repeats", "1",
+                "--out", str(out_dir),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["lasso", "gbt", "dgpr", "group-lasso", "cmf", "mdgpr", "maml"]
+    )
+    def test_permutation_every_feature_kind(self, five_task_paths, tmp_path, kind):
+        assert self.run_permutation(five_task_paths, kind, tmp_path / "one") == 0
+        with open(tmp_path / "one" / "attribution.csv", newline="") as fh:
+            body = [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
+        per_task = {}
+        for row in body:
+            assert row[0] == kind and row[4] == "permutation"
+            assert np.isfinite(float(row[3]))
+            per_task[row[1]] = per_task.get(row[1], 0) + 1
+        assert per_task == {task: len(FEATURE_NAMES) for task in "ABCDE"}
+        assert self.run_permutation(five_task_paths, kind, tmp_path / "two") == 0
+        one = (tmp_path / "one" / "attribution.csv").read_bytes()
+        assert one == (tmp_path / "two" / "attribution.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["awt", "aat"])
+    def test_permutation_baseline_exit_two(self, toy_paths, tmp_path, capsys, kind):
+        assert self.run_permutation(toy_paths, kind, tmp_path / "out") == 2
+        assert "no feature pathway" in capsys.readouterr().err
+
+    def test_multi_model_scores_exit_two(self, toy_paths, tmp_path, capsys):
+        lines = toy_paths["scores"].read_text().splitlines()
+        lines[-1] = lines[-1].replace("toy-model", "other-model", 1)
+        toy_paths["scores"].write_text("\n".join(lines) + "\n")
+        assert self.run_permutation(toy_paths, "lasso", tmp_path / "out") == 2
+        assert f"scores.csv:{len(lines)}" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -74,6 +74,20 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"scores\.csv:3.*duplicate"):
             load_dataset(scores, features)
 
+    def test_second_model_rejected_with_line(self, tmp_path):
+        scores = write(
+            tmp_path,
+            "scores.csv",
+            SCORES_HEADER + "m,t,en,de,0.5\nm,t,en,fr,0.6\nm2,t,en,de,0.7\nm,u,en,de,0.4\n",
+        )
+        features = write(
+            tmp_path,
+            "features.csv",
+            FEATURES_HEADER + feature_row("en", "de") + feature_row("en", "fr"),
+        )
+        with pytest.raises(DataError, match=r"scores\.csv:4: model 'm2' differs from 'm'"):
+            load_dataset(scores, features)
+
     def test_unmatched_feature_row(self, tmp_path):
         scores = write(tmp_path, "scores.csv", SCORES_HEADER + "m,t,en,sw,0.5\n")
         features = write(tmp_path, "features.csv", FEATURES_HEADER + feature_row("en", "de"))

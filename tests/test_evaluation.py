@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import lang_codes, planted_dataset, random_feature_vector
+from xferlens import factorization, meta
 from xferlens.data import Dataset, PerformanceRecord, make_lolo_splits
 from xferlens.evaluation import (
     MODEL_KINDS,
@@ -12,6 +13,7 @@ from xferlens.evaluation import (
     FoldResult,
     PredictionRecord,
     aggregate,
+    fit_predictors,
     helper_curve,
     report_to_dict,
     render_table,
@@ -161,6 +163,57 @@ class TestAllKindsSmoke:
         assert np.isfinite(frag.task_mae)
 
 
+class TestFitPredictors:
+    def five_tasks(self):
+        langs = lang_codes(6)
+        return planted_dataset(
+            {"A": langs[:4], "B": langs, "C": langs[1:], "D": langs[:5], "E": langs[2:]},
+            np.zeros(9),
+            seed=8,
+        )
+
+    def test_cmf_uses_factors_only_when_pairs_are_given(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(factorization, name)
+
+            def predict(*args):
+                calls.append(name)
+                return real(*args)
+
+            return predict
+
+        for name in ("predict_cmf", "predict_cold_start"):
+            monkeypatch.setattr(factorization, name, counted(name))
+        ds = self.five_tasks()
+        spec = ModelSpec("cmf", {"sweeps": 3, "d_latent": 2}, seed=0)
+        predictor = fit_predictors(spec, ds, ["A"], seed=0)["A"]
+        records = ds.task_records("A")
+        x = ds.feature_matrix(records)
+        predictor.predict(x, [(r.pivot, r.target) for r in records])
+        assert calls == ["predict_cmf"] * len(records)
+        calls.clear()
+        predictor.predict(x)
+        assert calls == ["predict_cold_start"] * len(records)
+
+    def test_maml_meta_trains_on_the_given_tasks(self, monkeypatch):
+        seen = []
+        real = meta.meta_train
+
+        def meta_train(helper_tasks, *args):
+            seen.append(list(helper_tasks))
+            return real(helper_tasks, *args)
+
+        monkeypatch.setattr(meta, "meta_train", meta_train)
+        ds = self.five_tasks()
+        spec = ModelSpec("maml", {"meta_epochs": 2}, seed=0)
+        fit_predictors(spec, ds, ["A", "B"], seed=0)  # explain: every task
+        assert seen == [["A", "B", "C", "D", "E"]]
+        fragment = run_lolo(ds, spec, "A")  # a protocol: the helpers only
+        assert seen[1:] == [["B", "C", "D", "E"]] * len(fragment.folds)
+
+
 class TestAggregate:
     def frag(self, task, mae, n_targets, protocol="lolo"):
         rec = PredictionRecord("en", "de", 0.5, 0.5 + mae)
@@ -216,15 +269,6 @@ class TestDeterminism:
         one = report_to_dict(aggregate(spec, [run_lolo(ds, spec, "A")]))
         two = report_to_dict(aggregate(spec, [run_lolo(ds, spec, "A")]))
         assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
-
-    def test_threaded_folds_match_serial(self, monkeypatch):
-        langs = lang_codes(6)
-        ds = planted_dataset({"A": langs, "B": langs}, np.zeros(9), seed=6)
-        spec = ModelSpec("lasso", {}, seed=1)
-        serial = report_to_dict(aggregate(spec, [run_lolo(ds, spec, "A")]))
-        monkeypatch.setenv("XFERLENS_THREADS", "4")
-        threaded = report_to_dict(aggregate(spec, [run_lolo(ds, spec, "A")]))
-        assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
 
 class TestHelperCurve:

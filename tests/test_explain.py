@@ -7,7 +7,6 @@ from xferlens.explain import (
     linear_shap,
     mean_abs_shap,
     permutation_importance,
-    write_attribution_csv,
 )
 from xferlens.sparse_linear import GroupLassoModel, LassoModel, predict_linear
 
@@ -123,13 +122,3 @@ class TestPermutationImportance:
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
             permutation_importance(lambda r: np.zeros(len(r)), np.zeros((1, 2)), np.zeros(1))
-
-
-class TestAttributionCsv:
-    def test_round_trip_shape(self, tmp_path):
-        rows = [("lasso", "taskA", "f0", 0.25, "linear-shap")]
-        path = tmp_path / "attr.csv"
-        write_attribution_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "model,task,feature,value,method"
-        assert lines[1] == "lasso,taskA,f0,0.25,linear-shap"

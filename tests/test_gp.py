@@ -299,3 +299,35 @@ class TestLineSearchMatchesReference:
         monkeypatch.setattr(gp_module, "cholesky", fails_on_a_third)
         data = random_tasks(4, (7, 5), 2)
         assert assert_fit_matches_reference(data, 0.01, 10, 4) == (True, False)
+
+
+class TestLineSearchOverflow:
+    """A candidate whose kernel overflows counts as a failed step and is
+    halved, like a failed factorization; it does not end the fit."""
+
+    @pytest.mark.parametrize("sizes", [(6,), (5, 4)])
+    @pytest.mark.parametrize("data_seed", range(4))
+    def test_large_steps_complete(self, data_seed, sizes):
+        data = random_tasks(data_seed, sizes, 3)
+        for lr in (1.0, 5.0, 20.0):
+            state = fit_gp(
+                data, multi_task=len(sizes) > 1, lr=lr, epochs=30, seed=data_seed, hidden=(5,)
+            )
+            trace = np.array(state.mll_trace)
+            assert len(trace) > 1 and np.isfinite(trace).all()
+            assert (np.diff(trace) >= 0).all()
+
+    def test_other_value_errors_still_raise(self, monkeypatch):
+        real = gp_module.cholesky
+        calls = []
+
+        def fails_after_init(a, jitter=0.0):
+            calls.append(a.shape)
+            if len(calls) > 1:
+                raise ValueError("expected a square matrix")
+            return real(a, jitter)
+
+        monkeypatch.setattr(gp_module, "cholesky", fails_after_init)
+        with pytest.raises(ValueError, match="square"):
+            fit_gp(random_tasks(0, (6,), 3), multi_task=False, epochs=3, hidden=(5,))
+        assert len(calls) == 2
