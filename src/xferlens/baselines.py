@@ -130,11 +130,8 @@ def fit_gbt(
     n_estimators: int = 100,
     max_depth: int = 10,
     learning_rate: float = 0.1,
-    seed: int = 0,
 ) -> TreeEnsemble:
-    """Squared-loss boosting on residuals; ``seed`` is accepted for interface
-    uniformity but unused (no stochastic subsampling)."""
-    del seed
+    """Squared-loss boosting on residuals, with no stochastic subsampling."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:

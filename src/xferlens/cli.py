@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -51,6 +52,10 @@ EXIT_METHOD = 4
 
 LINEAR_KINDS = ("lasso", "group-lasso")
 
+_CONFIG_KEYS = (
+    "scores", "features", "meta", "models", "protocol", "tasks", "seed", "out", "helper_curve",
+)
+
 
 def _config_hash(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -70,7 +75,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]], stamp: str)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    """Key=value config lines; requires a schema_version entry."""
+    """Key=value config lines; requires a schema_version entry.
+
+    Unknown keys, a ``seed`` that is not an integer and a ``helper_curve``
+    other than ``true``/``false`` are rejected with their line.
+    """
     out: dict[str, str] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -82,8 +91,16 @@ def _load_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DataError(f"expected key=value, got {line!r}", path=path, line=lineno)
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in (*_CONFIG_KEYS, "schema_version"):
+            raise DataError(f"unknown key {key!r}, expected one of {_CONFIG_KEYS}",
+                            path=path, line=lineno)
+        if key == "seed" and not re.fullmatch(r"[+-]?\d+", value):
+            raise DataError(f"seed must be an integer, got {value!r}", path=path, line=lineno)
+        if key == "helper_curve" and value not in ("true", "false"):
+            raise DataError(f"helper_curve must be 'true' or 'false', got {value!r}",
+                            path=path, line=lineno)
+        out[key] = value
     version = out.pop("schema_version", None)
     if version != str(SCHEMA_VERSION):
         raise DataError(

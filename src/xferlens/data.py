@@ -389,6 +389,15 @@ class LoloSplit:
     held_out: LangId
 
 
+def _partition(ds: Dataset, eval_task: TaskId, held_out: set[LangId]) -> tuple[Dataset, Dataset]:
+    """(train, test): eval-task rows whose target is in ``held_out`` go to
+    test, every other row to train, both in record order."""
+    train, test = [], []
+    for r in ds.records:
+        (test if r.task == eval_task and r.target in held_out else train).append(r)
+    return ds.restrict(train), ds.restrict(test)
+
+
 def make_lolo_splits(ds: Dataset, eval_task: TaskId) -> list[LoloSplit]:
     """Leave-one-language-out folds for ``eval_task``.
 
@@ -401,12 +410,7 @@ def make_lolo_splits(ds: Dataset, eval_task: TaskId) -> list[LoloSplit]:
     targets = ds.targets(eval_task)
     if len(targets) < 2:
         raise ValueError(f"task {eval_task!r} has fewer than 2 target languages")
-    splits = []
-    for held_out in targets:
-        test = [r for r in ds.records if r.task == eval_task and r.target == held_out]
-        train = [r for r in ds.records if not (r.task == eval_task and r.target == held_out)]
-        splits.append(LoloSplit(ds.restrict(train), ds.restrict(test), held_out))
-    return splits
+    return [LoloSplit(*_partition(ds, eval_task, {t}), held_out=t) for t in targets]
 
 
 def make_llro_split(ds: Dataset, eval_task: TaskId) -> tuple[Dataset, Dataset]:
@@ -417,22 +421,16 @@ def make_llro_split(ds: Dataset, eval_task: TaskId) -> tuple[Dataset, Dataset]:
     """
     if eval_task not in ds.tasks:
         raise ValueError(f"unknown task {eval_task!r}")
-    for target in ds.targets(eval_task):
+    targets = ds.targets(eval_task)
+    for target in targets:
         if target not in ds.meta:
             raise ValueError(f"missing taxonomy entry for language {target!r}")
-    train, test = [], []
-    for r in ds.records:
-        if r.task != eval_task:
-            train.append(r)
-        elif ds.meta[r.target].resource_class <= 3:
-            test.append(r)
-        else:
-            train.append(r)
-    if not test:
+    low = {t for t in targets if ds.meta[t].resource_class <= 3}
+    if not low:
         raise ValueError(f"empty test side: no class <= 3 targets in task {eval_task!r}")
-    if not any(r.task == eval_task for r in train):
+    if len(low) == len(targets):
         raise ValueError(f"empty train side: no class 4-5 targets in task {eval_task!r}")
-    return ds.restrict(train), ds.restrict(test)
+    return _partition(ds, eval_task, low)
 
 
 # ---------------------------------------------------------------------------

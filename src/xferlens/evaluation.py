@@ -233,7 +233,7 @@ def _fit_gbt(ds: Dataset, task: TaskId, hp: dict, seed: int) -> Predictor:
     x_raw, y = _task_xy(ds, task)
     scaler = fit_scaler(x_raw)
     model = baselines.fit_gbt(
-        scaler.impute(x_raw), y, hp["n_estimators"], hp["max_depth"], hp["learning_rate"], seed
+        scaler.impute(x_raw), y, hp["n_estimators"], hp["max_depth"], hp["learning_rate"]
     )
     return Predictor(
         lambda x, pairs: [baselines.predict_gbt(model, row) for row in scaler.impute(x)]
@@ -397,48 +397,49 @@ def _fold_seed(spec: ModelSpec, fold_index: int) -> int:
     return spec.seed * 100003 + fold_index
 
 
-def run_lolo(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> TaskFragment:
-    """One fold per target language of the eval task; helpers keep all data."""
-    splits = make_lolo_splits(ds, eval_task)
+def _run_folds(
+    ds: Dataset,
+    spec: ModelSpec,
+    eval_task: TaskId,
+    protocol: str,
+    folds: Sequence[tuple[Dataset, Dataset, str]],
+) -> TaskFragment:
+    """Check, fit and score each (train, test, context) fold of ``eval_task``.
+
+    A fold's held-out targets are those of its test side; ``context`` names
+    the fold in the error raised when its fit or prediction fails.
+    """
     full_counts = {t: len(ds.task_records(t)) for t in ds.tasks}
-    folds = []
-    for i, split in enumerate(splits):
-        _check_fold_integrity(split.train, eval_task, {split.held_out}, full_counts)
+    results = []
+    for i, (train, test, context) in enumerate(folds):
+        held_out = sorted({r.target for r in test.records})
+        _check_fold_integrity(train, eval_task, set(held_out), full_counts)
         try:
-            preds = _fit_and_predict(
-                spec, split.train, split.test.records, eval_task, _fold_seed(spec, i)
-            )
+            preds = _fit_and_predict(spec, train, test.records, eval_task, _fold_seed(spec, i))
         except Exception as err:
             raise RuntimeError(
-                f"model {spec.kind!r} failed on task {eval_task!r}, "
-                f"held-out {split.held_out!r}: {err}"
+                f"model {spec.kind!r} failed on task {eval_task!r}{context}: {err}"
             ) from err
         records = tuple(
             PredictionRecord(r.pivot, r.target, r.score, float(p))
-            for r, p in zip(split.test.records, preds)
+            for r, p in zip(test.records, preds)
         )
-        folds.append(FoldResult(split.held_out, records))
-    return TaskFragment(eval_task, "lolo", len(splits), tuple(folds))
+        results.append(FoldResult(";".join(held_out), records))
+    return TaskFragment(eval_task, protocol, len(ds.targets(eval_task)), tuple(results))
+
+
+def run_lolo(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> TaskFragment:
+    """One fold per target language of the eval task; helpers keep all data."""
+    folds = [
+        (s.train, s.test, f", held-out {s.held_out!r}") for s in make_lolo_splits(ds, eval_task)
+    ]
+    return _run_folds(ds, spec, eval_task, "lolo", folds)
 
 
 def run_llro(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> TaskFragment:
     """Single split: train on class 4-5 target languages, test on class <= 3."""
     train, test = make_llro_split(ds, eval_task)
-    held_out_targets = {r.target for r in test.records}
-    full_counts = {t: len(ds.task_records(t)) for t in ds.tasks}
-    _check_fold_integrity(train, eval_task, held_out_targets, full_counts)
-    try:
-        preds = _fit_and_predict(spec, train, test.records, eval_task, _fold_seed(spec, 0))
-    except Exception as err:
-        raise RuntimeError(
-            f"model {spec.kind!r} failed on task {eval_task!r} under llro: {err}"
-        ) from err
-    records = tuple(
-        PredictionRecord(r.pivot, r.target, r.score, float(p))
-        for r, p in zip(test.records, preds)
-    )
-    fold = FoldResult(";".join(sorted(held_out_targets)), records)
-    return TaskFragment(eval_task, "llro", len(ds.targets(eval_task)), (fold,))
+    return _run_folds(ds, spec, eval_task, "llro", [(train, test, " under llro")])
 
 
 def run_protocol(ds: Dataset, spec: ModelSpec, protocol: str, eval_task: TaskId) -> TaskFragment:
@@ -465,11 +466,14 @@ def helper_curve(
 ) -> list[tuple[int, float]]:
     """LOLO MAE of the eval task as helper tasks are added one at a time.
 
-    Helpers enter in sorted-name order, so the curve is deterministic.
+    Helpers enter in sorted-name order, so the curve is deterministic. cmf's
+    curve starts at ``d_latent - 1`` helpers: with fewer tasks than latent
+    dimensions the factorization is not defined.
     """
     helpers = sorted(ds.tasks - {eval_task})
+    first = spec.merged()["d_latent"] - 1 if spec.kind == "cmf" else 0
     curve = []
-    for k in range(len(helpers) + 1):
+    for k in range(first, len(helpers) + 1):
         keep = set(helpers[:k]) | {eval_task}
         sub = ds.restrict([r for r in ds.records if r.task in keep])
         fragment = run_lolo(sub, spec, eval_task)

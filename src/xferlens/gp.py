@@ -35,6 +35,9 @@ from .numerics import (  # noqa: F401
 
 DEFAULT_HIDDEN = (50, 10)
 
+#: Lower bound on each task's noise variance during the fit, as a log.
+_LOG_NOISE_FLOOR = math.log(1e-8)
+
 
 def kernel_rbf(g_a: np.ndarray, g_b: np.ndarray, lengthscale: float, signal_variance: float) -> float:
     """signal_variance * exp(-||g_a - g_b||^2 / (2 lengthscale^2))."""
@@ -59,7 +62,6 @@ class GpState:
     task_root: np.ndarray  # A with K_task = A A^T
     tasks: tuple[TaskId, ...]
     multi_task: bool
-    train_x: np.ndarray
     train_latent: np.ndarray
     train_task_idx: np.ndarray
     task_means: np.ndarray
@@ -198,12 +200,15 @@ def _likelihood(prob: _Problem, vec: np.ndarray) -> _Likelihood:
     sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (g @ g.T)
     np.fill_diagonal(sq, 0.0)
     sq = np.maximum(sq, 0.0)
-    k_rbf = sv * np.exp(-sq / two_ls_sq)
-    q_task = a_root @ a_root.T
-    q = q_task[np.ix_(ix, ix)]
-    k_nf = k_rbf * q
-    noise = np.exp(log_noise)[ix]
-    k = k_nf + np.diag(noise)
+    # A candidate's ls can underflow to 0 or its noise overflow; the
+    # finiteness check below rejects such a point, so numpy need not warn.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k_rbf = sv * np.exp(-sq / two_ls_sq)
+        q_task = a_root @ a_root.T
+        q = q_task[np.ix_(ix, ix)]
+        k_nf = k_rbf * q
+        noise = np.exp(log_noise)[ix]
+        k = k_nf + np.diag(noise)
     if not np.isfinite(k).all():
         raise np.linalg.LinAlgError("covariance is not finite")
 
@@ -304,23 +309,11 @@ def _build_problem(
     return prob, tasks, np.array(means)
 
 
-def _init_vec(
-    prob: _Problem,
-    seed: int,
-    init_lengthscale: float,
-    init_signal_variance: float,
-    init_noise_variance: float,
-) -> np.ndarray:
+def _init_vec(prob: _Problem, seed: int, init_noise_variance: float) -> np.ndarray:
+    """Seeded network, unit lengthscale and signal variance, identity task root."""
     mlp = init_mlp(prob.layer_sizes, seed)
     log_noise = np.full(prob.n_tasks, math.log(init_noise_variance))
-    return _pack(
-        prob,
-        mlp,
-        math.log(init_lengthscale),
-        math.log(init_signal_variance),
-        log_noise,
-        np.eye(prob.n_tasks),
-    )
+    return _pack(prob, mlp, 0.0, 0.0, log_noise, np.eye(prob.n_tasks))
 
 
 def mll_function(
@@ -328,8 +321,6 @@ def mll_function(
     multi_task: bool,
     seed: int = 0,
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-    init_lengthscale: float = 1.0,
-    init_signal_variance: float = 1.0,
     init_noise_variance: float = 0.01,
 ) -> tuple[Callable[[np.ndarray], tuple[float, np.ndarray]], np.ndarray]:
     """Marginal log-likelihood as a checkable function of the parameter vector.
@@ -338,7 +329,7 @@ def mll_function(
     seeded initialization. Useful for verifying gradients independently.
     """
     prob, _, _ = _build_problem(data_by_task, multi_task, hidden)
-    vec0 = _init_vec(prob, seed, init_lengthscale, init_signal_variance, init_noise_variance)
+    vec0 = _init_vec(prob, seed, init_noise_variance)
 
     def f(vec: np.ndarray) -> tuple[float, np.ndarray]:
         lik = _likelihood(prob, vec)
@@ -354,10 +345,7 @@ def fit_gp(
     epochs: int = 200,
     seed: int = 0,
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-    init_lengthscale: float = 1.0,
-    init_signal_variance: float = 1.0,
     init_noise_variance: float = 0.01,
-    noise_floor: float = 1e-8,
 ) -> GpState:
     """Full-batch gradient ascent on the exact marginal log-likelihood.
 
@@ -369,9 +357,8 @@ def fit_gp(
     ``stopped_early`` on the result report that line-search work.
     """
     prob, tasks, means = _build_problem(data_by_task, multi_task, hidden)
-    vec = _init_vec(prob, seed, init_lengthscale, init_signal_variance, init_noise_variance)
+    vec = _init_vec(prob, seed, init_noise_variance)
     ns = prob.noise_slice()
-    floor = math.log(noise_floor)
 
     lik = _likelihood(prob, vec)
     evals = 1
@@ -383,7 +370,7 @@ def fit_gp(
         accepted = None
         for _ in range(30):
             cand = vec + step * grad
-            cand[ns] = np.maximum(cand[ns], floor)
+            cand[ns] = np.maximum(cand[ns], _LOG_NOISE_FLOOR)
             evals += 1
             try:
                 cand_lik = _likelihood(prob, cand)
@@ -408,7 +395,6 @@ def fit_gp(
         task_root=lik.a_root,
         tasks=tasks,
         multi_task=multi_task,
-        train_x=prob.x,
         train_latent=lik.latent,
         train_task_idx=prob.task_idx,
         task_means=means,

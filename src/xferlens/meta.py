@@ -40,7 +40,6 @@ class MamlConfig:
     outer_lr: float = 0.001
     meta_epochs: int = 500
     net_shape: tuple[int, ...] = (9, 50, 10, 1)
-    first_order: bool = True
 
     def __post_init__(self):
         if self.inner_steps < 0:
@@ -51,8 +50,6 @@ class MamlConfig:
             raise ValueError("meta_epochs must be >= 1")
         if len(self.net_shape) < 2 or self.net_shape[-1] != 1:
             raise ValueError("net_shape must end in a single output unit")
-        if not self.first_order:
-            raise ValueError("second-order MAML is not supported")
 
 
 def _mse_grads(

@@ -69,18 +69,13 @@ class MlpParams:
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
 
     def copy(self) -> "MlpParams":
         return MlpParams(
             layer_sizes=self.layer_sizes,
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            activation=self.activation,
         )
-
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
 def init_mlp(layer_sizes: tuple[int, ...], seed: int = 0) -> MlpParams:

@@ -43,7 +43,6 @@ class GroupLassoModel:
     converged: bool
     n_iter: int
     objective_trace: tuple[float, ...]
-    lambda_l1: float = 0.0
 
 
 def lasso_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float) -> float:
@@ -57,14 +56,12 @@ def group_lasso_objective(
     weights: np.ndarray,
     intercepts: np.ndarray,
     lambda_group: float,
-    lambda_l1: float = 0.0,
 ) -> float:
     total = 0.0
     for t, (x, y) in enumerate(zip(xs, ys)):
         r = y - x @ weights[:, t] - intercepts[t]
         total += 0.5 * (r @ r) / len(y)
     penalty = lambda_group * np.linalg.norm(weights, axis=1).sum()
-    penalty += lambda_l1 * np.abs(weights).sum()
     return float(total + penalty)
 
 
@@ -120,14 +117,10 @@ def _group_soft(v: np.ndarray, lam: float) -> np.ndarray:
     return (1.0 - lam / nv) * v
 
 
-def _row_update(
-    phi_row: np.ndarray, rho: np.ndarray, z_row: np.ndarray, lam: float, lam_l1: float
-) -> np.ndarray:
-    """Minimize the one-row subproblem
-    sum_t (z_t/2) p_t^2 - rho_t p_t + lam ||p||_2 + lam_l1 ||p||_1.
+def _row_update(phi_row: np.ndarray, rho: np.ndarray, z_row: np.ndarray, lam: float) -> np.ndarray:
+    """Minimize the one-row subproblem sum_t (z_t/2) p_t^2 - rho_t p_t + lam ||p||_2.
 
-    The combined proximal map is the elementwise soft-threshold followed by the
-    group soft-threshold. With equal curvatures that prox is exact for the
+    With equal curvatures the group soft-threshold is exact for the
     subproblem; otherwise a proximal-gradient step with the max curvature as
     Lipschitz constant, which still never increases the objective.
     Zero-curvature coordinates are pinned at 0 (they only add penalty).
@@ -139,15 +132,12 @@ def _row_update(
     za = z_row[active]
     ra = rho[active]
     if np.allclose(za, za[0], rtol=1e-12, atol=0.0):
-        z = za[0]
-        shrunk = np.array([soft_threshold(v, lam_l1) for v in ra])
-        new[active] = _group_soft(shrunk, lam) / z
+        new[active] = _group_soft(ra, lam) / za[0]
     else:
         lip = float(za.max())
         cur = phi_row[active]
         v = cur - (za * cur - ra) / lip
-        shrunk = np.array([soft_threshold(u, lam_l1 / lip) for u in v])
-        new[active] = _group_soft(shrunk, lam / lip)
+        new[active] = _group_soft(v, lam / lip)
     return new
 
 
@@ -158,16 +148,11 @@ def fit_group_lasso(
     tol: float = 1e-6,
     max_iter: int = 10000,
     tasks: Sequence[TaskId] | None = None,
-    lambda_l1: float = 0.0,
 ) -> GroupLassoModel:
     """Block coordinate descent over feature rows of the task-weight matrix.
 
     Objective: sum_t (1/(2 m_t)) ||y_t - X_t phi_t - b_t||^2
-               + lambda_group * sum_j ||Phi_{j,.}||_2
-               + lambda_l1 * sum_{j,t} |Phi_{j,t}|.
-
-    The elementwise term defaults to 0, which is the configuration used
-    throughout the evaluation harness.
+               + lambda_group * sum_j ||Phi_{j,.}||_2.
     """
     if len(xs) != len(ys) or not xs:
         raise ValueError("need matching non-empty per-task designs and targets")
@@ -181,8 +166,8 @@ def fit_group_lasso(
             raise ValueError("each task needs >= 2 samples matching its targets")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("non-finite inputs")
-    if lambda_group < 0 or lambda_l1 < 0:
-        raise ValueError("penalty strengths must be >= 0")
+    if lambda_group < 0:
+        raise ValueError("lambda_group must be >= 0")
     n_tasks = len(xs)
     task_names = tuple(tasks) if tasks is not None else tuple(str(t) for t in range(n_tasks))
     if len(task_names) != n_tasks:
@@ -209,7 +194,7 @@ def fit_group_lasso(
                     for t in range(n_tasks)
                 ]
             )
-            new = _row_update(phi[j], rho, z[j], lambda_group, lambda_l1)
+            new = _row_update(phi[j], rho, z[j], lambda_group)
             for t in range(n_tasks):
                 change = new[t] - phi[j, t]
                 if change != 0.0:
@@ -219,7 +204,6 @@ def fit_group_lasso(
         obj = (
             sum(0.5 * (residuals[t] @ residuals[t]) / ms[t] for t in range(n_tasks))
             + lambda_group * np.linalg.norm(phi, axis=1).sum()
-            + lambda_l1 * np.abs(phi).sum()
         )
         trace.append(float(obj))
         if delta < tol:
@@ -229,8 +213,7 @@ def fit_group_lasso(
         [y_means[t] - float(x_means[t] @ phi[:, t]) for t in range(n_tasks)]
     )
     return GroupLassoModel(
-        phi, intercepts, lambda_group, task_names, converged, sweeps, tuple(trace),
-        lambda_l1=lambda_l1,
+        phi, intercepts, lambda_group, task_names, converged, sweeps, tuple(trace)
     )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import string
 
 import numpy as np
+from hypothesis import strategies as st
 
 from xferlens.data import (
     FEATURE_NAMES,
@@ -121,3 +122,39 @@ def simple_dataset() -> Dataset:
         "sw": LanguageMeta("sw", 1, 1e5),
     }
     return Dataset(records, features, meta)
+
+
+@st.composite
+def random_layouts(draw, complete: bool = False) -> Dataset:
+    """Datasets over one to three pivots, with missing feature cells.
+
+    Pivots and targets come from disjoint language pools, and each task
+    draws at least two targets, scored under every pivot; unless
+    ``complete``, some of those (pivot, target) records are dropped. Records
+    come in a drawn order, and every language has a drawn resource class.
+    """
+    pool = lang_codes(9)
+    pivots = draw(st.lists(st.sampled_from(pool[:3]), min_size=1, max_size=3, unique=True))
+    targets = pool[3:]
+    records = []
+    for t in range(draw(st.integers(1, 4))):
+        task_targets = draw(
+            st.lists(st.sampled_from(targets), min_size=2, max_size=len(targets), unique=True)
+        )
+        for pivot in pivots:
+            for target in task_targets:
+                if complete or draw(st.integers(0, 4)) > 0:
+                    score = draw(st.floats(0.0, 1.0))
+                    records.append(PerformanceRecord("toy-model", f"T{t}", pivot, target, score))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n_features = len(FEATURE_NAMES)
+    features = {}
+    for pivot in pivots:
+        for target in targets:
+            values = random_feature_vector(pivot, target, rng).values
+            mask = draw(st.lists(st.booleans(), min_size=n_features, max_size=n_features))
+            missing = frozenset(name for name, m in zip(FEATURE_NAMES, mask) if m)
+            kept = {name: v for name, v in values.items() if name not in missing}
+            features[(pivot, target)] = FeatureVector(pivot, target, kept, missing)
+    meta = {lang: LanguageMeta(lang, draw(st.integers(0, 5)), 1e6) for lang in pool}
+    return Dataset(tuple(draw(st.permutations(records))), features, meta)

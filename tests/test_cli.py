@@ -211,6 +211,30 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert "schema_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed=abc", "seed must be an integer"),
+            ("sede=5", "unknown key 'sede'"),
+            ("helper_curve=yes", "helper_curve must be 'true' or 'false'"),
+        ],
+    )
+    def test_config_file_bad_entry_exit_two(self, toy_paths, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "schema_version=1\n"
+            f"scores={toy_paths['scores']}\n"
+            f"features={toy_paths['features']}\n"
+            "models=awt\n"
+            "protocol=lolo\n"
+            f"out={tmp_path / 'cfg_out'}\n"
+            f"{line}\n"
+        )
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:7: " in err and message in err
+        assert not (tmp_path / "cfg_out").exists()
+
     def test_llro_protocol(self, tmp_path):
         langs = lang_codes(6)
         classes = {lang: (5 if i % 2 == 0 else 2) for i, lang in enumerate(langs)}
@@ -247,6 +271,24 @@ class TestEvaluateCommand:
         assert lines[1] == "model,task,n_helpers,mae,mae_scaled"
         rows = [l for l in lines if l.startswith("group-lasso")]
         assert len(rows) == 2  # helpers 0 and 1
+
+    def test_cmf_helper_curve_starts_at_d_latent_minus_one(self, five_task_paths, tmp_path):
+        code = main(
+            [
+                "evaluate",
+                "--scores", str(five_task_paths["scores"]),
+                "--features", str(five_task_paths["features"]),
+                "--models", "cmf",
+                "--protocol", "lolo",
+                "--task", "A",
+                "--out", str(tmp_path / "out"),
+                "--helper-curve",
+            ]
+        )
+        assert code == 0
+        lines = (tmp_path / "out" / "helper_curve.csv").read_text().splitlines()
+        rows = list(csv.reader(l for l in lines if l.startswith("cmf")))
+        assert [row[2] for row in rows] == ["4"]  # d_latent 5: four helpers, five tasks
 
 
 class TestExplainCommand:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import planted_dataset, simple_dataset
+from helpers import planted_dataset, random_layouts, simple_dataset
 from xferlens.data import (
     FEATURE_NAMES,
     DataError,
@@ -274,6 +274,53 @@ class TestLlroSplit:
         train_langs = {r.target for r in train.records if r.task == "A"}
         test_langs = {r.target for r in test.records}
         assert not train_langs & test_langs
+
+
+class TestSplitProperties:
+    """Fold invariants over random layouts: several pivots, missing feature
+    cells, dropped records and shuffled record order."""
+
+    @staticmethod
+    def assert_fold(ds, eval_task, train, test, held_out):
+        held = [r for r in ds.records if r.task == eval_task and r.target in held_out]
+        assert test.records == tuple(held)
+        assert train.records == tuple(r for r in ds.records if r not in set(held))
+        assert not any(r.task == eval_task and r.target in held_out for r in train.records)
+        for helper in ds.tasks - {eval_task}:
+            assert train.task_records(helper) == ds.task_records(helper)
+
+    @given(random_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_lolo_folds_partition_the_eval_task(self, ds):
+        for eval_task in sorted(ds.tasks):
+            targets = ds.targets(eval_task)
+            if len(targets) < 2:
+                with pytest.raises(ValueError, match="fewer than 2"):
+                    make_lolo_splits(ds, eval_task)
+                continue
+            splits = make_lolo_splits(ds, eval_task)
+            assert tuple(s.held_out for s in splits) == targets
+            tested = [r for s in splits for r in s.test.records]
+            assert len(tested) == len(set(tested))
+            assert set(tested) == set(ds.task_records(eval_task))
+            for s in splits:
+                self.assert_fold(ds, eval_task, s.train, s.test, {s.held_out})
+
+    @given(random_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_llro_tests_exactly_the_low_resource_rows(self, ds):
+        for eval_task in sorted(ds.tasks):
+            classes = {t: ds.meta[t].resource_class for t in ds.targets(eval_task)}
+            low = {t for t, c in classes.items() if c <= 3}
+            if not low:
+                with pytest.raises(ValueError, match="empty test side"):
+                    make_llro_split(ds, eval_task)
+            elif low == set(classes):
+                with pytest.raises(ValueError, match="empty train side"):
+                    make_llro_split(ds, eval_task)
+            else:
+                train, test = make_llro_split(ds, eval_task)
+                self.assert_fold(ds, eval_task, train, test, low)
 
 
 class TestStandardize:

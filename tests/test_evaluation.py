@@ -1,11 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import lang_codes, planted_dataset, random_feature_vector
+from helpers import lang_codes, planted_dataset, random_feature_vector, random_layouts
 from xferlens import factorization, meta
-from xferlens.data import Dataset, PerformanceRecord, make_lolo_splits
+from xferlens.data import Dataset, PerformanceRecord, make_llro_split, make_lolo_splits
 from xferlens.evaluation import (
     MODEL_KINDS,
     ModelSpec,
@@ -141,6 +143,38 @@ class TestProtocolIntegrity:
         for task in sorted(ds.tasks):
             frag = run_lolo(ds, ModelSpec("awt"), task)
             assert len(frag.folds) == len(ds.targets(task))
+
+
+class TestFoldProperties:
+    """awt gives one fold per split, over random multi-pivot layouts with
+    missing feature cells."""
+
+    @staticmethod
+    def assert_fold_rows(fold, test):
+        got = [(r.pivot, r.target, r.y_true) for r in fold.records]
+        assert got == [(r.pivot, r.target, r.score) for r in test.records]
+
+    @given(random_layouts(complete=True))
+    @settings(max_examples=20, deadline=None)
+    def test_awt_one_fold_per_split(self, ds):
+        spec = ModelSpec("awt")
+        for eval_task in sorted(ds.tasks):
+            splits = make_lolo_splits(ds, eval_task)
+            frag = run_lolo(ds, spec, eval_task)
+            assert [f.held_out for f in frag.folds] == [s.held_out for s in splits]
+            for fold, split in zip(frag.folds, splits):
+                self.assert_fold_rows(fold, split.test)
+            try:
+                _, test = make_llro_split(ds, eval_task)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    run_llro(ds, spec, eval_task)
+                continue
+            frag = run_llro(ds, spec, eval_task)
+            assert frag.n_targets == len(ds.targets(eval_task))
+            (fold,) = frag.folds
+            assert fold.held_out == ";".join(sorted({r.target for r in test.records}))
+            self.assert_fold_rows(fold, test)
 
 
 class TestAllKindsSmoke:

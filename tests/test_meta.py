@@ -172,10 +172,6 @@ class TestMetaTrain:
         with pytest.raises(ValueError, match="too small"):
             meta_train({"t": (np.zeros((1, 1)), np.zeros(1))}, cfg)
 
-    def test_second_order_not_supported(self):
-        with pytest.raises(ValueError, match="second-order"):
-            MamlConfig(first_order=False)
-
 
 def reference_mse_and_grads(params, x, y):
     """Two-pass reference: a forward pass for the loss, then mlp_backward."""

@@ -252,29 +252,6 @@ class TestGroupLasso:
                 [np.zeros((3, 2)), np.zeros((3, 4))], [np.zeros(3), np.zeros(3)], 0.1
             )
 
-    def test_elementwise_term_alone_recovers_lasso(self):
-        # With no group penalty, the optional l1 term is plain per-task lasso.
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((25, 5))
-        x = (x - x.mean(0)) / x.std(0)
-        y = rng.standard_normal(25)
-        lam = 0.08
-        combo = fit_group_lasso([x], [y], lambda_group=0.0, tol=1e-10, lambda_l1=lam)
-        plain = fit_lasso(x, y, lam, tol=1e-10)
-        np.testing.assert_allclose(combo.weights[:, 0], plain.weights, atol=1e-6)
-
-    def test_combined_penalties_monotone_and_sparser(self):
-        xs, ys, _ = self.make_shared_support_problem(seed=14)
-        both = fit_group_lasso(xs, ys, 0.05, tol=1e-9, lambda_l1=0.05)
-        trace = both.objective_trace
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-        group_only = fit_group_lasso(xs, ys, 0.05, tol=1e-9)
-        assert np.count_nonzero(both.weights) <= np.count_nonzero(group_only.weights)
-        assert both.objective_trace[-1] == pytest.approx(
-            group_lasso_objective(xs, ys, both.weights, both.intercepts, 0.05, 0.05),
-            abs=1e-12,
-        )
-
 
 class TestPredictLinear:
     def test_zero_weights_returns_intercept(self):
