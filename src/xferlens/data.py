@@ -9,6 +9,7 @@ Datasets and splits are immutable after construction.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ _SCORE_COLUMNS = ["model", "task", "pivot", "target", "score"]
 _FEATURE_COLUMNS = ["pivot", "target", *FEATURE_NAMES]
 _META_COLUMNS = ["lang", "class", "pretrain_words"]
 
-# Feature ranges checked on construction; size and wmrr are unconstrained here.
+# Feature ranges checked on construction; size and wmrr need only be finite.
 _UNIT_RANGE = ("o_sw", "s_syn", "s_pho", "s_gen", "pcw")
 
 
@@ -94,6 +95,9 @@ class FeatureVector:
         overlap = set(self.values) & set(self.missing)
         if overlap:
             raise ValueError(f"features both present and missing: {sorted(overlap)}")
+        for name, v in self.values.items():
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite: {v}")
         for name in _UNIT_RANGE:
             v = self.values.get(name)
             if v is not None and not 0.0 <= v <= 1.0:
@@ -124,8 +128,8 @@ class LanguageMeta:
         validate_lang(self.lang)
         if self.resource_class not in range(6):
             raise ValueError(f"resource class must be in 0..5: {self.resource_class}")
-        if self.pretrain_words <= 0:
-            raise ValueError(f"pretrain_words must be positive: {self.pretrain_words}")
+        if not (math.isfinite(self.pretrain_words) and self.pretrain_words > 0):
+            raise ValueError(f"pretrain_words must be positive and finite: {self.pretrain_words}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ feature-values, and the two tokenizer-quality metrics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -46,11 +47,16 @@ class VocabSet:
 
 @dataclass(frozen=True)
 class TypologyVector:
-    """One typology vector; None marks unobserved dimensions."""
+    """One typology vector; None marks unobserved dimensions.
+
+    Observed dimensions must be finite, so the float copy ``_array`` can mark
+    the unobserved ones with NaN.
+    """
 
     lang: LangId
     kind: str
     dims: tuple[float | None, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_lang(self.lang)
@@ -58,8 +64,15 @@ class TypologyVector:
             raise ValueError(f"unknown typology kind {self.kind!r}")
         if not self.dims:
             raise ValueError("typology vector must have at least one dimension")
-        if self.kind == "geography" and any(d is None for d in self.dims):
+        array = np.array(self.dims, dtype=float)  # None becomes NaN
+        if np.count_nonzero(~np.isfinite(array)) != self.dims.count(None):
+            i, d = next(
+                (i, d) for i, d in enumerate(self.dims) if d is not None and not math.isfinite(d)
+            )
+            raise ValueError(f"non-finite typology dimension d{i}: {d!r}")
+        if self.kind == "geography" and None in self.dims:
             raise ValueError("geography vectors must be fully observed")
+        object.__setattr__(self, "_array", array)
 
 
 @dataclass(frozen=True)
@@ -102,8 +115,7 @@ def subword_overlap(vp: VocabSet, vt: VocabSet) -> float:
     if not vp.tokens or not vt.tokens:
         raise ValueError("empty vocabulary")
     inter = len(vp.tokens & vt.tokens)
-    union = len(vp.tokens | vt.tokens)
-    return inter / union
+    return inter / (len(vp.tokens) + len(vt.tokens) - inter)
 
 
 def typo_similarity(a: TypologyVector, b: TypologyVector) -> float | None:
@@ -118,15 +130,11 @@ def typo_similarity(a: TypologyVector, b: TypologyVector) -> float | None:
         raise ValueError("use geo_distance for geography vectors")
     if len(a.dims) != len(b.dims):
         raise ValueError("typology vectors have different dimensionality")
-    va, vb = [], []
-    for da, db in zip(a.dims, b.dims):
-        if da is not None and db is not None:
-            va.append(da)
-            vb.append(db)
-    if not va:
+    shared = ~(np.isnan(a._array) | np.isnan(b._array))
+    if not shared.any():
         return None
-    va = np.array(va, dtype=float)
-    vb = np.array(vb, dtype=float)
+    va = a._array[shared]
+    vb = b._array[shared]
     na = np.linalg.norm(va)
     nb = np.linalg.norm(vb)
     if na == 0.0 or nb == 0.0:
@@ -175,7 +183,9 @@ def wmrr(
     Every feature-value in the table is weighted by the total pre-training
     words of the languages possessing it and ranked in descending weight
     (competition ranking: ties share the smallest rank of the tied block).
-    Languages without metadata contribute zero weight.
+    Languages without metadata contribute zero weight. The reciprocal ranks
+    are summed exactly (``math.fsum``), so the result does not depend on the
+    iteration order of the language's feature-value set.
     """
     if t not in wals.rows or not wals.rows[t]:
         raise ValueError(f"language {t!r} absent from the WALS table")
@@ -186,12 +196,10 @@ def wmrr(
         words = meta[lang].pretrain_words if lang in meta else 0.0
         for fv in fvs:
             mass[fv] = mass.get(fv, 0.0) + words
-    all_masses = sorted(mass.values(), reverse=True)
-    total = 0.0
-    for fv in wals.rows[t]:
-        rank = 1 + sum(1 for m in all_masses if m > mass[fv])
-        total += 1.0 / rank
-    return total / len(wals.rows[t])
+    ascending = sorted(mass.values())
+    # rank = 1 + the number of masses strictly greater than this one
+    ranks = [1 + len(ascending) - bisect_right(ascending, mass[fv]) for fv in wals.rows[t]]
+    return math.fsum(1.0 / rank for rank in ranks) / len(ranks)
 
 
 def tokenizer_metrics(stats: TokenizationStats) -> tuple[float, float]:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,50 @@ class TestFeaturesCommand:
         assert ":2" in capsys.readouterr().err  # line number in the diagnostic
 
 
+    @pytest.mark.parametrize(
+        "row, line", [("ab,geography,nan,0.0", 6), ("ac,syntax,1.0,inf", 11)]
+    )
+    def test_non_finite_typology_cell_exits_two_with_line(self, tmp_path, capsys, row, line):
+        vocab_dir, typology, wals, stats, meta = write_resources(tmp_path)
+        lines = typology.read_text().splitlines()
+        lines[line - 1] = row
+        typology.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "f.csv"
+        code = main(["features", "--typology", str(typology), "--meta", str(meta), "--out", str(out)])
+        assert code == 2
+        assert f"typology.csv:{line}: non-finite typology dimension" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        # wmrr sums one reciprocal rank per feature-value of a language; the
+        # values sit in a frozenset whose order follows the string hash seed.
+        rng = np.random.default_rng(4)
+        langs = lang_codes(8)
+        wals = tmp_path / "wals.csv"
+        wals.write_text(
+            "lang,feature_value\n"
+            + "".join(f"{lang},f{i}\n" for lang in langs for i in range(60) if rng.uniform() < 0.5)
+        )
+        meta = tmp_path / "meta.csv"
+        meta.write_text(
+            "lang,class,pretrain_words\n"
+            + "".join(f"{lang},3,{int(rng.integers(1, 10**6))}\n" for lang in langs)
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"features_{hash_seed}.csv"
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+            proc = subprocess.run(
+                [sys.executable, "-m", "xferlens.cli", "features", "--wals", str(wals),
+                 "--meta", str(meta), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestEvaluateCommand:
     def run_eval(self, toy_paths, out_dir, extra=()):
         return main(
@@ -172,6 +220,16 @@ class TestEvaluateCommand:
         code = self.run_eval(toy_paths, tmp_path / "out")
         assert code == 2
         assert "scores.csv:3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_feature_exit_two(self, toy_paths, tmp_path, capsys):
+        lines = toy_paths["features"].read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[2 + FEATURE_NAMES.index("d_geo")] = "nan"
+        lines[2] = ",".join(cells)
+        toy_paths["features"].write_text("\n".join(lines) + "\n")
+        assert self.run_eval(toy_paths, tmp_path / "out") == 2
+        assert "features.csv:3: d_geo must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_model_exit_two(self, toy_paths, tmp_path, capsys):
@@ -415,6 +473,15 @@ class TestExplainCommand:
     def test_permutation_baseline_exit_two(self, toy_paths, tmp_path, capsys, kind):
         assert self.run_permutation(toy_paths, kind, tmp_path / "out") == 2
         assert "no feature pathway" in capsys.readouterr().err
+
+    def test_non_finite_feature_exit_two(self, toy_paths, tmp_path, capsys):
+        lines = toy_paths["features"].read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[2 + FEATURE_NAMES.index("size")] = "inf"
+        lines[-1] = ",".join(cells)
+        toy_paths["features"].write_text("\n".join(lines) + "\n")
+        assert self.run_permutation(toy_paths, "lasso", tmp_path / "out") == 2
+        assert f"features.csv:{len(lines)}: size must be finite" in capsys.readouterr().err
 
     def test_multi_model_scores_exit_two(self, toy_paths, tmp_path, capsys):
         lines = toy_paths["scores"].read_text().splitlines()

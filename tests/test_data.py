@@ -164,6 +164,32 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"meta\.csv:2"):
             load_dataset(scores, features, meta)
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            "0.3,0.5,0.5,0.1,nan,6.0,0.9,1.5,0.1",  # d_geo
+            "0.3,0.5,0.5,0.1,0.2,inf,0.9,1.5,0.1",  # size
+            "0.3,0.5,0.5,0.1,0.2,6.0,-inf,1.5,0.1",  # wmrr
+            "0.3,0.5,0.5,0.1,0.2,6.0,0.9,nan,0.1",  # fert
+            "0.3,0.5,0.5,0.1,nan,inf,0.9,1.5,0.1",  # d_geo and size
+        ],
+    )
+    def test_non_finite_feature_cell_rejected_with_line(self, tmp_path, cells):
+        scores = write(tmp_path, "scores.csv", SCORES_HEADER + "m,t,en,de,0.5\nm,t,en,fr,0.5\n")
+        features = write(
+            tmp_path, "features.csv", FEATURES_HEADER + feature_row("en", "de") + f"en,fr,{cells}\n"
+        )
+        with pytest.raises(DataError, match=r"features\.csv:3: .* must be finite"):
+            load_dataset(scores, features)
+
+    @pytest.mark.parametrize("words", ["nan", "inf"])
+    def test_non_finite_meta_words_rejected_with_line(self, tmp_path, words):
+        scores = write(tmp_path, "scores.csv", SCORES_HEADER + "m,t,en,de,0.5\n")
+        features = write(tmp_path, "features.csv", FEATURES_HEADER + feature_row("en", "de"))
+        meta = write(tmp_path, "meta.csv", f"lang,class,pretrain_words\nen,5,1e9\nde,5,{words}\n")
+        with pytest.raises(DataError, match=r"meta\.csv:3: pretrain_words must be positive and finite"):
+            load_dataset(scores, features, meta)
+
 
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):
@@ -388,6 +414,17 @@ class TestTypeInvariants:
         values = {n: 0.5 for n in FEATURE_NAMES}
         values["fert"] = 0.5
         with pytest.raises(ValueError, match="fert"):
+            FeatureVector("en", "de", values)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("o_sw", "nan"), ("d_geo", "nan"), ("size", "inf"), ("wmrr", "-inf"), ("fert", "inf")],
+    )
+    def test_feature_vector_rejects_non_finite(self, name, value):
+        values = {n: 0.5 for n in FEATURE_NAMES}
+        values["fert"] = 1.5
+        values[name] = float(value)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             FeatureVector("en", "de", values)
 
     def test_meta_class_range(self):

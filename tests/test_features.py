@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xferlens.data import FEATURE_NAMES, LanguageMeta, load_features_csv, write_features_csv
+from xferlens import features
+from xferlens.data import FEATURE_NAMES, DataError, LanguageMeta, load_features_csv, write_features_csv
 from xferlens.features import (
     FeatureResources,
     TokenizationStats,
@@ -14,6 +15,7 @@ from xferlens.features import (
     WalsTable,
     build_feature_table,
     geo_distance,
+    load_typology_csv,
     max_geo_distance,
     pretrain_size_feature,
     subword_overlap,
@@ -60,6 +62,43 @@ def wmrr_oracle(lang, rows, words):
     return sum(recip) / len(recip)
 
 
+# Earlier implementations of the three per-pair formulas, kept verbatim as
+# bitwise references: the current ones must give the same floats.
+
+def overlap_union_oracle(ta, tb):
+    """Intersection over an explicitly built union set."""
+    return len(ta & tb) / len(ta | tb)
+
+
+def cosine_list_oracle(dims_a, dims_b):
+    """Cosine over the shared cells, collected into lists one by one."""
+    va, vb = [], []
+    for da, db in zip(dims_a, dims_b):
+        if da is not None and db is not None:
+            va.append(da)
+            vb.append(db)
+    if not va:
+        return None
+    va = np.array(va, dtype=float)
+    vb = np.array(vb, dtype=float)
+    na = np.linalg.norm(va)
+    nb = np.linalg.norm(vb)
+    if na == 0.0 or nb == 0.0:
+        return None
+    return float(va @ vb / (na * nb))
+
+
+def rank_scan_oracle(lang, wals, meta):
+    """Competition rank of each of a language's feature-values, by a linear scan."""
+    mass = {}
+    for other, fvs in wals.rows.items():
+        words = meta[other].pretrain_words if other in meta else 0.0
+        for fv in fvs:
+            mass[fv] = mass.get(fv, 0.0) + words
+    all_masses = sorted(mass.values(), reverse=True)
+    return {fv: 1 + sum(1 for m in all_masses if m > mass[fv]) for fv in wals.rows[lang]}
+
+
 def longest_match_tokenize(word, pieces):
     """Greedy longest-match toy tokenizer; unknown chars become single tokens."""
     tokens = []
@@ -104,6 +143,18 @@ class TestSubwordOverlap:
         b = VocabSet("ab", frozenset(tb))
         assert subword_overlap(a, b) == subword_overlap(b, a)
         assert (subword_overlap(a, b) == 1.0) == (ta == tb)
+
+    @given(
+        st.frozensets(st.text("abcdefghij", min_size=1, max_size=3), min_size=1, max_size=60),
+        st.frozensets(st.text("abcdefghij", min_size=1, max_size=3), min_size=1, max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_union_oracle(self, ta, tb):
+        assert subword_overlap(VocabSet("aa", ta), VocabSet("ab", tb)) == overlap_union_oracle(ta, tb)
+
+
+#: unobserved, zero (for zero-norm shared subvectors) or an observed value
+TYPOLOGY_CELLS = st.one_of(st.none(), st.just(0.0), st.floats(-1e6, 1e6))
 
 
 class TestTypoSimilarity:
@@ -152,6 +203,30 @@ class TestTypoSimilarity:
         scaled_a = TypologyVector("en", "phonology", tuple(None if d is None else 3.0 * d for d in a.dims))
         scaled_b = TypologyVector("de", "phonology", tuple(None if d is None else 7.0 * d for d in b.dims))
         assert typo_similarity(a, b) == pytest.approx(typo_similarity(scaled_a, scaled_b))
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(TYPOLOGY_CELLS, min_size=n, max_size=n),
+                st.lists(TYPOLOGY_CELLS, min_size=n, max_size=n),
+            )
+        )
+    )
+    @example(([1.0, None], [None, 1.0]))  # no shared dimension
+    @example(([0.0, 0.5, None], [0.3, None, 0.2]))  # zero-norm shared subvector
+    @example(([None, None], [None, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_list_oracle(self, dims):
+        dims_a, dims_b = dims
+        a = TypologyVector("aa", "genetic", tuple(dims_a))
+        b = TypologyVector("ab", "genetic", tuple(dims_b))
+        assert typo_similarity(a, b) == cosine_list_oracle(dims_a, dims_b)
+
+    @pytest.mark.parametrize("kind", ["syntax", "geography"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_dimension_rejected(self, kind, value):
+        with pytest.raises(ValueError, match="non-finite typology dimension d1"):
+            TypologyVector("aa", kind, (0.5, value, 1.0))
 
     def test_symmetry_and_bound(self):
         a = TypologyVector("en", "syntax", (0.3, 0.9, None, 0.5))
@@ -259,6 +334,31 @@ class TestWmrr:
         assert wmrr("aa", wals, meta) == 1.0
         assert wmrr("ac", wals, meta) == pytest.approx(1.0 / 3.0)
 
+    @given(
+        st.dictionaries(
+            st.sampled_from(["aa", "ab", "ac", "ad", "ae"]),
+            st.frozensets(st.sampled_from([f"f{i}" for i in range(8)]), min_size=1),
+            min_size=1,
+        ),
+        st.dictionaries(
+            st.sampled_from(["aa", "ab", "ac", "ad", "ae"]),
+            st.sampled_from([1.0, 2.0, 5.0, 10.0, 1e6]),  # few values: masses tie often
+            min_size=1,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_and_value_match_linear_scan(self, rows, words):
+        wals = WalsTable(rows)
+        meta = self.meta(words)
+        for lang in rows:
+            ranks = rank_scan_oracle(lang, wals, meta)
+            assert wmrr(lang, wals, meta) == math.fsum(1.0 / r for r in ranks.values()) / len(ranks)
+            # A probe language without metadata adds no mass, so its one
+            # feature-value keeps its rank and wmrr is exactly 1 / rank.
+            for fv, rank in ranks.items():
+                probe = WalsTable({**rows, "zz": frozenset({fv})})
+                assert wmrr("zz", probe, meta) == 1.0 / rank
+
     def test_absent_language(self):
         wals = WalsTable({"aa": frozenset({"f1"})})
         with pytest.raises(ValueError, match="absent"):
@@ -357,13 +457,33 @@ class TestBuildFeatureTable:
         table = build_feature_table(self.full_resources(), pivots=["aa"])
         assert set(table) == {("aa", "ab")}
 
+    def test_one_formula_call_per_pair(self, monkeypatch):
+        # The benchmark's traced invariant counts one wmrr call per pair; a
+        # per-target memo in build_feature_table would break it.
+        res = FeatureResources()
+        langs = ["aa", "ab", "ac", "ad", "ae"]
+        for i, lang in enumerate(langs):
+            res.vocabs[lang] = VocabSet(lang, frozenset({"x", f"t{i}", f"t{i + 1}"}))
+            for kind in ("syntax", "phonology", "genetic"):
+                res.typology[(lang, kind)] = TypologyVector(lang, kind, (1.0, float(i), None))
+            res.meta[lang] = LanguageMeta(lang, 5, 10.0 ** (i + 3))
+        res.wals = WalsTable({lang: frozenset({"f0", f"f{i % 2 + 1}"}) for i, lang in enumerate(langs)})
+        calls = {}
+        for name in ("wmrr", "subword_overlap", "typo_similarity"):
+            def counted(*args, _name=name, _fn=getattr(features, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(features, name, counted)
+        table = build_feature_table(res, pivots=["aa", "ab", "ac"])
+        assert len(table) == 12
+        assert calls == {"wmrr": 12, "subword_overlap": 12, "typo_similarity": 3 * 12}
+
 
 class TestTypologyCsv:
     def test_per_kind_widths_in_one_file(self, tmp_path):
         # Geography uses 2 of the 3 columns; syntax uses all 3 with an
         # interior gap. Trailing padding must not count as missing.
-        from xferlens.features import load_typology_csv
-
         path = tmp_path / "typology.csv"
         path.write_text(
             "lang,kind,d0,d1,d2\n"
@@ -378,10 +498,16 @@ class TestTypologyCsv:
         assert typo_similarity(vectors[("aa", "syntax")], vectors[("ab", "syntax")]) is not None
 
     def test_entirely_empty_row_rejected(self, tmp_path):
-        from xferlens.data import DataError
-        from xferlens.features import load_typology_csv
-
         path = tmp_path / "typology.csv"
         path.write_text("lang,kind,d0,d1\naa,syntax,,\n")
         with pytest.raises(DataError, match="entirely empty"):
+            load_typology_csv(path)
+
+    @pytest.mark.parametrize(
+        "row", ["ab,geography,3.0,nan", "ab,syntax,nan,1.0", "ab,syntax,inf,1.0", "ab,syntax,1.0,-inf"]
+    )
+    def test_non_finite_cell_rejected_with_line(self, tmp_path, row):
+        path = tmp_path / "typology.csv"
+        path.write_text(f"lang,kind,d0,d1\naa,geography,0.0,1.0\naa,syntax,1.0,0.0\n{row}\n")
+        with pytest.raises(DataError, match=r"typology\.csv:4: non-finite typology dimension"):
             load_typology_csv(path)
