@@ -1,9 +1,12 @@
 """Averaging baselines and a from-scratch gradient-boosted tree regressor.
 
 The boosting is deliberately plain: squared loss, exact greedy split search,
-no subsampling and no second-order terms. Ties between equal-gain splits go
-to the lowest feature index, then the lowest threshold, so fits are
-deterministic.
+no subsampling and no second-order terms. Each fit sorts every feature column
+once, since the features stay fixed across trees; each node then takes its
+rows' orders from its parent's and searches all features in one pass. Ties
+between equal-gain splits go to the lowest feature index, then the lowest
+threshold, so fits are deterministic; they are the trees that re-sorting at
+every node and searching one feature at a time would grow, bit for bit.
 """
 
 from __future__ import annotations
@@ -67,55 +70,72 @@ class TreeEnsemble:
     n_features: int
 
 
-def _best_split(x: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
-    """Exact greedy search: (gain, feature, threshold) with highest SSE reduction.
+def _best_split(
+    x: np.ndarray, y: np.ndarray, node_y: np.ndarray, order: np.ndarray
+) -> tuple[int, float] | None:
+    """Exact greedy search over every feature at once: (feature, threshold).
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values, which keeps at least one sample on each side. Returns None when no
-    split reduces the squared error.
+    ``order`` holds the node's rows sorted by each feature, one feature per
+    row. Candidate thresholds are midpoints between consecutive distinct
+    sorted values, which keeps at least one sample on each side. The gains of
+    all features form one matrix, so a single first-max ``argmax`` over it
+    picks the lowest feature, then the lowest threshold, among equal gains.
+    Returns None when no split reduces the squared error by more than 1e-12.
     """
-    m, n = x.shape
-    if m < 2:
+    n, m = order.shape
+    sse_parent = float(((node_y - node_y.sum() / m) ** 2).sum())
+    xs = x[order, np.arange(n)[:, None]]
+    ys = y[order]
+    csum = ys.cumsum(axis=1)
+    csq = (ys**2).cumsum(axis=1)
+    left_sum = csum[:, :-1]
+    left_sq = csq[:, :-1]
+    k = np.arange(1.0, m)  # left sizes
+    sse_left = left_sq - left_sum**2 / k
+    sse_right = (csq[:, -1:] - left_sq) - (csum[:, -1:] - left_sum) ** 2 / (m - k)
+    gains = sse_parent - sse_left - sse_right
+    gains[xs[:, 1:] == xs[:, :-1]] = -np.inf  # no cut between equal values
+    flat = gains.ravel()
+    i = int(flat.argmax())
+    if np.isnan(flat[i]):  # as per-feature argmax did, an overflowed feature is skipped whole
+        gains[np.isnan(gains).any(axis=1)] = -np.inf
+        i = int(flat.argmax())
+    if not flat[i] > 1e-12:
         return None
-    sse_parent = float(np.sum((y - y.mean()) ** 2))
-    best: tuple[float, int, float] | None = None
-    for j in range(n):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        ys = y[order]
-        cut = np.nonzero(xs[1:] > xs[:-1])[0] + 1  # left sizes of valid splits
-        if cut.size == 0:
-            continue
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys**2)
-        total_sum, total_sq = csum[-1], csq[-1]
-        left_sum = csum[cut - 1]
-        left_sq = csq[cut - 1]
-        k = cut.astype(float)
-        sse_left = left_sq - left_sum**2 / k
-        sse_right = (total_sq - left_sq) - (total_sum - left_sum) ** 2 / (m - k)
-        gains = sse_parent - sse_left - sse_right
-        i = int(np.argmax(gains))  # first max: lowest threshold wins ties
-        if gains[i] > 1e-12 and (best is None or gains[i] > best[0]):
-            threshold = (xs[cut[i] - 1] + xs[cut[i]]) / 2.0
-            best = (float(gains[i]), j, float(threshold))
-    return best
+    j, c = divmod(i, m - 1)
+    return j, float((xs[j, c] + xs[j, c + 1]) / 2.0)
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int) -> Union[TreeNode, Leaf]:
-    if depth >= max_depth:
-        return Leaf(float(y.mean()))
-    split = _best_split(x, y)
+def _grow(
+    x: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+    depth: int,
+    max_depth: int,
+    pred: np.ndarray,
+) -> Union[TreeNode, Leaf]:
+    """Grow the subtree over ``rows`` (ascending) and write its leaves into ``pred``.
+
+    A child's per-feature orders are the parent's with the other child's rows
+    filtered out: a stable sort of a subset is the presorted order restricted
+    to it, so tied values keep their order.
+    """
+    node_y = y[rows]
+    split = None
+    if depth < max_depth and rows.size >= 2:
+        split = _best_split(x, y, node_y, order)
     if split is None:
-        return Leaf(float(y.mean()))
-    _, j, threshold = split
-    mask = x[:, j] <= threshold
-    return TreeNode(
-        feature=j,
-        threshold=threshold,
-        left=_grow(x[mask], y[mask], depth + 1, max_depth),
-        right=_grow(x[~mask], y[~mask], depth + 1, max_depth),
-    )
+        value = float(node_y.sum() / rows.size)  # the bits of mean(), without its overhead
+        pred[rows] = value
+        return Leaf(value)
+    j, threshold = split
+    mask = x[rows, j] <= threshold  # the comparison _eval_tree makes
+    sel = x[order, j] <= threshold
+    n = order.shape[0]
+    left = _grow(x, y, rows[mask], order[sel].reshape(n, -1), depth + 1, max_depth, pred)
+    right = _grow(x, y, rows[~mask], order[~sel].reshape(n, -1), depth + 1, max_depth, pred)
+    return TreeNode(feature=j, threshold=threshold, left=left, right=right)
 
 
 def _eval_tree(node: Union[TreeNode, Leaf], x: np.ndarray) -> float:
@@ -142,12 +162,13 @@ def fit_gbt(
         raise ValueError("non-finite inputs")
     base = float(y.mean())
     residual = y - base
+    rows = np.arange(x.shape[0])
+    order = np.argsort(x.T, axis=1, kind="stable")  # x is the same for every tree
+    pred = np.empty(x.shape[0])
     trees: list[Union[TreeNode, Leaf]] = []
     for _ in range(n_estimators):
-        tree = _grow(x, residual, depth=0, max_depth=max_depth)
-        pred = np.array([_eval_tree(tree, row) for row in x])
+        trees.append(_grow(x, residual, rows, order, 0, max_depth, pred))
         residual = residual - learning_rate * pred
-        trees.append(tree)
     return TreeEnsemble(trees, learning_rate, base, x.shape[1])
 
 

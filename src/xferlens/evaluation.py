@@ -272,9 +272,10 @@ def _fit_cmf(
     train_pairs = sorted({(r.pivot, r.target) for r in ds.records})
     x_pairs_raw = np.array([ds.features[p].as_array() for p in train_pairs])
     imputer = fit_scaler(x_pairs_raw)
+    rank = min(hp["d_latent"], len(ds.tasks), len(train_pairs))  # the highest fit_cmf accepts
     model = factorization.fit_cmf(
         [(r.task, (r.pivot, r.target), r.score) for r in ds.records],
-        train_pairs, imputer.impute(x_pairs_raw), hp["d_latent"], hp["reg"], hp["alpha"],
+        train_pairs, imputer.impute(x_pairs_raw), rank, hp["reg"], hp["alpha"],
         hp["sweeps"], seed, hp["restarts"],
     )
 
@@ -467,8 +468,8 @@ def helper_curve(
     """LOLO MAE of the eval task as helper tasks are added one at a time.
 
     Helpers enter in sorted-name order, so the curve is deterministic. cmf's
-    curve starts at ``d_latent - 1`` helpers: with fewer tasks than latent
-    dimensions the factorization is not defined.
+    curve starts at ``d_latent - 1`` helpers, the first count at which the
+    factorization gets its full ``d_latent`` rank.
     """
     helpers = sorted(ds.tasks - {eval_task})
     first = spec.merged()["d_latent"] - 1 if spec.kind == "cmf" else 0

@@ -1,5 +1,5 @@
-"""Shared numerical primitives: jittered Cholesky, a small MLP with exact
-backpropagation, and a finite-difference gradient checker.
+"""Shared numerical primitives: jittered Cholesky and a small MLP with exact
+backpropagation.
 
 Everything runs in float64 numpy. The MLP is a plain stack of affine layers
 with ReLU between them and a linear final layer.
@@ -17,7 +17,6 @@ everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -170,34 +169,3 @@ def mlp_backward(
     weight_grads, bias_grads, delta = mlp_backprop(p, mlp_activations(p, xb), ub)
     input_grad = delta @ p.weights[0].T
     return weight_grads, bias_grads, input_grad[0] if single else input_grad
-
-
-def grad_check(
-    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    at: np.ndarray,
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps a parameter vector to ``(value, gradient)``. The relative error
-    for coordinate j uses the denominator ``max(1, |analytic_j|, |numeric_j|)``.
-    """
-    at = np.asarray(at, dtype=float)
-    value, grad = f(at)
-    if not np.isfinite(value):
-        raise ValueError("objective is not finite at the evaluation point")
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != at.shape:
-        raise ValueError("gradient shape does not match parameter vector")
-    worst = 0.0
-    for j in range(at.size):
-        e = np.zeros_like(at)
-        e[j] = step
-        fp = f(at + e)[0]
-        fm = f(at - e)[0]
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError("objective is not finite near the evaluation point")
-        numeric = (fp - fm) / (2.0 * step)
-        denom = max(1.0, abs(grad[j]), abs(numeric))
-        worst = max(worst, abs(grad[j] - numeric) / denom)
-    return worst

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import string
+import zlib
+from typing import Callable
 
 import numpy as np
 from hypothesis import strategies as st
@@ -91,8 +93,39 @@ def planted_dataset(
     meta = {}
     for lang in all_langs + [pivot]:
         cls = classes.get(lang, 5) if classes else 5
-        meta[lang] = LanguageMeta(lang, cls, 10.0 ** (3 + (hash(lang) % 5)))
+        meta[lang] = LanguageMeta(lang, cls, 10.0 ** (3 + zlib.crc32(lang.encode()) % 5))
     return Dataset(tuple(records), features, meta)
+
+
+def grad_check(
+    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    at: np.ndarray,
+    step: float = 1e-5,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` maps a parameter vector to ``(value, gradient)``. The relative error
+    for coordinate j uses the denominator ``max(1, |analytic_j|, |numeric_j|)``.
+    """
+    at = np.asarray(at, dtype=float)
+    value, grad = f(at)
+    if not np.isfinite(value):
+        raise ValueError("objective is not finite at the evaluation point")
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != at.shape:
+        raise ValueError("gradient shape does not match parameter vector")
+    worst = 0.0
+    for j in range(at.size):
+        e = np.zeros_like(at)
+        e[j] = step
+        fp = f(at + e)[0]
+        fm = f(at - e)[0]
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError("objective is not finite near the evaluation point")
+        numeric = (fp - fm) / (2.0 * step)
+        denom = max(1.0, abs(grad[j]), abs(numeric))
+        worst = max(worst, abs(grad[j] - numeric) / denom)
+    return worst
 
 
 def simple_dataset() -> Dataset:

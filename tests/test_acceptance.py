@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import lang_codes, planted_dataset
+from helpers import grad_check, lang_codes, planted_dataset
 from test_sparse_linear import (
     ista_group_lasso,
     kkt_gaps,
@@ -34,7 +34,7 @@ from xferlens.features import (
 )
 from xferlens.gp import fit_gp, mll_function, predict_gp
 from xferlens.meta import MamlConfig, adapt, meta_train, predict_net
-from xferlens.numerics import grad_check, init_mlp
+from xferlens.numerics import init_mlp
 from xferlens.sparse_linear import (
     GroupLassoModel,
     LassoModel,

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import simple_dataset
 from xferlens.baselines import (
@@ -36,6 +40,116 @@ def oracle_predict(ensemble, x):
         assert len(matched) == 1, "paths must partition the input space"
         total += ensemble.learning_rate * matched[0]
     return total
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle: the original fit, which re-sorted every column at every node,
+# searched one feature at a time and walked every training row through each
+# new tree to update the residual.
+
+def reference_best_split(x, y):
+    m, n = x.shape
+    if m < 2:
+        return None
+    sse_parent = float(np.sum((y - y.mean()) ** 2))
+    best = None
+    for j in range(n):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        ys = y[order]
+        cut = np.nonzero(xs[1:] > xs[:-1])[0] + 1  # left sizes of valid splits
+        if cut.size == 0:
+            continue
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys**2)
+        total_sum, total_sq = csum[-1], csq[-1]
+        left_sum = csum[cut - 1]
+        left_sq = csq[cut - 1]
+        k = cut.astype(float)
+        sse_left = left_sq - left_sum**2 / k
+        sse_right = (total_sq - left_sq) - (total_sum - left_sum) ** 2 / (m - k)
+        gains = sse_parent - sse_left - sse_right
+        i = int(np.argmax(gains))  # first max: lowest threshold wins ties
+        if gains[i] > 1e-12 and (best is None or gains[i] > best[0]):
+            threshold = (xs[cut[i] - 1] + xs[cut[i]]) / 2.0
+            best = (float(gains[i]), j, float(threshold))
+    return best
+
+
+def reference_grow(x, y, depth, max_depth):
+    if depth >= max_depth:
+        return Leaf(float(y.mean()))
+    split = reference_best_split(x, y)
+    if split is None:
+        return Leaf(float(y.mean()))
+    _, j, threshold = split
+    mask = x[:, j] <= threshold
+    return TreeNode(
+        feature=j,
+        threshold=threshold,
+        left=reference_grow(x[mask], y[mask], depth + 1, max_depth),
+        right=reference_grow(x[~mask], y[~mask], depth + 1, max_depth),
+    )
+
+
+def reference_eval(node, row):
+    while isinstance(node, TreeNode):
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.value
+
+
+def reference_fit(x, y, n_estimators, max_depth, learning_rate):
+    base = float(y.mean())
+    residual = y - base
+    trees = []
+    for _ in range(n_estimators):
+        tree = reference_grow(x, residual, 0, max_depth)
+        pred = np.array([reference_eval(tree, row) for row in x])
+        residual = residual - learning_rate * pred
+        trees.append(tree)
+    return TreeEnsemble(trees, learning_rate, base, x.shape[1])
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def assert_same_tree(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Leaf):
+        assert bits(got.value) == bits(want.value)
+        return
+    assert got.feature == want.feature
+    assert bits(got.threshold) == bits(want.threshold)
+    assert_same_tree(got.left, want.left)
+    assert_same_tree(got.right, want.right)
+
+
+def assert_same_ensemble(got, want):
+    assert bits(got.base_score) == bits(want.base_score)
+    assert len(got.trees) == len(want.trees)
+    for g, w in zip(got.trees, want.trees):
+        assert_same_tree(g, w)
+
+
+@st.composite
+def gbt_problems(draw):
+    """(x, y, max_depth, n_estimators) with ties, constant columns and duplicate rows."""
+    m = draw(st.integers(2, 45))
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((m, n))
+    decimals = draw(st.sampled_from([None, 1, 0]))  # rounded columns tie
+    if decimals is not None:
+        x = np.round(x, decimals)
+    constant = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    x[:, np.array(constant)] = 0.5
+    y = rng.standard_normal(m)
+    if draw(st.booleans()):
+        y = np.round(y, 1)
+    if draw(st.booleans()):  # the second half repeats the first half's rows
+        x[m - m // 2:] = x[: m // 2]
+    return x, y, draw(st.sampled_from([0, 1, 10])), draw(st.sampled_from([0, 1, 20]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,3 +302,27 @@ class TestGbt:
         model = fit_gbt(np.zeros((3, 2)) + np.arange(3)[:, None], np.arange(3.0))
         with pytest.raises(ValueError):
             predict_gbt(model, np.zeros(5))
+
+    @given(gbt_problems())
+    @example(  # equal gains on two features at different cuts: feature 0 wins
+        (np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0, 0, 1]), 1, 1)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_fit_bitwise(self, problem):
+        x, y, max_depth, n_estimators = problem
+        got = fit_gbt(x, y, n_estimators=n_estimators, max_depth=max_depth, learning_rate=0.1)
+        want = reference_fit(x, y, n_estimators, max_depth, 0.1)
+        assert_same_ensemble(got, want)
+
+    def test_overflowing_feature_skipped_like_reference(self):
+        # The squared residuals summed in feature 1's order overflow, so its
+        # gains hold NaN; the reference skips such a feature and splits on
+        # feature 0, whose order keeps the sums finite.
+        x = np.array([[3.0, 0.0], [2.0, 1.0], [0.0, 2.0], [1.0, 3.0]])
+        y = np.array([9.989595361011237e145, 9.989595361011117e145,
+                      9.480751908109121e153, -9.480751908109231e153])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = fit_gbt(x, y, n_estimators=1, max_depth=1, learning_rate=1.0)
+            want = reference_fit(x, y, 1, 1, 1.0)
+        assert isinstance(want.trees[0], TreeNode) and want.trees[0].feature == 0
+        assert_same_ensemble(got, want)

@@ -24,7 +24,7 @@ def toy_paths(tmp_path):
 
 @pytest.fixture
 def five_task_paths(tmp_path):
-    """Five tasks: cmf's default d_latent of 5 needs at least five."""
+    """Five tasks: enough for cmf's full default rank (d_latent 5)."""
     langs = lang_codes(6)
     w = np.zeros(9)
     w[1] = 0.1
@@ -194,6 +194,15 @@ class TestEvaluateCommand:
         one = (tmp_path / "one" / "report.json").read_bytes()
         two = (tmp_path / "two" / "report.json").read_bytes()
         assert one == two
+
+    def test_cmf_with_fewer_tasks_than_d_latent(self, toy_paths, tmp_path):
+        # two tasks, d_latent 5: the factorization's rank is capped at 2
+        code = self.run_eval(toy_paths, tmp_path / "out", ["--models", "cmf"])
+        assert code == 0
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert payload["failures"] == []
+        assert [r["model"]["kind"] for r in payload["results"]] == ["cmf"]
+        assert {t["task"] for r in payload["results"] for t in r["tasks"]} == {"A", "B"}
 
     def test_single_task_maml_fails_partially(self, tmp_path, capsys):
         ds = planted_dataset({"A": lang_codes(4)}, np.zeros(9), seed=1)
@@ -468,6 +477,12 @@ class TestExplainCommand:
         assert self.run_permutation(five_task_paths, kind, tmp_path / "two") == 0
         one = (tmp_path / "one" / "attribution.csv").read_bytes()
         assert one == (tmp_path / "two" / "attribution.csv").read_bytes()
+
+    def test_permutation_cmf_with_fewer_tasks_than_d_latent(self, toy_paths, tmp_path):
+        assert self.run_permutation(toy_paths, "cmf", tmp_path / "out") == 0
+        with open(tmp_path / "out" / "attribution.csv", newline="") as fh:
+            body = [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
+        assert sorted(row[1] for row in body) == ["A"] * 9 + ["B"] * 9
 
     @pytest.mark.parametrize("kind", ["awt", "aat"])
     def test_permutation_baseline_exit_two(self, toy_paths, tmp_path, capsys, kind):

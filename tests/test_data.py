@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +212,28 @@ class TestRoundTrip:
         paths = save_dataset(ds, tmp_path)
         again = load_dataset(paths["scores"], paths["features"], paths["meta"])
         assert again == ds
+
+    def test_planted_meta_independent_of_hash_seed(self):
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import numpy as np\n"
+            "from helpers import lang_codes, planted_dataset\n"
+            "ds = planted_dataset({'A': lang_codes(12)}, np.zeros(9))\n"
+            "print(sorted((m.lang, m.resource_class, m.pretrain_words) for m in ds.meta.values()))\n"
+        )
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join([str(root / "tests"), str(root / "src")]),
+                "PYTHONHASHSEED": hash_seed,
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].startswith("[(") and outputs[0] == outputs[1]
 
 
 class TestLoloSplits:

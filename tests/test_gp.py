@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from helpers import grad_check
 import xferlens.gp as gp_module
 from xferlens.gp import (
     _build_problem,
@@ -14,7 +15,6 @@ from xferlens.gp import (
     multitask_kernel,
     predict_gp,
 )
-from xferlens.numerics import grad_check
 
 
 class TestKernelRbf:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from xferlens.numerics import (
     MlpParams,
     cholesky,
-    grad_check,
     init_mlp,
     mlp_activations,
     mlp_backprop,
