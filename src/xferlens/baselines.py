@@ -103,7 +103,7 @@ def _best_split(
     if not flat[i] > 1e-12:
         return None
     j, c = divmod(i, m - 1)
-    return j, float((xs[j, c] + xs[j, c + 1]) / 2.0)
+    return j, float(xs[j, c] / 2.0 + xs[j, c + 1] / 2.0)  # a sum of two could overflow
 
 
 def _grow(

@@ -9,7 +9,6 @@ model failure, 4 invalid method combination.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import re
@@ -31,6 +30,7 @@ from .data import (  # noqa: F401
     load_dataset,
     load_meta_csv,
     standardize,
+    write_csv,
     write_features_csv,
 )
 from .evaluation import MODEL_KINDS, ModelSpec
@@ -64,14 +64,6 @@ def _config_hash(payload: dict) -> str:
 
 def _stamp(config_hash: str, seed: int) -> str:
     return f"# config_hash={config_hash} seed={seed}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]], stamp: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(stamp + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -247,37 +239,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
-    record_rows: list[list[str]] = []
-    for result in results:
-        for task_block in result["tasks"]:
-            for fold in task_block["folds"]:
-                for r in fold["records"]:
-                    record_rows.append(
-                        [
-                            result["model"]["kind"],
-                            result["protocol"],
-                            task_block["task"],
-                            fold["held_out"],
-                            r["pivot"],
-                            r["target"],
-                            repr(r["y"]),
-                            repr(r["yhat"]),
-                            repr(r["abs_err"]),
-                        ]
-                    )
-    _write_csv(
-        out_dir / "records.csv",
-        ["model", "protocol", "task", "heldout", "pivot", "target", "y", "yhat", "abs_err"],
-        record_rows,
-        stamp,
-    )
+    record_rows = [
+        [result["model"]["kind"], result["protocol"], block["task"], fold["held_out"],
+         r["pivot"], r["target"], repr(r["y"]), repr(r["yhat"]), repr(r["abs_err"])]
+        for result in results for block in result["tasks"]
+        for fold in block["folds"] for r in fold["records"]
+    ]
+    write_csv(out_dir / "records.csv",
+              ["model", "protocol", "task", "heldout", "pivot", "target", "y", "yhat", "abs_err"],
+              record_rows, stamp)
 
     mae_rows = [
         [result["model"]["kind"], task, repr(mae)]
         for result in results
         for task, mae in sorted(result["per_task_mae"].items())
     ]
-    _write_csv(out_dir / "task_mae.csv", ["model", "task", "mae"], mae_rows, stamp)
+    write_csv(out_dir / "task_mae.csv", ["model", "task", "mae"], mae_rows, stamp)
 
     if cfg["helper_curve"]:
         max_by_pair: dict[tuple[str, str], float] = {}
@@ -288,12 +265,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             [kind, task, str(k), repr(mae), repr(mae / max_by_pair[(kind, task)] if max_by_pair[(kind, task)] > 0 else 0.0)]
             for kind, task, k, mae in curves
         ]
-        _write_csv(
-            out_dir / "helper_curve.csv",
-            ["model", "task", "n_helpers", "mae", "mae_scaled"],
-            curve_rows,
-            stamp,
-        )
+        write_csv(out_dir / "helper_curve.csv",
+                  ["model", "task", "n_helpers", "mae", "mae_scaled"], curve_rows, stamp)
 
     table = evaluation.render_table(results)
     (out_dir / "table.txt").write_text(stamp + "\n" + table, encoding="utf-8")
@@ -323,6 +296,76 @@ def _fit_linear_artifact(ds: Dataset, kind: str, seed: int) -> dict:
         models = {t: sparse_linear.linear_model_to_dict(p.model) for t, p in predictors.items()}
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "tasks": tasks,
             "scalers": scalers, "models": models}
+
+
+def _numbers(value, shape: tuple[int, ...] = ()) -> bool:
+    """True for a finite number (shape ()) or a nested list of them of this shape."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return False
+    return arr.dtype.kind in "iuf" and arr.shape == shape and bool(np.isfinite(arr).all())
+
+
+def _artifact_problem(a, kind: str) -> str | None:
+    """What a ``kind`` model file (as _fit_linear_artifact writes it) lacks, or None."""
+    if not (isinstance(a, dict) and isinstance(a.get("tasks"), list)
+            and all(isinstance(t, str) for t in a["tasks"])
+            and isinstance(a.get("scalers"), dict) and isinstance(a.get("models"), dict)):
+        return "an object with kind, tasks, scalers and models"
+    if a.get("kind") != kind:
+        return f"a {kind!r} model, not {a.get('kind')!r}"
+    n, tasks = len(FEATURE_NAMES), a["tasks"]
+    for task in tasks:
+        scaler = a["scalers"].get(task)
+        if not (isinstance(scaler, dict) and _numbers(scaler.get("mean"), (n,))
+                and _numbers(scaler.get("scale"), (n,))):
+            return f"scalers[{task!r}] with {n}-entry mean and scale"
+    if kind == "group-lasso":
+        m = a["models"].get("joint")
+        if not (isinstance(m, dict) and m.get("kind") == "group-lasso" and m.get("tasks") == tasks
+                and _numbers(m.get("weights"), (n, len(tasks)))
+                and _numbers(m.get("intercepts"), (len(tasks),)) and _numbers(m.get("lambda_group"))):
+            return f"models['joint'], a group-lasso model with {n} x {len(tasks)} weights"
+        return None
+    for task in tasks:
+        m = a["models"].get(task)
+        if not (isinstance(m, dict) and m.get("kind") == "lasso" and _numbers(m.get("weights"), (n,))
+                and _numbers(m.get("intercept")) and _numbers(m.get("lambda"))):
+            return f"models[{task!r}], a lasso model with {n} weights"
+    return None
+
+
+def _report_problem(payload) -> str | None:
+    """What a report.json (as cmd_evaluate writes it) lacks for render_table, or None."""
+    results = payload.get("results", []) if isinstance(payload, dict) else None
+    if not isinstance(results, list):
+        return "an object with a results list"
+    for i, r in enumerate(results):
+        if not (isinstance(r, dict) and isinstance(r.get("model"), dict)
+                and isinstance(r["model"].get("kind"), str) and isinstance(r.get("protocol"), str)
+                and isinstance(r.get("per_task_mae"), dict)
+                and all(_numbers(v) for v in r["per_task_mae"].values())
+                and _numbers(r.get("macro_average_mae")) and "low_data_average_mae" in r
+                and (r["low_data_average_mae"] is None or _numbers(r["low_data_average_mae"]))
+                and isinstance(r.get("tasks"), list)
+                and all(isinstance(t, dict) and isinstance(t.get("task"), str)
+                        and isinstance(t.get("n_targets"), int) for t in r["tasks"])):
+            return (f"results[{i}] with model.kind, protocol, per_task_mae, macro_average_mae, "
+                    "low_data_average_mae and tasks")
+    return None
+
+
+def _read_json(path: str, problem) -> dict:
+    """Parse a JSON input; a parse error or a structure ``problem`` names is a DataError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise DataError(str(err), path=path) from err
+    missing = problem(payload)
+    if missing is not None:
+        raise DataError(f"malformed file, expected {missing}", path=path)
+    return payload
 
 
 def _attribution_rows_from_artifact(ds: Dataset, artifact: dict):
@@ -369,11 +412,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         artifact = None
         if args.method == "linear-shap":
             if args.model_file:
-                artifact = json.loads(Path(args.model_file).read_text(encoding="utf-8"))
-                if artifact.get("kind") != args.model:
-                    raise DataError(
-                        f"model file holds a {artifact.get('kind')!r} model, not {args.model!r}"
-                    )
+                artifact = _read_json(args.model_file, lambda a: _artifact_problem(a, args.model))
             else:
                 artifact = _fit_linear_artifact(ds, args.model, args.seed)
             rows = _attribution_rows_from_artifact(ds, artifact)
@@ -417,7 +456,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             json.dumps(artifact_out, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     path = out_dir / "attribution.csv"
-    _write_csv(
+    write_csv(
         path,
         ["model", "task", "feature", "value", "method"],
         [[kind, task, feature, repr(float(value)), method]
@@ -433,8 +472,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+        payload = _read_json(args.report, _report_problem)
+    except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     table = evaluation.render_table(payload.get("results", []))

@@ -337,35 +337,25 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_scores_csv(records: Iterable[PerformanceRecord], path: str | Path) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]],
+              stamp: str | None = None) -> None:
+    """Write a header and rows, after an optional stamp line (outputs carry one)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        if stamp is not None:
+            fh.write(stamp + "\n")
         writer = csv.writer(fh)
-        writer.writerow(_SCORE_COLUMNS)
-        for r in records:
-            writer.writerow([r.model, r.task, r.pivot, r.target, _fmt(r.score)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_features_csv(
     features: Mapping[tuple[LangId, LangId], FeatureVector], path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FEATURE_COLUMNS)
-        for pair in sorted(features):
-            fv = features[pair]
-            row = [fv.pivot, fv.target]
-            for name in FEATURE_NAMES:
-                row.append(_fmt(fv.values[name]) if name in fv.values else "")
-            writer.writerow(row)
-
-
-def write_meta_csv(meta: Mapping[LangId, LanguageMeta], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_META_COLUMNS)
-        for lang in sorted(meta):
-            m = meta[lang]
-            writer.writerow([m.lang, str(m.resource_class), _fmt(m.pretrain_words)])
+    rows = (
+        [fv.pivot, fv.target, *(_fmt(fv.values[n]) if n in fv.values else "" for n in FEATURE_NAMES)]
+        for _, fv in sorted(features.items())
+    )
+    write_csv(path, _FEATURE_COLUMNS, rows)
 
 
 def save_dataset(ds: Dataset, directory: str | Path) -> dict[str, Path]:
@@ -377,9 +367,12 @@ def save_dataset(ds: Dataset, directory: str | Path) -> dict[str, Path]:
         "features": directory / "features.csv",
         "meta": directory / "meta.csv",
     }
-    write_scores_csv(ds.records, paths["scores"])
+    write_csv(paths["scores"], _SCORE_COLUMNS,
+              ([r.model, r.task, r.pivot, r.target, _fmt(r.score)] for r in ds.records))
     write_features_csv(ds.features, paths["features"])
-    write_meta_csv(ds.meta, paths["meta"])
+    write_csv(paths["meta"], _META_COLUMNS,
+              ([m.lang, str(m.resource_class), _fmt(m.pretrain_words)]
+               for _, m in sorted(ds.meta.items())))
     return paths
 
 

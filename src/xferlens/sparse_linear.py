@@ -1,27 +1,24 @@
-"""Single-task Lasso and multi-task Group Lasso by coordinate descent.
+"""Single-task Lasso and multi-task Group Lasso by one coordinate-descent solver.
 
-Both solvers minimize per-task mean squared error (the 1/(2m) convention)
-plus their penalty, with unpenalized intercepts handled by centering. The
-Group Lasso applies an l1/l2 penalty over feature rows of the task-weight
-matrix, which drives a common sparsity pattern across tasks.
+Both minimize per-task mean squared error (the 1/(2m) convention) plus their
+penalty, with unpenalized intercepts handled by centering. The Group Lasso
+applies an l1/l2 penalty over feature rows of the task-weight matrix, which
+drives a common sparsity pattern across tasks. The Lasso is its one-task
+case: a row of one weight has norm |w_j|, so the row penalty is the l1 one.
+The solver works in covariance form (Friedman, Hastie & Tibshirani 2010):
+each task's centered covariances are computed once per fit, and a sweep
+touches only those n x n x T numbers, never the rows of the data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .data import TaskId
-
-
-def soft_threshold(a: float, lam: float) -> float:
-    if a > lam:
-        return a - lam
-    if a < -lam:
-        return a + lam
-    return 0.0
 
 
 @dataclass
@@ -45,100 +42,106 @@ class GroupLassoModel:
     objective_trace: tuple[float, ...]
 
 
-def lasso_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float) -> float:
-    r = y - x @ w - b
-    return float(0.5 * (r @ r) / len(y) + lam * np.abs(w).sum())
+def _moments(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], lam: float):
+    """Check per-task designs and targets; return their means and centered moments.
 
-
-def group_lasso_objective(
-    xs: Sequence[np.ndarray],
-    ys: Sequence[np.ndarray],
-    weights: np.ndarray,
-    intercepts: np.ndarray,
-    lambda_group: float,
-) -> float:
-    total = 0.0
-    for t, (x, y) in enumerate(zip(xs, ys)):
-        r = y - x @ weights[:, t] - intercepts[t]
-        total += 0.5 * (r @ r) / len(y)
-    penalty = lambda_group * np.linalg.norm(weights, axis=1).sum()
-    return float(total + penalty)
-
-
-def fit_lasso(
-    x: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-6, max_iter: int = 10000
-) -> LassoModel:
-    """Cyclic coordinate descent with exact soft-threshold updates.
-
-    Objective: (1/(2m)) ||y - Xw - b||^2 + lam ||w||_1, intercept unpenalized.
+    Returns (x_means T x n, y_means T, G n x n x T, c n x T, s T) with
+    G[:, :, t] = X_tᵀX_t/m_t, c[:, t] = X_tᵀy_t/m_t and s[t] = y_tᵀy_t/m_t on
+    centered data, so the intercepts drop out of the solve.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] < 2:
-        raise ValueError("need a 2-D design with >= 2 rows matching y")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite inputs")
+    if len(xs) != len(ys) or not xs:
+        raise ValueError("need matching non-empty per-task designs and targets")
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    for x, y in zip(xs, ys):
+        if x.ndim != 2 or x.shape[1] != xs[0].shape[1]:
+            raise ValueError(f"inconsistent design shapes: {x.shape} vs {xs[0].shape}")
+        if y.shape != (x.shape[0],) or x.shape[0] < 2:
+            raise ValueError("each task needs >= 2 samples matching its targets")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("non-finite inputs")
     if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    m, n = x.shape
-    xm = x.mean(axis=0)
-    ym = float(y.mean())
-    xc = x - xm
-    yc = y - ym
-    z = (xc**2).sum(axis=0) / m  # per-coordinate curvature
-    w = np.zeros(n)
-    r = yc.copy()
-    trace = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_iter + 1):
-        delta = 0.0
-        for j in range(n):
-            if z[j] == 0.0:
-                continue  # constant column, weight stays 0
-            rho = (xc[:, j] @ r) / m + z[j] * w[j]
-            wj = soft_threshold(rho, lam) / z[j]
-            if wj != w[j]:
-                r -= xc[:, j] * (wj - w[j])
-                delta = max(delta, abs(wj - w[j]))
-                w[j] = wj
-        trace.append(float(0.5 * (r @ r) / m + lam * np.abs(w).sum()))
-        if delta < tol:
-            converged = True
-            break
-    b = ym - float(xm @ w)
-    return LassoModel(w, b, lam, converged, sweeps, tuple(trace))
+        raise ValueError("the penalty must be >= 0")
+    x_means = np.array([x.mean(axis=0) for x in xs])
+    y_means = np.array([float(y.mean()) for y in ys])
+    xcs = [x - mu for x, mu in zip(xs, x_means)]
+    ycs = [y - mu for y, mu in zip(ys, y_means)]
+    gram = np.stack([xc.T @ xc / len(xc) for xc in xcs], axis=2)
+    cov = np.stack([xc.T @ yc / len(yc) for xc, yc in zip(xcs, ycs)], axis=1)
+    sq = np.array([yc @ yc / len(yc) for yc in ycs])
+    return x_means, y_means, gram, cov, sq
 
 
 def _group_soft(v: np.ndarray, lam: float) -> np.ndarray:
-    nv = float(np.linalg.norm(v))
+    nv = math.sqrt(v @ v)
     if nv == 0.0 or nv <= lam:
         return np.zeros_like(v)
     return (1.0 - lam / nv) * v
 
 
-def _row_update(phi_row: np.ndarray, rho: np.ndarray, z_row: np.ndarray, lam: float) -> np.ndarray:
+def _row_update(cur: np.ndarray, rho: np.ndarray, za: np.ndarray, equal: bool,
+                lam: float) -> np.ndarray:
     """Minimize the one-row subproblem sum_t (z_t/2) p_t^2 - rho_t p_t + lam ||p||_2.
 
-    With equal curvatures the group soft-threshold is exact for the
-    subproblem; otherwise a proximal-gradient step with the max curvature as
-    Lipschitz constant, which still never increases the objective.
-    Zero-curvature coordinates are pinned at 0 (they only add penalty).
+    Only the tasks with curvature z_t > 0 (``za``) enter; the other
+    coordinates stay pinned at 0 (they only add penalty). With equal
+    curvatures (``equal``) the group soft-threshold is exact for the
+    subproblem; otherwise a proximal-gradient step from ``cur`` with the max
+    curvature as Lipschitz constant, which still never increases the objective.
     """
-    new = np.zeros_like(phi_row)
-    active = z_row > 0.0
-    if not active.any():
-        return new
-    za = z_row[active]
-    ra = rho[active]
-    if np.allclose(za, za[0], rtol=1e-12, atol=0.0):
-        new[active] = _group_soft(ra, lam) / za[0]
-    else:
-        lip = float(za.max())
-        cur = phi_row[active]
-        v = cur - (za * cur - ra) / lip
-        new[active] = _group_soft(v, lam / lip)
-    return new
+    if equal:
+        return _group_soft(rho, lam) / za[0]
+    lip = float(za.max())
+    return _group_soft(cur - (za * cur - rho) / lip, lam / lip)
+
+
+def _solve(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], lam: float, tol: float,
+           max_iter: int) -> tuple[np.ndarray, np.ndarray, bool, int, tuple[float, ...]]:
+    """Block coordinate descent over the rows of the n x T weight matrix phi.
+
+    Minimizes sum_t (s_t - 2 c_tᵀphi_t + phi_tᵀG_t phi_t) / 2 + lam sum_j ||phi_j||_2,
+    the objective of the centered data (see ``_moments``). Row j's partial fit
+    is rho_j = c[j] - G[:, j, :]·phi + z_j·phi_j with curvatures z_j = G[j, j, :].
+    Returns (phi, intercepts, converged, sweeps, objective after each sweep).
+    """
+    x_means, y_means, gram, cov, sq = _moments(xs, ys, lam)
+    n, n_tasks = cov.shape
+    z = np.diagonal(gram).T  # n x T
+    # The curvatures are fixed, so each row's update rule is chosen once per fit.
+    # A row without curvature in any task stays 0.
+    rules = {}
+    for j, active in enumerate(z > 0.0):
+        if active.any():
+            za = z[j, active]
+            rules[j] = (slice(None) if active.all() else active, za,
+                        np.allclose(za, za[0], rtol=1e-12, atol=0.0))
+    phi = np.zeros((n, n_tasks))
+    trace = []
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        start = phi.copy()
+        for j, (active, za, equal) in rules.items():
+            rho = cov[j] - (gram[:, j, :] * phi).sum(axis=0) + z[j] * phi[j]
+            phi[j, active] = _row_update(phi[j, active], rho[active], za, equal, lam)
+        fit = sq - 2.0 * (cov * phi).sum(axis=0) + np.einsum("kt,kjt,jt->t", phi, gram, phi)
+        trace.append(float(0.5 * fit.sum() + lam * np.linalg.norm(phi, axis=1).sum()))
+        if np.abs(phi - start).max(initial=0.0) < tol:  # each row moves once per sweep
+            converged = True
+            break
+    intercepts = np.array([y_means[t] - float(x_means[t] @ phi[:, t]) for t in range(n_tasks)])
+    return phi, intercepts, converged, sweeps, tuple(trace)
+
+
+def fit_lasso(
+    x: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-6, max_iter: int = 10000
+) -> LassoModel:
+    """The one-task case of the block solver.
+
+    Objective: (1/(2m)) ||y - Xw - b||^2 + lam ||w||_1, intercept unpenalized.
+    """
+    phi, intercepts, converged, sweeps, trace = _solve([x], [y], lam, tol, max_iter)
+    return LassoModel(phi[:, 0], float(intercepts[0]), lam, converged, sweeps, trace)
 
 
 def fit_group_lasso(
@@ -154,67 +157,11 @@ def fit_group_lasso(
     Objective: sum_t (1/(2 m_t)) ||y_t - X_t phi_t - b_t||^2
                + lambda_group * sum_j ||Phi_{j,.}||_2.
     """
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("need matching non-empty per-task designs and targets")
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    ys = [np.asarray(y, dtype=float) for y in ys]
-    n = xs[0].shape[1]
-    for x, y in zip(xs, ys):
-        if x.ndim != 2 or x.shape[1] != n:
-            raise ValueError(f"inconsistent feature dimension: {x.shape[1]} vs {n}")
-        if x.shape[0] != y.shape[0] or x.shape[0] < 2:
-            raise ValueError("each task needs >= 2 samples matching its targets")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("non-finite inputs")
-    if lambda_group < 0:
-        raise ValueError("lambda_group must be >= 0")
-    n_tasks = len(xs)
-    task_names = tuple(tasks) if tasks is not None else tuple(str(t) for t in range(n_tasks))
-    if len(task_names) != n_tasks:
+    task_names = tuple(tasks) if tasks is not None else tuple(str(t) for t in range(len(xs)))
+    if len(task_names) != len(xs):
         raise ValueError("task name list does not match the number of tasks")
-
-    ms = np.array([x.shape[0] for x in xs], dtype=float)
-    x_means = [x.mean(axis=0) for x in xs]
-    y_means = np.array([float(y.mean()) for y in ys])
-    xcs = [x - mu for x, mu in zip(xs, x_means)]
-    ycs = [y - mu for y, mu in zip(ys, y_means)]
-    z = np.stack([(xc**2).sum(axis=0) for xc in xcs], axis=1) / ms  # n x T
-
-    phi = np.zeros((n, n_tasks))
-    residuals = [yc.copy() for yc in ycs]
-    trace = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_iter + 1):
-        delta = 0.0
-        for j in range(n):
-            rho = np.array(
-                [
-                    (xcs[t][:, j] @ residuals[t]) / ms[t] + z[j, t] * phi[j, t]
-                    for t in range(n_tasks)
-                ]
-            )
-            new = _row_update(phi[j], rho, z[j], lambda_group)
-            for t in range(n_tasks):
-                change = new[t] - phi[j, t]
-                if change != 0.0:
-                    residuals[t] -= xcs[t][:, j] * change
-                    delta = max(delta, abs(change))
-            phi[j] = new
-        obj = (
-            sum(0.5 * (residuals[t] @ residuals[t]) / ms[t] for t in range(n_tasks))
-            + lambda_group * np.linalg.norm(phi, axis=1).sum()
-        )
-        trace.append(float(obj))
-        if delta < tol:
-            converged = True
-            break
-    intercepts = np.array(
-        [y_means[t] - float(x_means[t] @ phi[:, t]) for t in range(n_tasks)]
-    )
-    return GroupLassoModel(
-        phi, intercepts, lambda_group, task_names, converged, sweeps, tuple(trace)
-    )
+    phi, intercepts, converged, sweeps, trace = _solve(xs, ys, lambda_group, tol, max_iter)
+    return GroupLassoModel(phi, intercepts, lambda_group, task_names, converged, sweeps, trace)
 
 
 def predict_linear(

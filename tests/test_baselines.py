@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,19 @@ class TestGbt:
         got = fit_gbt(x, y, n_estimators=n_estimators, max_depth=max_depth, learning_rate=0.1)
         want = reference_fit(x, y, n_estimators, max_depth, 0.1)
         assert_same_ensemble(got, want)
+
+    def test_huge_neighbouring_values_split_between_them(self):
+        # (a + b) / 2 overflows to inf here: x <= inf sent every row left and
+        # the right leaf became the mean of no residuals.
+        x = np.array([[1e308], [1.7e308], [-1e308], [0.0]])
+        y = np.array([0.1, 0.9, 0.2, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_gbt(x, y, n_estimators=3, max_depth=2, learning_rate=0.5)
+        for conditions, value in (p for tree in model.trees for p in enumerate_paths(tree)):
+            assert np.isfinite(value) and all(np.isfinite(thr) for _, thr, _ in conditions)
+        root = model.trees[0]
+        assert isinstance(root, TreeNode) and 1e308 < root.threshold < 1.7e308
 
     def test_overflowing_feature_skipped_like_reference(self):
         # The squared residuals summed in feature 1's order overflow, so its

@@ -22,3 +22,12 @@ def test_tracer_installs_on_every_wrapped_attribute():
         [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_smoke_passes():
+    # bench/smoke.py drives xferlens.cli.main and load_dataset, so a package
+    # change can break it; tier-1 runs it whole rather than collecting it.
+    proc = subprocess.run(
+        [sys.executable, "bench/smoke.py"], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -417,6 +417,24 @@ class TestExplainCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("content", ['{"kind": "lasso"}', "[1, 2]"])
+    def test_malformed_model_file_exit_two(self, toy_paths, tmp_path, capsys, content):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(content)
+        code = main(
+            [
+                "explain",
+                "--scores", str(toy_paths["scores"]),
+                "--features", str(toy_paths["features"]),
+                "--model", "lasso",
+                "--method", "linear-shap",
+                "--model-file", str(model_file),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert f"{model_file}: malformed" in capsys.readouterr().err
+
     def test_gbt_linear_shap_exit_four(self, toy_paths, tmp_path, capsys):
         code = main(
             [
@@ -517,3 +535,9 @@ class TestReportCommand:
 
     def test_missing_report_exit_two(self, tmp_path, capsys):
         assert main(["report", "--report", str(tmp_path / "nope.json")]) == 2
+
+    def test_malformed_report_exit_two(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('{"results": [{"protocol": "lolo"}]}')
+        assert main(["report", "--report", str(report)]) == 2
+        assert f"{report}: malformed" in capsys.readouterr().err

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xferlens.sparse_linear import (
     GroupLassoModel,
     LassoModel,
     fit_group_lasso,
     fit_lasso,
-    group_lasso_objective,
-    lasso_objective,
     linear_model_from_dict,
     linear_model_to_dict,
     predict_linear,
@@ -15,6 +15,19 @@ from xferlens.sparse_linear import (
 
 # ---------------------------------------------------------------------------
 # Independent oracles
+
+def lasso_objective(x, y, w, b, lam):
+    r = y - x @ w - b
+    return float(0.5 * (r @ r) / len(y) + lam * np.abs(w).sum())
+
+
+def group_lasso_objective(xs, ys, weights, intercepts, lambda_group):
+    total = 0.0
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        r = y - x @ weights[:, t] - intercepts[t]
+        total += 0.5 * (r @ r) / len(y)
+    return float(total + lambda_group * np.linalg.norm(weights, axis=1).sum())
+
 
 def soft_threshold_oracle(a, lam):
     if a > lam:
@@ -86,6 +99,172 @@ def kkt_gaps(xs, ys, model):
         else:
             inactive_norms.append(grad_norm)
     return active_gaps, inactive_norms
+
+
+# ---------------------------------------------------------------------------
+# Reference solvers: the residual-form coordinate descent that preceded the
+# covariance-form solver, one scalar loop for the Lasso and one per-task
+# residual loop for the Group Lasso. They take the same steps in a different
+# order of floating-point operations, so the two agree to rounding, sweep for
+# sweep.
+
+def reference_lasso(x, y, lam, tol, max_iter):
+    m, n = x.shape
+    xm = x.mean(axis=0)
+    ym = float(y.mean())
+    xc = x - xm
+    yc = y - ym
+    z = (xc**2).sum(axis=0) / m
+    w = np.zeros(n)
+    r = yc.copy()
+    trace = []
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        delta = 0.0
+        for j in range(n):
+            if z[j] == 0.0:
+                continue
+            rho = (xc[:, j] @ r) / m + z[j] * w[j]
+            wj = soft_threshold_oracle(rho, lam) / z[j]
+            if wj != w[j]:
+                r -= xc[:, j] * (wj - w[j])
+                delta = max(delta, abs(wj - w[j]))
+                w[j] = wj
+        trace.append(float(0.5 * (r @ r) / m + lam * np.abs(w).sum()))
+        if delta < tol:
+            converged = True
+            break
+    return LassoModel(w, ym - float(xm @ w), lam, converged, sweeps, tuple(trace))
+
+
+def reference_group_soft(v, lam):
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0 or nv <= lam:
+        return np.zeros_like(v)
+    return (1.0 - lam / nv) * v
+
+
+def reference_row_update(phi_row, rho, z_row, lam):
+    new = np.zeros_like(phi_row)
+    active = z_row > 0.0
+    if not active.any():
+        return new
+    za = z_row[active]
+    ra = rho[active]
+    if np.allclose(za, za[0], rtol=1e-12, atol=0.0):
+        new[active] = reference_group_soft(ra, lam) / za[0]
+    else:
+        lip = float(za.max())
+        cur = phi_row[active]
+        v = cur - (za * cur - ra) / lip
+        new[active] = reference_group_soft(v, lam / lip)
+    return new
+
+
+def reference_group_lasso(xs, ys, lam, tol, max_iter):
+    n, n_tasks = xs[0].shape[1], len(xs)
+    ms = np.array([x.shape[0] for x in xs], dtype=float)
+    x_means = [x.mean(axis=0) for x in xs]
+    y_means = np.array([float(y.mean()) for y in ys])
+    xcs = [x - mu for x, mu in zip(xs, x_means)]
+    residuals = [y - mu for y, mu in zip(ys, y_means)]
+    z = np.stack([(xc**2).sum(axis=0) for xc in xcs], axis=1) / ms
+    phi = np.zeros((n, n_tasks))
+    trace = []
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        delta = 0.0
+        for j in range(n):
+            rho = np.array(
+                [(xcs[t][:, j] @ residuals[t]) / ms[t] + z[j, t] * phi[j, t] for t in range(n_tasks)]
+            )
+            new = reference_row_update(phi[j], rho, z[j], lam)
+            for t in range(n_tasks):
+                change = new[t] - phi[j, t]
+                if change != 0.0:
+                    residuals[t] -= xcs[t][:, j] * change
+                    delta = max(delta, abs(change))
+            phi[j] = new
+        obj = sum(0.5 * (residuals[t] @ residuals[t]) / ms[t] for t in range(n_tasks))
+        trace.append(float(obj + lam * np.linalg.norm(phi, axis=1).sum()))
+        if delta < tol:
+            converged = True
+            break
+    intercepts = np.array([y_means[t] - float(x_means[t] @ phi[:, t]) for t in range(n_tasks)])
+    return GroupLassoModel(phi, intercepts, lam, (), converged, sweeps, tuple(trace))
+
+
+@st.composite
+def cd_problems(draw):
+    """Per-task designs with the solver's edge cases, a penalty and a tolerance.
+
+    Columns are raw (unequal curvatures across tasks: the proximal row path),
+    standardized (equal curvatures: the exact row path) or rescaled per column;
+    a constant column has zero curvature, a duplicated one a singular Gram
+    matrix. Constants are dyadic, so the centered column is exactly 0.
+    """
+    n_tasks, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scaling = draw(st.sampled_from(["raw", "standardized", "rescaled"]))
+    rounded = draw(st.booleans())
+    constant = draw(st.none() | st.integers(0, n - 1))
+    duplicate = n > 1 and draw(st.booleans())
+    xs, ys = [], []
+    for _ in range(n_tasks):
+        m = draw(st.integers(2, 40))
+        x = rng.standard_normal((m, n))
+        if scaling == "standardized":
+            x = (x - x.mean(axis=0)) / x.std(axis=0)
+        elif scaling == "rescaled":
+            x = x * rng.uniform(0.2, 5.0, size=n)
+        y = rng.standard_normal(m)
+        if rounded:
+            x, y = np.round(x, 1), np.round(y, 1)
+        if duplicate:
+            x[:, -1] = x[:, 0]
+        if constant is not None:
+            x[:, constant] = draw(st.sampled_from([0.0, 1.0, -2.5]))
+        xs.append(x)
+        ys.append(y)
+    return xs, ys, draw(st.sampled_from([0.0, 0.01, 0.3, "max"])), draw(st.sampled_from([1e-6, 1e-9]))
+
+
+def lambda_max(xs, ys):
+    """The smallest penalty at which every weight row is 0."""
+    cov = np.stack([(x - x.mean(0)).T @ (y - y.mean()) / len(y) for x, y in zip(xs, ys)], axis=1)
+    return float(np.linalg.norm(cov, axis=1).max())
+
+
+def assert_same_fit(got, want, intercepts):
+    np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(intercepts(got), intercepts(want), rtol=0, atol=1e-9)
+    assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+    assert abs(got.objective_trace[-1] - want.objective_trace[-1]) <= 1e-12
+
+
+class TestAgainstResidualSolvers:
+    MAX_ITER = 300  # a singular, unpenalized problem may not converge; both stop here
+
+    @given(cd_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_group_lasso_matches_reference(self, problem):
+        xs, ys, lam, tol = problem
+        lam = 1.0001 * lambda_max(xs, ys) if lam == "max" else lam
+        got = fit_group_lasso(xs, ys, lam, tol, self.MAX_ITER)
+        want = reference_group_lasso(xs, ys, lam, tol, self.MAX_ITER)
+        assert_same_fit(got, want, lambda model: model.intercepts)
+
+    @given(cd_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_lasso_matches_reference(self, problem):
+        xs, ys, lam, tol = problem
+        x, y = xs[0], ys[0]
+        lam = 1.0001 * lambda_max([x], [y]) if lam == "max" else lam
+        got = fit_lasso(x, y, lam, tol, self.MAX_ITER)
+        want = reference_lasso(x, y, lam, tol, self.MAX_ITER)
+        assert_same_fit(got, want, lambda model: model.intercept)
 
 
 # ---------------------------------------------------------------------------
