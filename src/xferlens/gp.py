@@ -9,6 +9,10 @@ analytic gradients chained through the network.
 
 Targets are centered per task before fitting and the means re-added at
 prediction time, so the GP prior mean is zero.
+
+The fit's vector ``[W0, b0, ..., log_ls, log_sv, log_noise (T), A (T x T,
+multi-task only)]`` holds the network's own flat vector, so (un)packing copies
+nothing; ``_Problem`` holds the per-fit constants; solves call LAPACK directly.
 """
 
 from __future__ import annotations
@@ -18,37 +22,27 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .data import TaskId
-# mlp_backward is unused here but stays a module attribute: bench/tracing.py
-# counts calls through gp.mlp_forward and gp.mlp_backward.
+# bench/tracing.py counts calls through gp.mlp_forward, gp.mlp_backward (unused
+# here), gp.cholesky and gp.cho_solve, so all stay module attributes.
 from .numerics import (  # noqa: F401
     MlpParams,
+    cho_solve,
     cholesky,
     init_mlp,
     mlp_activations,
     mlp_backprop,
     mlp_backward,
     mlp_forward,
+    mlp_from_vector,
 )
 
 DEFAULT_HIDDEN = (50, 10)
 
 #: Lower bound on each task's noise variance during the fit, as a log.
 _LOG_NOISE_FLOOR = math.log(1e-8)
-
-
-def kernel_rbf(g_a: np.ndarray, g_b: np.ndarray, lengthscale: float, signal_variance: float) -> float:
-    """signal_variance * exp(-||g_a - g_b||^2 / (2 lengthscale^2))."""
-    if lengthscale <= 0:
-        raise ValueError("lengthscale must be positive")
-    g_a = np.asarray(g_a, dtype=float)
-    g_b = np.asarray(g_b, dtype=float)
-    if g_a.shape != g_b.shape:
-        raise ValueError("kernel inputs must have equal dimensions")
-    sq = float(np.sum((g_a - g_b) ** 2))
-    return float(signal_variance * math.exp(-sq / (2.0 * lengthscale**2)))
 
 
 @dataclass
@@ -79,79 +73,39 @@ def _latent(mlp: MlpParams, x: np.ndarray) -> np.ndarray:
     return np.maximum(mlp_forward(mlp, x), 0.0)
 
 
-def multitask_kernel(
-    x_a: np.ndarray, task_a: TaskId, x_b: np.ndarray, task_b: TaskId, state: GpState
-) -> float:
-    """Deep RBF kernel value scaled by the learned task covariance entry."""
-    for task in (task_a, task_b):
-        if task not in state.tasks:
-            raise ValueError(f"unknown task {task!r}")
-    ia = state.tasks.index(task_a)
-    ib = state.tasks.index(task_b)
-    base = kernel_rbf(
-        _latent(state.mlp, np.asarray(x_a, dtype=float)),
-        _latent(state.mlp, np.asarray(x_b, dtype=float)),
-        math.exp(state.log_lengthscale),
-        math.exp(state.log_signal_variance),
-    )
-    return float(base * state.task_cov[ia, ib])
-
-
 # ---------------------------------------------------------------------------
 # Marginal likelihood with exact gradients
 
 @dataclass
 class _Problem:
+    """The training rows and the constants every likelihood evaluation reuses."""
+
     x: np.ndarray
     y: np.ndarray  # per-task centered targets
     task_idx: np.ndarray
     n_tasks: int
     layer_sizes: tuple[int, ...]
     multi_task: bool
+    n_mlp: int  # length of the network part of the parameter vector
+    n_params: int  # length of the whole parameter vector
+    eye: np.ndarray  # m x m identity, the right-hand side for K^-1
+    task_masks: list[np.ndarray]  # task_idx == t, per task
+    onehot: np.ndarray  # m x T task indicators
+    pairs: tuple[np.ndarray, np.ndarray]  # np.ix_(task_idx, task_idx)
 
     def noise_slice(self) -> slice:
-        n_mlp = sum(
-            a * b + b for a, b in zip(self.layer_sizes[:-1], self.layer_sizes[1:])
-        )
-        start = n_mlp + 2
+        start = self.n_mlp + 2
         return slice(start, start + self.n_tasks)
 
 
-def _pack(prob: _Problem, mlp: MlpParams, log_ls, log_sv, log_noise, a_root) -> np.ndarray:
-    parts = []
-    for w, b in zip(mlp.weights, mlp.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    parts.append(np.array([log_ls, log_sv]))
-    parts.append(np.asarray(log_noise, dtype=float).ravel())
-    if prob.multi_task:
-        parts.append(np.asarray(a_root, dtype=float).ravel())
-    return np.concatenate(parts)
-
-
 def _unpack(prob: _Problem, vec: np.ndarray):
-    sizes = prob.layer_sizes
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(vec[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-        biases.append(vec[pos : pos + fan_out])
-        pos += fan_out
-    mlp = MlpParams(sizes, weights, biases)
-    log_ls = float(vec[pos])
-    log_sv = float(vec[pos + 1])
-    pos += 2
-    log_noise = vec[pos : pos + prob.n_tasks]
-    pos += prob.n_tasks
-    if prob.multi_task:
-        a_root = vec[pos : pos + prob.n_tasks**2].reshape(prob.n_tasks, prob.n_tasks)
-        pos += prob.n_tasks**2
-    else:
-        a_root = np.eye(prob.n_tasks)
-    if pos != vec.size:
+    """Views into ``vec``: network, log scales (floats), log noise, task root."""
+    n, t = prob.n_mlp, prob.n_tasks
+    if vec.size != prob.n_params:
         raise ValueError("parameter vector has the wrong length")
-    return mlp, log_ls, log_sv, log_noise, a_root
+    mlp = mlp_from_vector(prob.layer_sizes, vec[:n])
+    a_root = vec[n + 2 + t :].reshape(t, t) if prob.multi_task else np.eye(t)
+    return mlp, float(vec[n]), float(vec[n + 1]), vec[n + 2 : n + 2 + t], a_root
 
 
 @dataclass
@@ -160,11 +114,8 @@ class _Likelihood:
     intermediates its gradient and the fitted state are built from."""
 
     mll: float
-    mlp: MlpParams
-    log_ls: float
-    log_sv: float
-    log_noise: np.ndarray
-    a_root: np.ndarray
+    vec: np.ndarray
+    mlp: MlpParams  # views into vec
     acts: list[np.ndarray]  # network activations; acts[-1] is g_lin
     latent: np.ndarray  # g = relu(g_lin)
     sq: np.ndarray  # pairwise squared latent distances
@@ -191,87 +142,67 @@ def _likelihood(prob: _Problem, vec: np.ndarray) -> _Likelihood:
         two_ls_sq = 2.0 * ls**2
     except OverflowError:
         raise np.linalg.LinAlgError("kernel hyperparameters overflow") from None
-    y, ix = prob.y, prob.task_idx
-    m = len(y)
-
-    acts = mlp_activations(mlp, prob.x)
-    g = np.maximum(acts[-1], 0.0)
-    sq_norms = (g**2).sum(axis=1)
-    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (g @ g.T)
-    np.fill_diagonal(sq, 0.0)
-    sq = np.maximum(sq, 0.0)
-    # A candidate's ls can underflow to 0 or its noise overflow; the
-    # finiteness check below rejects such a point, so numpy need not warn.
+    y = prob.y
+    # A candidate's network or noise can overflow and its ls underflow to 0;
+    # the finiteness check below rejects such a point, so numpy need not warn.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        acts = mlp_activations(mlp, prob.x)
+        g = np.maximum(acts[-1], 0.0)
+        sq_norms = (g**2).sum(axis=1)
+        sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (g @ g.T)
+        np.fill_diagonal(sq, 0.0)
+        np.maximum(sq, 0.0, out=sq)
         k_rbf = sv * np.exp(-sq / two_ls_sq)
         q_task = a_root @ a_root.T
-        q = q_task[np.ix_(ix, ix)]
-        k_nf = k_rbf * q
-        noise = np.exp(log_noise)[ix]
+        # With one task q is all ones, and k_rbf * 1.0 is k_rbf bit for bit.
+        k_nf = k_rbf * q_task[prob.pairs] if prob.multi_task else k_rbf
+        noise = np.exp(log_noise)[prob.task_idx]
         k = k_nf + np.diag(noise)
     if not np.isfinite(k).all():
         raise np.linalg.LinAlgError("covariance is not finite")
 
     chol, jit = cholesky(k, jitter=0.0)
-    alpha = cho_solve((chol, True), y)
+    alpha = cho_solve(chol, y)
     mll = (
         -0.5 * float(y @ alpha)
-        - float(np.log(np.diag(chol)).sum())
-        - 0.5 * m * math.log(2.0 * math.pi)
+        - float(np.log(chol.diagonal()).sum())
+        - 0.5 * len(y) * math.log(2.0 * math.pi)
     )
     if not math.isfinite(mll):
         raise np.linalg.LinAlgError("marginal likelihood is not finite")
-    return _Likelihood(
-        mll=mll,
-        mlp=mlp,
-        log_ls=log_ls,
-        log_sv=log_sv,
-        log_noise=np.array(log_noise, dtype=float),
-        a_root=np.array(a_root, dtype=float),
-        acts=acts,
-        latent=g,
-        sq=sq,
-        k_rbf=k_rbf,
-        k_nf=k_nf,
-        noise=noise,
-        task_cov=q_task,
-        chol=chol,
-        alpha=alpha,
-        jitter=jit,
-    )
+    return _Likelihood(mll=mll, vec=vec, mlp=mlp, acts=acts, latent=g, sq=sq, k_rbf=k_rbf,
+                       k_nf=k_nf, noise=noise, task_cov=q_task, chol=chol, alpha=alpha, jitter=jit)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _gradient(prob: _Problem, lik: _Likelihood) -> np.ndarray:
-    """d mll / d vec at the point ``lik`` was evaluated, packed like ``vec``."""
-    ls = math.exp(lik.log_ls)
-    ix = prob.task_idx
-    m = len(prob.y)
-    g, k_nf, noise = lik.latent, lik.k_nf, lik.noise
+    """d mll / d vec at the point ``lik`` was evaluated, packed like ``vec``.
 
-    k_inv = cho_solve((lik.chol, True), np.eye(m))
-    s = 0.5 * (np.outer(lik.alpha, lik.alpha) - k_inv)  # d mll / d K
+    Near a singular K it can overflow; every step along such a gradient is
+    rejected as non-finite, and the fit stops early without numpy warnings.
+    """
+    n, t = prob.n_mlp, prob.n_tasks
+    ls = math.exp(lik.vec[n])
+    g = lik.latent
+    grad = np.empty(prob.n_params)
 
-    g_log_sv = float(np.sum(s * k_nf))
-    g_log_ls = float(np.sum(s * k_nf * lik.sq) / ls**2)
-    g_log_noise = np.array(
-        [float(np.sum(np.diag(s)[ix == t] * noise[ix == t])) for t in range(prob.n_tasks)]
-    )
+    k_inv = cho_solve(lik.chol, prob.eye)
+    s = 0.5 * (lik.alpha[:, None] * lik.alpha - k_inv)  # d mll / d K
+    w_in = s * lik.k_nf
+
+    grad[n] = float((w_in * lik.sq).sum() / ls**2)
+    grad[n + 1] = float(w_in.sum())
+    noise_diag = s.diagonal() * lik.noise
+    grad[n + 2 : n + 2 + t] = [float(noise_diag[mask].sum()) for mask in prob.task_masks]
     if prob.multi_task:
-        w_task = s * lik.k_rbf
-        onehot = np.eye(prob.n_tasks)[ix]  # m x T
-        m_block = onehot.T @ w_task @ onehot
-        g_a = 2.0 * m_block @ lik.a_root
-    else:
-        g_a = None
+        m_block = prob.onehot.T @ (s * lik.k_rbf) @ prob.onehot
+        grad[n + 2 + t :] = (2.0 * m_block @ lik.vec[n + 2 + t :].reshape(t, t)).ravel()
 
-    w_in = s * k_nf
     row_sums = w_in.sum(axis=1)
     d_g = (2.0 / ls**2) * (w_in @ g - row_sums[:, None] * g)
     d_g_lin = d_g * (lik.acts[-1] > 0.0)
-    w_grads, b_grads, _ = mlp_backprop(lik.mlp, lik.acts, d_g_lin)
-
-    grad_mlp = MlpParams(prob.layer_sizes, w_grads, b_grads)
-    return _pack(prob, grad_mlp, g_log_ls, g_log_sv, g_log_noise, g_a)
+    mlp_backprop(lik.mlp, lik.acts, d_g_lin, mlp_from_vector(prob.layer_sizes, grad[:n]))
+    return grad
 
 
 def _build_problem(
@@ -298,22 +229,27 @@ def _build_problem(
         ys.append(y - mu)
         idx.extend([t] * len(y))
     x_all = np.vstack(xs)
+    task_idx = np.array(idx, dtype=int)
+    m, n_tasks = len(task_idx), len(tasks)
+    layer_sizes = (x_all.shape[1], *hidden)
+    n_mlp = sum(a * b + b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
     prob = _Problem(
-        x=x_all,
-        y=np.concatenate(ys),
-        task_idx=np.array(idx, dtype=int),
-        n_tasks=len(tasks),
-        layer_sizes=(x_all.shape[1], *hidden),
-        multi_task=multi_task,
+        x=x_all, y=np.concatenate(ys), task_idx=task_idx, n_tasks=n_tasks,
+        layer_sizes=layer_sizes, multi_task=multi_task, n_mlp=n_mlp,
+        n_params=n_mlp + 2 + n_tasks + (n_tasks**2 if multi_task else 0),
+        eye=np.eye(m), task_masks=[task_idx == t for t in range(n_tasks)],
+        onehot=np.eye(n_tasks)[task_idx], pairs=np.ix_(task_idx, task_idx),
     )
     return prob, tasks, np.array(means)
 
 
 def _init_vec(prob: _Problem, seed: int, init_noise_variance: float) -> np.ndarray:
     """Seeded network, unit lengthscale and signal variance, identity task root."""
-    mlp = init_mlp(prob.layer_sizes, seed)
-    log_noise = np.full(prob.n_tasks, math.log(init_noise_variance))
-    return _pack(prob, mlp, 0.0, 0.0, log_noise, np.eye(prob.n_tasks))
+    parts = [init_mlp(prob.layer_sizes, seed).flat, np.zeros(2),
+             np.full(prob.n_tasks, math.log(init_noise_variance))]
+    if prob.multi_task:
+        parts.append(np.eye(prob.n_tasks).ravel())
+    return np.concatenate(parts)
 
 
 def mll_function(
@@ -387,24 +323,13 @@ def fit_gp(
         vec, lik = cand, accepted
         trace.append(lik.mll)
 
+    mlp, log_ls, log_sv, log_noise, a_root = _unpack(prob, vec)
     return GpState(
-        mlp=lik.mlp,
-        log_lengthscale=lik.log_ls,
-        log_signal_variance=lik.log_sv,
-        log_noise_variance=lik.log_noise,
-        task_root=lik.a_root,
-        tasks=tasks,
-        multi_task=multi_task,
-        train_latent=lik.latent,
-        train_task_idx=prob.task_idx,
-        task_means=means,
-        task_cov=lik.task_cov,
-        chol=lik.chol,
-        alpha=lik.alpha,
-        jitter=lik.jitter,
-        mll_trace=tuple(trace),
-        mll_evals=evals,
-        stopped_early=stopped_early,
+        mlp=mlp, log_lengthscale=log_ls, log_signal_variance=log_sv,
+        log_noise_variance=np.array(log_noise), task_root=np.array(a_root), tasks=tasks,
+        multi_task=multi_task, train_latent=lik.latent, train_task_idx=prob.task_idx,
+        task_means=means, task_cov=lik.task_cov, chol=lik.chol, alpha=lik.alpha,
+        jitter=lik.jitter, mll_trace=tuple(trace), mll_evals=evals, stopped_early=stopped_early,
     )
 
 
@@ -414,12 +339,17 @@ def predict_gp(state: GpState, x: np.ndarray, task: TaskId) -> tuple[float, floa
         raise ValueError(f"unknown task {task!r}")
     ti = state.tasks.index(task)
     x = np.asarray(x, dtype=float)
-    g_star = _latent(state.mlp, x)
     ls = math.exp(state.log_lengthscale)
     sv = math.exp(state.log_signal_variance)
-    sq = ((state.train_latent - g_star) ** 2).sum(axis=1)
-    k_star = sv * np.exp(-sq / (2.0 * ls**2)) * state.task_cov[ti, state.train_task_idx]
+    # A degenerate fit (huge network weights, a tiny ls) overflows here quietly.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g_star = _latent(state.mlp, x)
+        sq = ((state.train_latent - g_star) ** 2).sum(axis=1)
+        k_star = sv * np.exp(-sq / (2.0 * ls**2)) * state.task_cov[ti, state.train_task_idx]
     mean = float(k_star @ state.alpha) + float(state.task_means[ti])
-    v = solve_triangular(state.chol, k_star, lower=True)
+    # L v = k_star as scipy's solve_triangular solves it: L.T's transposed system.
+    v, info = dtrtrs(state.chol.T, k_star, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
     var = sv * float(state.task_cov[ti, ti]) - float(v @ v)
     return mean, max(var, 0.0)

@@ -10,7 +10,10 @@ initialization.
 Every inner step and query gradient is one call into the single-pass kernel
 of :mod:`xferlens.numerics` (one forward pass whose activations the backward
 pass reuses), on arrays checked once per ``adapt`` call rather than once per
-step.
+step. The parameters and their gradients each live in one flat vector
+(:func:`xferlens.numerics.mlp_from_vector`): ``adapt`` copies the
+initialization once, an inner step is ``flat -= inner_lr * grad``, and the
+query-gradient accumulation and the outer step are one vector operation each.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .numerics import (  # noqa: F401
     mlp_backprop,
     mlp_backward,
     mlp_forward,
+    mlp_from_vector,
 )
 
 
@@ -52,27 +56,11 @@ class MamlConfig:
             raise ValueError("net_shape must end in a single output unit")
 
 
-def _mse_grads(
-    params: MlpParams, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Residuals and exact MSE gradients on checked 2-D ``x`` and 1-D ``y``."""
+def _mse_grads(params: MlpParams, x: np.ndarray, y: np.ndarray, grad: MlpParams) -> None:
+    """Exact MSE gradients on checked 2-D ``x`` and 1-D ``y``, written into ``grad``."""
     acts = mlp_activations(params, x)
     err = acts[-1][:, 0] - y
-    upstream = (2.0 / len(y)) * err[:, None]
-    w_grads, b_grads, _ = mlp_backprop(params, acts, upstream)
-    return err, w_grads, b_grads
-
-
-def mse_and_grads(
-    params: MlpParams, x: np.ndarray, y: np.ndarray
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean squared error and its exact parameter gradients."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if x.shape[1] != params.layer_sizes[0]:
-        raise ValueError("input width does not match first layer")
-    err, w_grads, b_grads = _mse_grads(params, x, y)
-    return float(np.mean(err**2)), w_grads, b_grads
+    mlp_backprop(params, acts, (2.0 / len(y)) * err[:, None], grad)
 
 
 def adapt(
@@ -86,12 +74,10 @@ def adapt(
     if support_x.shape[1] != theta.layer_sizes[0]:
         raise ValueError("input width does not match first layer")
     params = theta.copy()
+    grad = mlp_from_vector(theta.layer_sizes)
     for _ in range(cfg.inner_steps):
-        _, w_grads, b_grads = _mse_grads(params, support_x, support_y)
-        for w, gw in zip(params.weights, w_grads):
-            w -= cfg.inner_lr * gw
-        for b, gb in zip(params.biases, b_grads):
-            b -= cfg.inner_lr * gb
+        _mse_grads(params, support_x, support_y, grad)
+        params.flat -= cfg.inner_lr * grad.flat
     return params
 
 
@@ -120,26 +106,20 @@ def meta_train(
         data[task] = (x, y)
 
     theta = init_mlp(cfg.net_shape, seed)
+    grad = mlp_from_vector(cfg.net_shape)
+    accum = np.empty_like(theta.flat)
     for epoch in range(cfg.meta_epochs):
         rng = np.random.default_rng([seed, epoch])
-        w_accum = [np.zeros_like(w) for w in theta.weights]
-        b_accum = [np.zeros_like(b) for b in theta.biases]
+        accum.fill(0.0)
         for task in tasks:
             x, y = data[task]
             perm = rng.permutation(len(y))
             half = len(y) // 2
             sup, qry = perm[:half], perm[half:]
             adapted = adapt(theta, x[sup], y[sup], cfg)
-            _, w_grads, b_grads = _mse_grads(adapted, x[qry], y[qry])
-            for acc, g in zip(w_accum, w_grads):
-                acc += g
-            for acc, g in zip(b_accum, b_grads):
-                acc += g
-        scale = cfg.outer_lr / len(tasks)
-        for w, acc in zip(theta.weights, w_accum):
-            w -= scale * acc
-        for b, acc in zip(theta.biases, b_accum):
-            b -= scale * acc
+            _mse_grads(adapted, x[qry], y[qry], grad)
+            accum += grad.flat
+        theta.flat -= (cfg.outer_lr / len(tasks)) * accum
     return theta
 
 

@@ -62,7 +62,10 @@ def _moments(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], lam: float):
             raise ValueError("non-finite inputs")
     if lam < 0:
         raise ValueError("the penalty must be >= 0")
-    x_means = np.array([x.mean(axis=0) for x in xs])
+    # A column constant within a task is centered by its value (as in
+    # data.fit_scaler), not by a mean that can be an ulp off (seven rows of
+    # 0.1), so that it gets zero curvature rather than a rounding-level one.
+    x_means = np.array([np.where(x.max(axis=0) == x.min(axis=0), x[0], x.mean(axis=0)) for x in xs])
     y_means = np.array([float(y.mean()) for y in ys])
     xcs = [x - mu for x, mu in zip(xs, x_means)]
     ycs = [y - mu for y, mu in zip(ys, y_means)]

