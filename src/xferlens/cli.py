@@ -169,6 +169,8 @@ def _resolve_evaluate_args(args: argparse.Namespace) -> dict:
             raise DataError(f"missing required option --{key}")
     if resolved["protocol"] not in evaluation.PROTOCOLS:
         raise DataError(f"protocol must be one of {evaluation.PROTOCOLS}")
+    if resolved["protocol"] == "llro" and not resolved["meta"]:
+        raise DataError("--protocol llro needs --meta: the language classes pick its targets")
     return resolved
 
 
@@ -177,6 +179,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         cfg = _resolve_evaluate_args(args)
         ds = load_dataset(cfg["scores"], cfg["features"], cfg["meta"])
         kinds = [k.strip() for k in cfg["models"].split(",") if k.strip()]
+        if not kinds:
+            raise DataError("--models names no model kind")
         for kind in kinds:
             if kind not in MODEL_KINDS:
                 raise DataError(f"unknown model kind {kind!r}, choose from {MODEL_KINDS}")
@@ -184,6 +188,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for task in tasks:
             if task not in ds.tasks:
                 raise DataError(f"unknown task {task!r}")
+        for option, names in (("--models", kinds), ("--task", tasks)):
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise DataError(f"{option} repeats {', '.join(map(repr, repeated))}")
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

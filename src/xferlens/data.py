@@ -185,7 +185,8 @@ def read_csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
 def _check_header(path: Path, header: list[str], expected: list[str], optional: tuple[str, ...] = ()):
     header = [h.strip() for h in header]
     allowed = expected + [c for c in optional if c not in expected]
-    if header[: len(expected)] != expected or any(c not in allowed for c in header):
+    if (header[: len(expected)] != expected or any(c not in allowed for c in header)
+            or len(set(header)) != len(header)):
         raise DataError(
             f"bad header {header!r}, expected {expected!r}"
             + (f" with optional {list(optional)!r}" if optional else ""),

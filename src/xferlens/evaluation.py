@@ -467,14 +467,12 @@ def helper_curve(
 ) -> list[tuple[int, float]]:
     """LOLO MAE of the eval task as helper tasks are added one at a time.
 
-    Helpers enter in sorted-name order, so the curve is deterministic. cmf's
-    curve starts at ``d_latent - 1`` helpers, the first count at which the
-    factorization gets its full ``d_latent`` rank.
+    Helpers enter in sorted-name order, so the curve is deterministic. Every
+    kind's curve starts at no helpers (cmf fits with the rank its tasks allow).
     """
     helpers = sorted(ds.tasks - {eval_task})
-    first = spec.merged()["d_latent"] - 1 if spec.kind == "cmf" else 0
     curve = []
-    for k in range(first, len(helpers) + 1):
+    for k in range(len(helpers) + 1):
         keep = set(helpers[:k]) | {eval_task}
         sub = ds.restrict([r for r in ds.records if r.task in keep])
         fragment = run_lolo(sub, spec, eval_task)

@@ -3,8 +3,9 @@
 The observed score matrix Y (tasks x language-pairs) is factorized as T L^T
 while the pair feature matrix X is co-factorized as L F^T with shared pair
 factors L, so pairs never scored in Y still receive a usable latent vector.
-Each ALS block update solves its ridge subproblem in closed form, which makes
-the full objective non-increasing at every step.
+Y is dense, with a 0/1 mask of its observed cells, so each ALS block update is
+one batched closed-form ridge solve (a d x d system per task, per pair, or for
+the feature factors), which makes the full objective non-increasing at every step.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ def _objective(
     t_rows: np.ndarray,
     l_rows: np.ndarray,
     f_rows: np.ndarray,
-    obs: list[tuple[int, int, float]],
+    y: np.ndarray,
+    w: np.ndarray,
     x: np.ndarray,
     reg: float,
     alpha: float,
 ) -> float:
-    fit = sum((val - float(t_rows[ti] @ l_rows[pi])) ** 2 for ti, pi, val in obs)
+    fit = float(np.sum(w * (y - t_rows @ l_rows.T) ** 2))
     side = alpha * float(np.sum((x - l_rows @ f_rows.T) ** 2)) if alpha > 0 else 0.0
     ridge = reg * (
         float(np.sum(t_rows**2)) + float(np.sum(l_rows**2)) + float(np.sum(f_rows**2))
@@ -63,8 +65,8 @@ def fit_cmf(
     """Alternating least squares with seeded restarts, keeping the best objective.
 
     ``observations`` are (task, pair, value) triples over the rows of
-    ``pairs``; ``x`` is the |pairs| x n feature matrix (no missing values).
-    Missing Y cells are simply absent from the observation list.
+    ``pairs``, at most one per cell; ``x`` is the |pairs| x n feature matrix
+    (no missing values). Missing Y cells are absent from the observation list.
     """
     obs_list = list(observations)
     if not obs_list:
@@ -87,52 +89,41 @@ def fit_cmf(
     if reg < 0 or not 0.0 <= alpha <= 1.0:
         raise ValueError("need reg >= 0 and alpha in [0, 1]")
 
-    obs: list[tuple[int, int, float]] = []
+    y = np.zeros((len(tasks), len(pairs)))
+    w = np.zeros_like(y)
     for task, pair, val in obs_list:
         if pair not in pair_index:
             raise ValueError(f"observation references unknown pair {pair}")
-        obs.append((task_index[task], pair_index[pair], float(val)))
-    by_task: list[list[tuple[int, float]]] = [[] for _ in tasks]
-    by_pair: list[list[tuple[int, float]]] = [[] for _ in pairs]
-    for ti, pi, val in obs:
-        by_task[ti].append((pi, val))
-        by_pair[pi].append((ti, val))
+        cell = task_index[task], pair_index[pair]
+        if w[cell]:
+            raise ValueError(f"duplicate observation for (task, pair) = ({task!r}, {pair})")
+        y[cell], w[cell] = val, 1.0
 
-    n_features = x.shape[1]
     eye = np.eye(d)
     best: CmfModel | None = None
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         t_rows = rng.uniform(-0.1, 0.1, size=(len(tasks), d))
         l_rows = rng.uniform(-0.1, 0.1, size=(len(pairs), d))
-        f_rows = rng.uniform(-0.1, 0.1, size=(n_features, d))
-        trace = [_objective(t_rows, l_rows, f_rows, obs, x, reg, alpha)]
+        f_rows = rng.uniform(-0.1, 0.1, size=(x.shape[1], d))
+        trace = [_objective(t_rows, l_rows, f_rows, y, w, x, reg, alpha)]
         for _ in range(sweeps):
-            # Task block.
-            for ti, cells in enumerate(by_task):
-                if not cells:
-                    continue
-                rows = l_rows[[pi for pi, _ in cells]]
-                vals = np.array([v for _, v in cells])
-                t_rows[ti] = np.linalg.solve(rows.T @ rows + reg * eye, rows.T @ vals)
-            trace.append(_objective(t_rows, l_rows, f_rows, obs, x, reg, alpha))
+            # Task block; y is 0 off the mask, so y @ L sums observed cells only.
+            a = np.einsum("tp,pi,pj->tij", w, l_rows, l_rows) + reg * eye
+            t_rows = np.linalg.solve(a, (y @ l_rows)[..., None])[..., 0]
+            trace.append(_objective(t_rows, l_rows, f_rows, y, w, x, reg, alpha))
             # Pair block (shared between both decompositions).
-            ftf = alpha * (f_rows.T @ f_rows) if alpha > 0 else np.zeros((d, d))
-            for pi in range(len(pairs)):
-                a = ftf + reg * eye
-                b = alpha * (f_rows.T @ x[pi]) if alpha > 0 else np.zeros(d)
-                for ti, val in by_pair[pi]:
-                    a = a + np.outer(t_rows[ti], t_rows[ti])
-                    b = b + val * t_rows[ti]
-                l_rows[pi] = np.linalg.solve(a, b)
-            trace.append(_objective(t_rows, l_rows, f_rows, obs, x, reg, alpha))
-            # Feature block.
+            a = np.einsum("tp,ti,tj->pij", w, t_rows, t_rows) + alpha * (f_rows.T @ f_rows) + reg * eye
+            b = y.T @ t_rows + alpha * (x @ f_rows)
+            l_rows = np.linalg.solve(a, b[..., None])[..., 0]
+            trace.append(_objective(t_rows, l_rows, f_rows, y, w, x, reg, alpha))
+            # Feature block; with alpha = 0 (and reg = 0) its system is singular.
             if alpha > 0:
                 a = alpha * (l_rows.T @ l_rows) + reg * eye
                 f_rows = np.linalg.solve(a, alpha * (l_rows.T @ x)).T
             else:
                 f_rows = np.zeros_like(f_rows)
-            trace.append(_objective(t_rows, l_rows, f_rows, obs, x, reg, alpha))
+            trace.append(_objective(t_rows, l_rows, f_rows, y, w, x, reg, alpha))
         model = CmfModel(
             t_rows, l_rows, f_rows, task_index, pair_index, d, reg, alpha, tuple(trace)
         )

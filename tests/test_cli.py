@@ -241,6 +241,49 @@ class TestEvaluateCommand:
         assert "features.csv:3: d_geo must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_header_column_exit_two(self, toy_paths, tmp_path, capsys):
+        lines = toy_paths["scores"].read_text().splitlines()
+        lines[0] += ",scale,scale"
+        lines[1:] = [line + ",unit,percent" for line in lines[1:]]
+        toy_paths["scores"].write_text("\n".join(lines) + "\n")
+        assert self.run_eval(toy_paths, tmp_path / "out") == 2
+        assert "scores.csv:1: bad header" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_llro_without_meta_exit_two(self, toy_paths, tmp_path, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--scores", str(toy_paths["scores"]),
+                "--features", str(toy_paths["features"]),
+                "--models", "awt",
+                "--protocol", "llro",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "--protocol llro needs --meta" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_models_exit_two(self, toy_paths, tmp_path, capsys):
+        assert self.run_eval(toy_paths, tmp_path / "out", ["--models", ","]) == 2
+        assert "--models names no model kind" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--task", "A", "--task", "B", "--task", "B"], "--task repeats 'B'"),
+            (["--models", "awt,lasso,awt"], "--models repeats 'awt'"),
+        ],
+    )
+    def test_repeated_entry_exit_two(self, toy_paths, tmp_path, capsys, extra, message):
+        # Counted twice, a task would weigh double in the averages and repeat
+        # its rows in records.csv.
+        assert self.run_eval(toy_paths, tmp_path / "out", extra) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_model_exit_two(self, toy_paths, tmp_path, capsys):
         code = main(
             [
@@ -339,7 +382,7 @@ class TestEvaluateCommand:
         rows = [l for l in lines if l.startswith("group-lasso")]
         assert len(rows) == 2  # helpers 0 and 1
 
-    def test_cmf_helper_curve_starts_at_d_latent_minus_one(self, five_task_paths, tmp_path):
+    def test_cmf_helper_curve_starts_at_zero_helpers(self, five_task_paths, tmp_path):
         code = main(
             [
                 "evaluate",
@@ -355,7 +398,9 @@ class TestEvaluateCommand:
         assert code == 0
         lines = (tmp_path / "out" / "helper_curve.csv").read_text().splitlines()
         rows = list(csv.reader(l for l in lines if l.startswith("cmf")))
-        assert [row[2] for row in rows] == ["4"]  # d_latent 5: four helpers, five tasks
+        # From the eval task alone (rank 1) to all four helpers (rank d_latent 5).
+        assert [row[2] for row in rows] == ["0", "1", "2", "3", "4"]
+        assert max(float(row[4]) for row in rows) == 1.0
 
 
 class TestExplainCommand:

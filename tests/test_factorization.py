@@ -114,6 +114,14 @@ class TestFitCmf:
             )
 
 
+    def test_duplicate_observation_rejected(self):
+        # A dense Y has one cell per (task, pair); a second copy would be
+        # weighted twice if it were fitted.
+        obs, pairs = dense_observations(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"duplicate observation for \(task, pair\)"):
+            fit_cmf(obs + obs[1:2], pairs, np.zeros((3, 2)), d=1, reg=0.1, alpha=0.0)
+
+
 class TestPredictCmf:
     def make_model(self):
         y = np.array([[1.0, 0.5], [0.25, 0.75]])

@@ -1,7 +1,9 @@
 """The GP and MAML solvers against frozen copies of their list-of-arrays,
 scipy-wrapper form (``frozen_gp_meta``): every result must agree bit for
 bit, so that the flat parameter vector and the direct LAPACK calls change
-no output."""
+no output. CMF's ALS against its frozen per-observation form
+(``frozen_cmf``): the batched solves sum in another order, so predictions
+and objectives must agree to rounding, not bit for bit."""
 
 import math
 
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frozen_cmf
 import frozen_gp_meta as frozen
-from xferlens import gp, meta
+from xferlens import factorization, gp, meta
 from xferlens.numerics import init_mlp
 
 
@@ -219,3 +222,48 @@ class TestMamlAgainstFrozen:
         got = meta.adapt(theta, x, y, cfg)
         assert frozen_digest(got) == frozen_digest(frozen.adapt(ref_theta, x, y, 3, 0.05))
         assert math.isfinite(float(got.flat.sum()))
+
+
+@st.composite
+def cmf_problems(draw):
+    """1-6 tasks by 1-40 pairs with about 60% of the cells observed (so some
+    pairs have no observation), 1-9 features and a rank each shape allows."""
+    seed = draw(st.integers(0, 2**16))
+    n_tasks, n_pairs = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(seed)
+    observed = rng.uniform(size=(n_tasks, n_pairs)) < 0.6
+    observed[rng.integers(n_tasks), rng.integers(n_pairs)] = True
+    pairs = [("en", f"p{i}") for i in range(n_pairs)]
+    obs = [(f"t{t}", pairs[p], float(rng.uniform())) for t, p in zip(*np.nonzero(observed))]
+    x = rng.standard_normal((n_pairs, draw(st.integers(1, 9))))
+    n_tasks_seen = int(observed.any(axis=1).sum())
+    d = draw(st.integers(1, min(n_tasks_seen, n_pairs)))
+    reg = draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0]))
+    alpha = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    return obs, pairs, x, d, reg, alpha, seed
+
+
+class TestCmfAgainstFrozen:
+    # Compare predictions, not factors: restarts whose objectives tie to the
+    # last bit can be chosen differently, and their factors differ in sign.
+    @given(cmf_problems(), st.integers(0, 50), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_fit_and_predict(self, problem, sweeps, restarts):
+        obs, pairs, x, d, reg, alpha, seed = problem
+        args = (obs, pairs, x, d, reg, alpha, sweeps, seed, restarts)
+        ref, new = frozen_cmf.fit_cmf(*args), factorization.fit_cmf(*args)
+        assert len(new.objective_trace) == len(ref.objective_trace) == 1 + 3 * sweeps
+        assert new.objective_trace[-1] == pytest.approx(ref.objective_trace[-1], rel=1e-9)
+        assert new.task_index == ref.task_index and new.pair_index == ref.pair_index
+        np.testing.assert_allclose(new.task_factors @ new.pair_factors.T,
+                                   ref.task_factors @ ref.pair_factors.T, rtol=0, atol=1e-6)
+        rows = np.vstack([x, np.random.default_rng(seed).standard_normal(x.shape[1])])
+        for task in ref.task_index:
+            if alpha == 0.0:  # no side information, so no cold start in either
+                for model in (ref, new):
+                    with pytest.raises(ValueError, match="degenerate"):
+                        factorization.predict_cold_start(model, task, rows[0])
+                continue
+            for row in rows:
+                assert factorization.predict_cold_start(new, task, row) == pytest.approx(
+                    factorization.predict_cold_start(ref, task, row), rel=0, abs=1e-6)

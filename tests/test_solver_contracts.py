@@ -1,5 +1,5 @@
-"""Contracts of the GP and MAML solvers that no output shows: the calls the
-benchmark's tracer counts, and independence from the BLAS thread count."""
+"""Contracts of the GP, MAML and CMF solvers that no output shows: the calls
+the benchmark's tracer counts, and independence from the BLAS thread count."""
 
 import collections
 import os
@@ -11,19 +11,22 @@ import numpy as np
 import pytest
 
 from helpers import lang_codes, planted_dataset
-from xferlens import gp, meta
+from xferlens import factorization, gp, meta
 from xferlens.data import save_dataset
 from xferlens.evaluation import ModelSpec, fit_predictors
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # bench/tracing.py replaces these module attributes by counting wrappers and
-# derives gp.mll_evals, gp.cho_solve_s, meta.adapt_calls and the per-row
-# prediction invariants from their calls. Tier-1 runs no traced pass, so a
-# refactor that calls them by another name (or not at all) would pass here
-# and break the benchmark's invariants silently.
+# derives gp.mll_evals, gp.cho_solve_s, meta.adapt_calls,
+# factorization.cmf_sweeps and the per-row prediction invariants from their
+# calls. Tier-1 runs no traced pass, so a refactor that calls them by another
+# name (or not at all) would pass here and break the benchmark's invariants
+# silently.
 COUNTED = ((gp, "cholesky"), (gp, "cho_solve"), (gp, "predict_gp"),
-           (meta, "adapt"), (meta, "predict_net"))
+           (meta, "adapt"), (meta, "predict_net"),
+           (factorization, "_objective"), (factorization, "predict_cmf"),
+           (factorization, "predict_cold_start"))
 
 
 @pytest.fixture
@@ -76,6 +79,21 @@ class TestTracerCounts:
         # and one batched prediction call.
         assert dict(calls) == {"meta.adapt": 3 * 3 + 1, "meta.predict_net": 1}
 
+    def test_cmf(self, calls):
+        # The objective once per restart and after each of a sweep's three
+        # blocks; one prediction per row, from the factors when the pairs are
+        # given and cold-start from the features when they are not.
+        ds = five_tasks()
+        hp = {"sweeps": 4, "restarts": 2}
+        predictor = fit_predictors(ModelSpec("cmf", hp), ds, ["A"], seed=0)["A"]
+        records = ds.task_records("A")
+        x = ds.feature_matrix(records)
+        predictor.predict(x, [(r.pivot, r.target) for r in records])
+        predictor.predict(x)
+        assert dict(calls) == {"factorization._objective": 2 * (1 + 3 * 4),
+                               "factorization.predict_cmf": len(x),
+                               "factorization.predict_cold_start": len(x)}
+
 
 def test_gp_and_maml_outputs_independent_of_blas_threads(tmp_path):
     paths = save_dataset(five_tasks(), tmp_path / "data5")
@@ -89,7 +107,7 @@ def test_gp_and_maml_outputs_independent_of_blas_threads(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "xferlens.cli", "evaluate",
              "--scores", str(paths["scores"]), "--features", str(paths["features"]),
-             "--meta", str(paths["meta"]), "--models", "dgpr,mdgpr,maml",
+             "--meta", str(paths["meta"]), "--models", "dgpr,mdgpr,maml,cmf",
              "--protocol", "lolo", "--task", "A", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=600,
         )
