@@ -138,7 +138,7 @@ def _grow(
     return TreeNode(feature=j, threshold=threshold, left=left, right=right)
 
 
-def _eval_tree(node: Union[TreeNode, Leaf], x: np.ndarray) -> float:
+def _eval_tree(node: Union[TreeNode, Leaf], x: list[float]) -> float:
     while isinstance(node, TreeNode):
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.value
@@ -176,7 +176,8 @@ def predict_gbt(m: TreeEnsemble, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n_features,):
         raise ValueError(f"expected a vector of length {m.n_features}, got shape {x.shape}")
+    row = x.tolist()  # Python floats: a node's comparison skips numpy's scalar dispatch
     total = m.base_score
     for tree in m.trees:
-        total += m.learning_rate * _eval_tree(tree, x)
+        total += m.learning_rate * _eval_tree(tree, row)
     return float(total)

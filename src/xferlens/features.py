@@ -4,6 +4,11 @@ Produces the nine-feature table consumed by the regressors: subword-vocabulary
 overlap, typology-vector similarities, normalized geographic distance,
 log pre-training size, weighted mean reciprocal rank of typological
 feature-values, and the two tokenizer-quality metrics.
+
+Each resource is parsed once: a typology row only up to its last non-empty
+cell, a vocabulary line stripped once. Work shared by all pairs is done once
+per table: the WALS feature-value ranking (:func:`feature_value_ranks`) and
+the geographic scale (:func:`max_geo_distance`).
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import takewhile
+from operator import not_
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -152,7 +159,7 @@ def geo_distance(a: TypologyVector, b: TypologyVector, scale: float = 1.0) -> fl
         raise ValueError("geo_distance requires geography vectors")
     if len(a.dims) != len(b.dims):
         raise ValueError("geography vectors have different dimensionality")
-    d = math.dist([float(x) for x in a.dims], [float(x) for x in b.dims])
+    d = math.dist(a.dims, b.dims)
     if scale <= 0.0:
         return 0.0 if d == 0.0 else d
     return d / scale
@@ -175,22 +182,16 @@ def pretrain_size_feature(meta: LanguageMeta) -> float:
     return math.log10(meta.pretrain_words)
 
 
-def wmrr(
-    t: LangId, wals: WalsTable, meta: Mapping[LangId, LanguageMeta]
-) -> float:
-    """Mean reciprocal rank of a language's typological feature-values.
+def feature_value_ranks(
+    wals: WalsTable, meta: Mapping[LangId, LanguageMeta]
+) -> dict[str, int]:
+    """Rank of every feature-value in the table, for :func:`wmrr`.
 
-    Every feature-value in the table is weighted by the total pre-training
-    words of the languages possessing it and ranked in descending weight
-    (competition ranking: ties share the smallest rank of the tied block).
-    Languages without metadata contribute zero weight. The reciprocal ranks
-    are summed exactly (``math.fsum``), so the result does not depend on the
-    iteration order of the language's feature-value set.
+    Every feature-value is weighted by the total pre-training words of the
+    languages possessing it and ranked in descending weight (competition
+    ranking: ties share the smallest rank of the tied block). Languages
+    without metadata contribute zero weight.
     """
-    if t not in wals.rows or not wals.rows[t]:
-        raise ValueError(f"language {t!r} absent from the WALS table")
-    if not meta:
-        raise ValueError("empty language metadata")
     mass: dict[str, float] = {}
     for lang, fvs in wals.rows.items():
         words = meta[lang].pretrain_words if lang in meta else 0.0
@@ -198,8 +199,30 @@ def wmrr(
             mass[fv] = mass.get(fv, 0.0) + words
     ascending = sorted(mass.values())
     # rank = 1 + the number of masses strictly greater than this one
-    ranks = [1 + len(ascending) - bisect_right(ascending, mass[fv]) for fv in wals.rows[t]]
-    return math.fsum(1.0 / rank for rank in ranks) / len(ranks)
+    return {fv: 1 + len(ascending) - bisect_right(ascending, m) for fv, m in mass.items()}
+
+
+def wmrr(
+    t: LangId,
+    wals: WalsTable,
+    meta: Mapping[LangId, LanguageMeta],
+    ranks: Mapping[str, int] | None = None,
+) -> float:
+    """Mean reciprocal rank of a language's typological feature-values.
+
+    The ranks are those of :func:`feature_value_ranks`; pass ``ranks`` from it
+    to rank the table once for many languages. The reciprocal ranks are
+    summed exactly (``math.fsum``), so the result does not depend on the
+    iteration order of the language's feature-value set.
+    """
+    if t not in wals.rows or not wals.rows[t]:
+        raise ValueError(f"language {t!r} absent from the WALS table")
+    if not meta:
+        raise ValueError("empty language metadata")
+    if ranks is None:
+        ranks = feature_value_ranks(wals, meta)
+    fvs = wals.rows[t]
+    return math.fsum(1.0 / ranks[fv] for fv in fvs) / len(fvs)
 
 
 def tokenizer_metrics(stats: TokenizationStats) -> tuple[float, float]:
@@ -266,6 +289,11 @@ def build_feature_table(
         if (lang, "geography") in resources.typology
     ]
     geo_scale = max_geo_distance(geo_vectors) if len(geo_vectors) >= 2 else 0.0
+    wals_ranks = (
+        feature_value_ranks(resources.wals, resources.meta)
+        if resources.wals is not None and resources.meta
+        else None
+    )
 
     table: dict[tuple[LangId, LangId], FeatureVector] = {}
     for pivot, target in pairs:
@@ -290,8 +318,8 @@ def build_feature_table(
         if target in resources.meta:
             values["size"] = pretrain_size_feature(resources.meta[target])
 
-        if resources.wals is not None and target in resources.wals.rows and resources.meta:
-            values["wmrr"] = wmrr(target, resources.wals, resources.meta)
+        if wals_ranks is not None and target in resources.wals.rows:
+            values["wmrr"] = wmrr(target, resources.wals, resources.meta, wals_ranks)
 
         if target in resources.stats:
             fert, pcw = tokenizer_metrics(resources.stats[target])
@@ -309,24 +337,31 @@ def build_feature_table(
 # Resource loaders
 
 def load_vocab_file(path: str | Path, lang: LangId) -> VocabSet:
-    """One subword token per line, UTF-8."""
+    """One subword token per line, UTF-8; surrounding whitespace and blank lines are dropped."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as err:
         raise DataError(str(err), path=path) from err
-    tokens = frozenset(line.strip() for line in lines if line.strip())
+    tokens = set(map(str.strip, lines))
+    tokens.discard("")
     if not tokens:
         raise DataError("empty vocabulary file", path=path)
-    return VocabSet(lang, tokens)
+    try:
+        # A frozenset copied from a set is sized for its count, half the hash
+        # table of one grown token by token: less memory, faster intersections.
+        return VocabSet(lang, frozenset(tokens))
+    except ValueError as err:
+        raise DataError(str(err), path=path) from None
 
 
 def load_typology_csv(path: str | Path) -> dict[tuple[LangId, str], TypologyVector]:
     """CSV ``lang,kind,d0,d1,...`` with empty cells for missing dimensions.
 
     Kinds may have different dimensionalities inside one fixed-width file:
-    each kind's width is the longest trailing extent among its rows, so cells
-    beyond a kind's width are just padding. Interior empty cells stay missing.
+    each row is parsed only up to its last non-empty cell, and each kind's
+    width is the longest such extent among its rows, so cells beyond a
+    kind's width are just padding. Interior empty cells stay missing.
     """
     path = Path(path)
     rows = read_csv_rows(path)
@@ -335,36 +370,33 @@ def load_typology_csv(path: str | Path) -> dict[tuple[LangId, str], TypologyVect
     header = [h.strip() for h in rows[0][1]]
     if header[:2] != ["lang", "kind"] or len(header) < 3:
         raise DataError(f"bad header {header!r}, expected lang,kind,d0,...", path=path, line=1)
-    parsed: list[tuple[int, LangId, str, list[float | None]]] = []
+    parsed: list[tuple[int, LangId, str, tuple[float | None, ...]]] = []
     for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(f"expected {len(header)} cells, got {len(row)}", path=path, line=lineno)
-        lang, kind = row[0].strip(), row[1].strip()
-        dims: list[float | None] = []
-        for cell in row[2:]:
-            cell = cell.strip()
-            if cell == "":
-                dims.append(None)
-            else:
+        cells = row[2:]
+        padding = len(list(takewhile(not_, map(str.strip, reversed(cells)))))
+        cells = [cell.strip() for cell in cells[: len(cells) - padding]]
+        try:
+            dims = tuple([float(cell) if cell else None for cell in cells])
+        except ValueError:
+            for cell in filter(None, cells):  # find the first cell float() rejects
                 try:
-                    dims.append(float(cell))
+                    float(cell)
                 except ValueError:
                     raise DataError(f"could not parse dimension {cell!r}", path=path, line=lineno) from None
-        parsed.append((lineno, lang, kind, dims))
+        parsed.append((lineno, row[0].strip(), row[1].strip(), dims))
 
     widths: dict[str, int] = {}
     for lineno, lang, kind, dims in parsed:
-        extent = max((i + 1 for i, d in enumerate(dims) if d is not None), default=0)
-        if extent == 0:
+        if not dims:
             raise DataError(f"typology row for ({lang}, {kind}) is entirely empty", path=path, line=lineno)
-        widths[kind] = max(widths.get(kind, 0), extent)
+        widths[kind] = max(widths.get(kind, 0), len(dims))
 
     out: dict[tuple[LangId, str], TypologyVector] = {}
     for lineno, lang, kind, dims in parsed:
-        width = widths[kind]
-        padded = tuple(dims[:width]) + (None,) * max(0, width - len(dims))
         try:
-            vec = TypologyVector(lang, kind, padded)
+            vec = TypologyVector(lang, kind, dims + (None,) * (widths[kind] - len(dims)))
         except ValueError as err:
             raise DataError(str(err), path=path, line=lineno) from None
         if (lang, kind) in out:
@@ -388,11 +420,13 @@ def load_wals_csv(path: str | Path) -> WalsTable:
         lang, fv = row[0].strip(), row[1].strip()
         if not fv:
             raise DataError("empty feature-value identifier", path=path, line=lineno)
+        if lang not in acc:
+            try:
+                validate_lang(lang)
+            except ValueError as err:
+                raise DataError(str(err), path=path, line=lineno) from None
         acc.setdefault(lang, set()).add(fv)
-    try:
-        return WalsTable({lang: frozenset(v) for lang, v in acc.items()})
-    except ValueError as err:
-        raise DataError(str(err), path=path) from None
+    return WalsTable({lang: frozenset(v) for lang, v in acc.items()})
 
 
 def load_stats_csv(path: str | Path) -> dict[LangId, TokenizationStats]:

@@ -269,6 +269,22 @@ class TestGbt:
         for q in queries:
             assert predict_gbt(model, q) == pytest.approx(oracle_predict(model, q), abs=1e-12)
 
+    def test_predict_bits_match_a_walk_on_numpy_scalars(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40, 3))
+        model = fit_gbt(x, rng.standard_normal(40), n_estimators=20, max_depth=4, learning_rate=0.1)
+        root = model.trees[0]
+        queries = list(rng.standard_normal((20, 3))) + [
+            np.full(3, root.threshold), np.array([np.nan, 0.0, np.inf]), np.array([-np.inf, np.nan, 1.0]),
+        ]
+        for q in queries:
+            total = model.base_score
+            for node in model.trees:
+                while isinstance(node, TreeNode):
+                    node = node.left if q[node.feature] <= node.threshold else node.right
+                total += model.learning_rate * node.value
+            assert np.float64(predict_gbt(model, q)).tobytes() == np.float64(total).tobytes()
+
     def test_monotone_feature_transform_invariance(self):
         rng = np.random.default_rng(9)
         x = rng.uniform(0.1, 2.0, size=(15, 2))

@@ -129,6 +129,25 @@ class TestFeaturesCommand:
         assert f"typology.csv:{line}: non-finite typology dimension" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_vocab_file_named_after_no_language_exits_two_with_path(self, tmp_path, capsys):
+        vocab_dir, _, _, _, meta = write_resources(tmp_path)
+        bad = vocab_dir / "English.txt"
+        bad.write_text("x\ny\n")
+        out = tmp_path / "f.csv"
+        code = main(["features", "--vocab-dir", str(vocab_dir), "--meta", str(meta), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: invalid language code 'English'\n"
+        assert not out.exists()
+
+    def test_wals_row_with_bad_language_exits_two_with_line(self, tmp_path, capsys):
+        _, _, wals, _, meta = write_resources(tmp_path)
+        wals.write_text("lang,feature_value\naa,f1\nFrench,f1\nab,f2\nFrench,f2\n")
+        out = tmp_path / "f.csv"
+        code = main(["features", "--wals", str(wals), "--meta", str(meta), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {wals}:3: invalid language code 'French'\n"
+        assert not out.exists()
+
     def test_output_independent_of_hash_seed(self, tmp_path):
         # wmrr sums one reciprocal rank per feature-value of a language; the
         # values sit in a frozenset whose order follows the string hash seed.

@@ -184,6 +184,25 @@ class TestFoldIn:
         model.reg = 1e9
         np.testing.assert_allclose(fold_in_pair(model, x[0]), np.zeros(2), atol=1e-6)
 
+    def test_system_built_once_and_rebuilt_on_change(self):
+        model, x, _ = self.fitted_with_side_info()
+        f = model.feature_factors
+
+        def direct(row):
+            a = model.alpha * (f.T @ f) + model.reg * np.eye(model.d_latent)
+            return np.linalg.solve(a, model.alpha * (f.T @ row))
+
+        for row in x:
+            assert fold_in_pair(model, row).tobytes() == direct(row).tobytes()
+        system = model._fold_in[1]
+        fold_in_pair(model, x[0])
+        assert model._fold_in[1] is system
+        model.reg = 1e9
+        np.testing.assert_allclose(fold_in_pair(model, x[0]), np.zeros(2), atol=1e-6)
+        model.reg = 1e-7
+        f[0, 0] += 1.0  # in place: the system must follow
+        assert fold_in_pair(model, x[1]).tobytes() == direct(x[1]).tobytes()
+
     def test_alpha_zero_is_degenerate(self):
         y = np.ones((2, 3))
         obs, pairs = dense_observations(y)

@@ -3,18 +3,22 @@ scipy-wrapper form (``frozen_gp_meta``): every result must agree bit for
 bit, so that the flat parameter vector and the direct LAPACK calls change
 no output. CMF's ALS against its frozen per-observation form
 (``frozen_cmf``): the batched solves sum in another order, so predictions
-and objectives must agree to rounding, not bit for bit."""
+and objectives must agree to rounding, not bit for bit. The feature loaders
+and table against their frozen form (``frozen_features``): equal vectors and
+equal error text, ``path:line`` included."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frozen_cmf
+import frozen_features
 import frozen_gp_meta as frozen
-from xferlens import factorization, gp, meta
+from xferlens import factorization, features, gp, meta
+from xferlens.data import DataError, LanguageMeta
 from xferlens.numerics import init_mlp
 
 
@@ -267,3 +271,177 @@ class TestCmfAgainstFrozen:
             for row in rows:
                 assert factorization.predict_cold_start(new, task, row) == pytest.approx(
                     factorization.predict_cold_start(ref, task, row), rel=0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Feature loaders and table
+
+BLANKS = st.sampled_from(["", " ", "  ", "\t", " \t "])
+NUMBERS = st.tuples(
+    BLANKS, st.one_of(st.floats(-1e3, 1e3).map(repr), st.integers(-9, 9).map(str)), BLANKS,
+).map("".join)
+# non-finite or unparseable; float() takes "1_0" as 10.0
+ODD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e999", "1_0", "abc", "0x1", "--1", "1.0.0", "e5"])
+TYPOLOGY_KINDS = ("syntax", "phonology", "genetic", "geography")
+TYPOLOGY_FAULTS = ("lang", "kind", "duplicate", "empty", "cell count", "odd cell", "gap")
+
+
+@st.composite
+def typology_csvs(draw):
+    """A fixed-width typology file with up to two faults.
+
+    Before the faults every row is valid and distinct, and the geography rows
+    share one extent. Cells are often blank or whitespace-only, so rows have
+    interior gaps and end in long padding; the kinds' extents differ. A fault
+    is a bad language code or kind, a duplicate row, an entirely empty row, a
+    wrong cell count, an unparseable or non-finite cell (anywhere, so also
+    after long padding) or a blank cell (a gap in a geography row, or a
+    shorter extent). Comment lines move the line numbers."""
+    width = draw(st.integers(1, 40))
+    keys = draw(st.lists(st.tuples(st.sampled_from(["aa", "ab", "ac"]), st.sampled_from(TYPOLOGY_KINDS)),
+                         unique=True, max_size=8))
+    geo_extent = draw(st.integers(1, width))
+    rows = []
+    for lang, kind in keys:
+        if kind == "geography":
+            cells = [draw(NUMBERS) for _ in range(geo_extent)]
+        else:
+            extent = draw(st.integers(1, width))
+            cells = [draw(st.one_of(BLANKS, NUMBERS)) for _ in range(extent - 1)] + [draw(NUMBERS)]
+        rows.append([lang, kind, *cells, *(draw(BLANKS) for _ in range(width - len(cells)))])
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(TYPOLOGY_FAULTS))
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(2, width + 1))
+        if fault == "lang":
+            rows[i][0] = draw(st.sampled_from(["Bad", "", " ab "]))
+        elif fault == "kind":
+            rows[i][1] = "bogus"
+        elif fault == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        elif fault == "empty":
+            rows[i][2:] = [draw(BLANKS) for _ in range(width)]
+        elif fault == "cell count":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [""]
+        elif fault == "odd cell":
+            for k in draw(st.lists(st.integers(2, width + 1), min_size=1, max_size=3)):
+                rows[i][k] = draw(ODD_CELLS)
+        else:
+            rows[i][j] = draw(BLANKS)
+    lines = ["lang,kind," + ",".join(f"d{i}" for i in range(width))]
+    for row in rows:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("# comment")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def vocab_texts(draw):
+    """Tokens with surrounding whitespace, blank and whitespace-only lines."""
+    pad = st.sampled_from(["", " ", "\t", "  ", "\u3000"])
+    token = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
+    lines = draw(st.lists(st.tuples(pad, st.one_of(token, pad), pad).map("".join), max_size=30))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@st.composite
+def feature_resources(draw):
+    """Resources for 2-5 languages, each present or absent per resource.
+    Pre-training sizes come from a few values and languages without metadata
+    weigh zero, so WALS feature-value masses often tie."""
+    langs = ["aa", "ab", "ac", "ad", "ae"][: draw(st.integers(2, 5))]
+    res = features.FeatureResources()
+    dim = st.one_of(st.none(), st.floats(-2, 2))
+    present = st.integers(0, 3).map(bool)
+    for lang in langs:
+        if draw(present):
+            tokens = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6))
+            res.vocabs[lang] = features.VocabSet(lang, frozenset(tokens))
+        for kind, width in (("syntax", 4), ("phonology", 3), ("genetic", 5)):
+            if draw(present):
+                dims = draw(st.lists(dim, min_size=width, max_size=width))
+                res.typology[(lang, kind)] = features.TypologyVector(lang, kind, tuple(dims))
+        if draw(present):
+            dims = draw(st.lists(st.one_of(st.floats(-50, 50), st.integers(-50, 50)), min_size=3, max_size=3))
+            res.typology[(lang, "geography")] = features.TypologyVector(lang, "geography", tuple(dims))
+        if draw(present):
+            words = draw(st.sampled_from([1.0, 10.0, 1e6, 3e8]))
+            res.meta[lang] = LanguageMeta(lang, draw(st.integers(0, 5)), words)
+        if draw(present):
+            words = draw(st.integers(1, 50))
+            subwords = draw(st.integers(words, 3 * words))
+            res.stats[lang] = features.TokenizationStats(lang, words, subwords, draw(st.integers(0, words)))
+    if draw(present):
+        values = st.sampled_from(["1A=1", "1A=2", "2A=1", "3A=3", "4A=1"])
+        res.wals = features.WalsTable({  # an empty set is a language absent from the table
+            lang: frozenset(draw(st.lists(values, min_size=int(draw(present)), max_size=4)))
+            for lang in langs if draw(present)
+        })
+    pivots = draw(st.none() | st.lists(st.sampled_from(langs), min_size=1, unique=True))
+    return res, pivots
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call gives: its result, or its error's type and text."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except ValueError as err:  # DataError included
+        return type(err).__name__, str(err)
+
+
+def typology_view(result):
+    """Keys in order, and each vector's dims by repr (so -0.0 differs from 0.0)."""
+    return [(key, vec.lang, vec.kind, repr(vec.dims)) for key, vec in result.items()]
+
+
+def table_view(table):
+    return [(key, fv.pivot, fv.target, repr(sorted(fv.values.items())), fv.missing)
+            for key, fv in table.items()]
+
+
+class TestFeaturesAgainstFrozen:
+    @given(typology_csvs())
+    @example("lang,kind,d0,d1,d2,d3,d4,d5\naa,syntax,1.0,,, ,,abc\n")  # after long padding
+    @example("lang,kind,d0,d1,d2\naa,syntax, --1 ,2.0,abc\n")  # the first of two is reported
+    @settings(max_examples=300, deadline=None)
+    def test_typology_csv(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("typology") / "typology.csv"
+        path.write_text(text, encoding="utf-8")
+        new = outcome(features.load_typology_csv, path)
+        ref = outcome(frozen_features.load_typology_csv, path)
+        if new[0] == ref[0] == "ok":
+            assert typology_view(new[1]) == typology_view(ref[1])
+        else:
+            assert new == ref
+            assert new[0] == "DataError" and new[1].startswith(f"{path}:")
+
+    @given(vocab_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_vocab_file(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("vocab") / "aa.txt"
+        path.write_text(text, encoding="utf-8")
+        new = outcome(features.load_vocab_file, path, "aa")
+        assert new == outcome(frozen_features.load_vocab_file, path, "aa")
+        if new[0] != "ok":
+            assert new == ("DataError", f"{path}: empty vocabulary file")
+
+    @given(feature_resources())
+    @settings(max_examples=200, deadline=None)
+    def test_feature_table_and_wmrr(self, problem):
+        res, pivots = problem
+        new = outcome(features.build_feature_table, res, pivots=pivots)
+        ref = outcome(frozen_features.build_feature_table, res, pivots=pivots)
+        if new[0] == ref[0] == "ok":
+            assert table_view(new[1]) == table_view(ref[1])
+        else:
+            assert new == ref
+        if res.wals is None:
+            return
+        ranks = features.feature_value_ranks(res.wals, res.meta)
+        for t in res.languages():
+            ref = outcome(frozen_features.wmrr, t, res.wals, res.meta)
+            assert outcome(features.wmrr, t, res.wals, res.meta) == ref
+            assert outcome(features.wmrr, t, res.wals, res.meta, ranks) == ref
