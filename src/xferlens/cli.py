@@ -1,8 +1,9 @@
 """Command-line surface: feature extraction, evaluation, attribution, and
 report rendering as reproducible runs.
 
-Every output file embeds the config hash and seed; reruns with identical
-inputs are byte-identical. Exit codes: 0 success, 2 input error, 3 partial
+Every output file embeds the config hash and seed; the hash covers the
+options and the contents of the input files, not their paths. Reruns with
+identical inputs are byte-identical. Exit codes: 0 success, 2 input error, 3 partial
 model failure, 4 invalid method combination.
 """
 
@@ -41,6 +42,7 @@ from .features import (
     load_typology_csv,
     load_vocab_file,
     load_wals_csv,
+    vocab_overlaps,
 )
 
 SCHEMA_VERSION = 1
@@ -60,6 +62,17 @@ _CONFIG_KEYS = (
 def _config_hash(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def _file_sha256(path: str | None) -> str | None:
+    """sha256 of an input file's bytes, for the config hash: an edited file
+    changes the stamp, and a moved copy keeps it."""
+    if not path:
+        return None
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as err:
+        raise DataError(str(err), path=path) from err
 
 
 def _stamp(config_hash: str, seed: int) -> str:
@@ -114,11 +127,16 @@ def cmd_features(args: argparse.Namespace) -> int:
             return True
         return False
 
+    pivots = args.pivots.split(",") if args.pivots else None
     try:
         if args.vocab_dir and not missing("vocab", args.vocab_dir):
-            for vf in sorted(Path(args.vocab_dir).glob("*.txt")):
-                vocab = load_vocab_file(vf, vf.stem)
-                resources.vocabs[vocab.lang] = vocab
+            files = sorted(Path(args.vocab_dir).glob("*.txt"))
+            # A pivot without a file would keep every other vocabulary waiting.
+            stems = {vf.stem for vf in files}
+            resources.vocabs = vocab_overlaps(
+                (load_vocab_file(vf, vf.stem) for vf in files),
+                None if pivots is None else [p for p in pivots if p in stems],
+            )
         if args.typology and not missing("typology", args.typology):
             resources.typology = load_typology_csv(args.typology)
         if args.wals and not missing("wals", args.wals):
@@ -127,7 +145,6 @@ def cmd_features(args: argparse.Namespace) -> int:
             resources.stats = load_stats_csv(args.stats)
         if args.meta and not missing("meta", args.meta):
             resources.meta = load_meta_csv(args.meta)
-        pivots = args.pivots.split(",") if args.pivots else None
         table = build_feature_table(resources, pivots=pivots)
     except (DataError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -192,22 +209,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             repeated = sorted({n for n in names if names.count(n) > 1})
             if repeated:
                 raise DataError(f"{option} repeats {', '.join(map(repr, repeated))}")
+        seed = cfg["seed"]
+        config_hash = _config_hash(
+            {
+                "scores": _file_sha256(cfg["scores"]),
+                "features": _file_sha256(cfg["features"]),
+                "meta": _file_sha256(cfg["meta"]),
+                "models": kinds,
+                "protocol": cfg["protocol"],
+                "tasks": tasks,
+                "seed": seed,
+            }
+        )
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 
-    seed = cfg["seed"]
-    config_hash = _config_hash(
-        {
-            "scores": str(cfg["scores"]),
-            "features": str(cfg["features"]),
-            "meta": str(cfg["meta"]) if cfg["meta"] else None,
-            "models": kinds,
-            "protocol": cfg["protocol"],
-            "tasks": tasks,
-            "seed": seed,
-        }
-    )
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _stamp(config_hash, seed)
@@ -440,6 +457,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
                     (args.model, task, name, float(v), "permutation")
                     for name, v in zip(FEATURE_NAMES, imp)
                 )
+        config_hash = _config_hash(
+            {
+                "scores": _file_sha256(args.scores),
+                "features": _file_sha256(args.features),
+                "meta": _file_sha256(args.meta),
+                "model": args.model,
+                "method": args.method,
+                "repeats": args.repeats,
+                "seed": args.seed,
+            }
+        )
     except (DataError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -449,15 +477,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_hash = _config_hash(
-        {
-            "scores": str(args.scores),
-            "features": str(args.features),
-            "model": args.model,
-            "method": args.method,
-            "seed": args.seed,
-        }
-    )
     if artifact is not None and not args.model_file:
         artifact_out = dict(artifact, config_hash=config_hash, seed=args.seed)
         (out_dir / "model.json").write_text(

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -168,18 +168,28 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-def read_csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    """CSV rows with their 1-based line numbers; comment lines (#...) skipped."""
+def read_csv_rows(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """A CSV file's header cells, and its other rows with their 1-based line numbers.
+
+    Blank and comment lines (#...) are skipped; a file without any other line
+    is an ``empty file`` error on line 1. The rows are parsed as they are
+    consumed, so a loader holds one row at a time, not the whole file.
+    """
+    rows = _csv_rows(path)
+    first = next(rows, None)
+    if first is None:
+        raise DataError("empty file", path=path, line=1)
+    return first[1], rows
+
+
+def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if row and not row[0].lstrip().startswith("#"):
+                    yield lineno, row
     except OSError as err:
         raise DataError(str(err), path=path) from err
-    return [
-        (lineno, row)
-        for lineno, row in enumerate(rows, start=1)
-        if row and not row[0].lstrip().startswith("#")
-    ]
 
 
 def _check_header(path: Path, header: list[str], expected: list[str], optional: tuple[str, ...] = ()):
@@ -210,14 +220,12 @@ def load_scores_csv(path: str | Path) -> list[tuple[int, PerformanceRecord]]:
     divides percentage scores by 100 before the [0, 1] range check.
     """
     path = Path(path)
-    rows = read_csv_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path, line=1)
-    header = _check_header(path, rows[0][1], _SCORE_COLUMNS, optional=("scale",))
+    header, rows = read_csv_rows(path)
+    header = _check_header(path, header, _SCORE_COLUMNS, optional=("scale",))
     has_scale = "scale" in header
     out: list[tuple[int, PerformanceRecord]] = []
     seen: set[tuple[str, str, str, str]] = set()
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != len(header):
             raise DataError(f"expected {len(header)} cells, got {len(row)}", path=path, line=lineno)
         model, task, pivot, target, score_cell = (c.strip() for c in row[:5])
@@ -246,12 +254,10 @@ def load_scores_csv(path: str | Path) -> list[tuple[int, PerformanceRecord]]:
 def load_features_csv(path: str | Path) -> dict[tuple[LangId, LangId], FeatureVector]:
     """Parse features.csv; empty cells mark missing feature values."""
     path = Path(path)
-    rows = read_csv_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path, line=1)
-    _check_header(path, rows[0][1], _FEATURE_COLUMNS)
+    header, rows = read_csv_rows(path)
+    _check_header(path, header, _FEATURE_COLUMNS)
     out: dict[tuple[LangId, LangId], FeatureVector] = {}
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != len(_FEATURE_COLUMNS):
             raise DataError(
                 f"expected {len(_FEATURE_COLUMNS)} cells, got {len(row)}", path=path, line=lineno
@@ -277,12 +283,10 @@ def load_features_csv(path: str | Path) -> dict[tuple[LangId, LangId], FeatureVe
 
 def load_meta_csv(path: str | Path) -> dict[LangId, LanguageMeta]:
     path = Path(path)
-    rows = read_csv_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path, line=1)
-    _check_header(path, rows[0][1], _META_COLUMNS)
+    header, rows = read_csv_rows(path)
+    _check_header(path, header, _META_COLUMNS)
     out: dict[LangId, LanguageMeta] = {}
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != 3:
             raise DataError(f"expected 3 cells, got {len(row)}", path=path, line=lineno)
         lang = row[0].strip()

@@ -6,9 +6,11 @@ log pre-training size, weighted mean reciprocal rank of typological
 feature-values, and the two tokenizer-quality metrics.
 
 Each resource is parsed once: a typology row only up to its last non-empty
-cell, a vocabulary line stripped once. Work shared by all pairs is done once
-per table: the WALS feature-value ranking (:func:`feature_value_ranks`) and
-the geographic scale (:func:`max_geo_distance`).
+cell, a vocabulary line stripped once. The vocabularies stream through
+:func:`vocab_overlaps`, which keeps the pivots' and drops every other one as
+soon as its overlaps are computed. Work shared by all pairs is done once per
+table: the WALS feature-value ranking (:func:`feature_value_ranks`) and the
+geographic scale (:func:`max_geo_distance`).
 """
 
 from __future__ import annotations
@@ -241,22 +243,66 @@ def tokenizer_metrics(stats: TokenizationStats) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Table assembly
 
+@dataclass(frozen=True)
+class VocabOverlaps:
+    """What the feature table needs of the subword vocabularies: the languages
+    that have one, and ``o_sw`` for each (pivot, target) pair of them."""
+
+    langs: frozenset[LangId] = frozenset()
+    overlaps: Mapping[tuple[LangId, LangId], float] = field(default_factory=dict)
+
+
+def vocab_overlaps(
+    vocabs: Iterable[VocabSet], pivots: Iterable[LangId] | None = None
+) -> VocabOverlaps:
+    """Subword overlap of each pivot's vocabulary with every other one.
+
+    ``vocabs`` is consumed once, one VocabSet at a time; with no ``pivots``
+    every vocabulary is a pivot. Only the pivots' vocabularies are kept. A
+    non-pivot is compared with the pivots already seen and dropped, unless a
+    pivot is still to come: then it waits for the last one. Name as
+    ``pivots`` only languages that ``vocabs`` holds, since a pivot that never
+    comes keeps every non-pivot waiting until the end.
+    """
+    pivot_set = None if pivots is None else set(pivots)
+    unseen = set(pivot_set or ())  # pivots still to come
+    held: list[VocabSet] = []  # the pivots seen so far
+    pending: list[VocabSet] = []  # non-pivots that a pivot still to come needs
+    langs: set[LangId] = set()
+    overlaps: dict[tuple[LangId, LangId], float] = {}
+    for vocab in vocabs:
+        langs.add(vocab.lang)
+        # Comprehensions, so that no loop variable keeps a dropped vocabulary.
+        overlaps.update({(p.lang, vocab.lang): subword_overlap(p, vocab) for p in held})
+        if pivot_set is None or vocab.lang in pivot_set:
+            overlaps.update({(vocab.lang, o.lang): subword_overlap(vocab, o) for o in held + pending})
+            held.append(vocab)
+            unseen.discard(vocab.lang)
+            if not unseen:
+                pending.clear()
+        elif unseen:
+            pending.append(vocab)
+    return VocabOverlaps(frozenset(langs), overlaps)
+
+
 @dataclass
 class FeatureResources:
     """Raw resources from which the feature table is assembled.
 
     Every field is optional; features whose inputs are absent for a pair end
-    up in that pair's missing mask.
+    up in that pair's missing mask. ``vocabs`` comes from
+    :func:`vocab_overlaps`, with the pivots later given to
+    :func:`build_feature_table`.
     """
 
-    vocabs: dict[LangId, VocabSet] = field(default_factory=dict)
+    vocabs: VocabOverlaps = field(default_factory=VocabOverlaps)
     typology: dict[tuple[LangId, str], TypologyVector] = field(default_factory=dict)
     wals: WalsTable | None = None
     stats: dict[LangId, TokenizationStats] = field(default_factory=dict)
     meta: dict[LangId, LanguageMeta] = field(default_factory=dict)
 
     def languages(self) -> list[LangId]:
-        langs: set[LangId] = set(self.vocabs)
+        langs: set[LangId] = set(self.vocabs.langs)
         langs.update(lang for lang, _ in self.typology)
         if self.wals is not None:
             langs.update(self.wals.rows)
@@ -273,12 +319,15 @@ def build_feature_table(
     """One FeatureVector per directed (pivot, target) pair.
 
     With no explicit ``pairs``, all ordered pairs over the resource languages
-    are produced (optionally restricted to the given pivots). A pair with no
-    computable feature at all is an error.
+    are produced (optionally restricted to the given pivots). A pivot that no
+    resource names, and a pair with no computable feature at all, are errors.
     """
     langs = resources.languages()
     if pairs is None:
         pivot_set = sorted(set(pivots)) if pivots is not None else langs
+        unknown = sorted(set(pivot_set) - set(langs))
+        if unknown:
+            raise ValueError(f"no resource has pivot {', '.join(map(repr, unknown))}")
         pairs = [(p, t) for p in pivot_set for t in langs if p != t]
     else:
         pairs = list(pairs)
@@ -299,8 +348,8 @@ def build_feature_table(
     for pivot, target in pairs:
         values: dict[str, float] = {}
 
-        if pivot in resources.vocabs and target in resources.vocabs:
-            values["o_sw"] = subword_overlap(resources.vocabs[pivot], resources.vocabs[target])
+        if pivot in resources.vocabs.langs and target in resources.vocabs.langs:
+            values["o_sw"] = resources.vocabs.overlaps[(pivot, target)]
 
         for kind, name in _KIND_FEATURE.items():
             va = resources.typology.get((pivot, kind))
@@ -364,14 +413,12 @@ def load_typology_csv(path: str | Path) -> dict[tuple[LangId, str], TypologyVect
     kind's width are just padding. Interior empty cells stay missing.
     """
     path = Path(path)
-    rows = read_csv_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path, line=1)
-    header = [h.strip() for h in rows[0][1]]
+    header, rows = read_csv_rows(path)
+    header = [h.strip() for h in header]
     if header[:2] != ["lang", "kind"] or len(header) < 3:
         raise DataError(f"bad header {header!r}, expected lang,kind,d0,...", path=path, line=1)
     parsed: list[tuple[int, LangId, str, tuple[float | None, ...]]] = []
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != len(header):
             raise DataError(f"expected {len(header)} cells, got {len(row)}", path=path, line=lineno)
         cells = row[2:]
@@ -408,13 +455,11 @@ def load_typology_csv(path: str | Path) -> dict[tuple[LangId, str], TypologyVect
 def load_wals_csv(path: str | Path) -> WalsTable:
     """Long-format CSV ``lang,feature_value``."""
     path = Path(path)
-    rows = read_csv_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path, line=1)
-    if [h.strip() for h in rows[0][1]] != ["lang", "feature_value"]:
-        raise DataError(f"bad header {rows[0][1]!r}, expected lang,feature_value", path=path, line=1)
+    header, rows = read_csv_rows(path)
+    if [h.strip() for h in header] != ["lang", "feature_value"]:
+        raise DataError(f"bad header {header!r}, expected lang,feature_value", path=path, line=1)
     acc: dict[LangId, set[str]] = {}
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != 2:
             raise DataError(f"expected 2 cells, got {len(row)}", path=path, line=lineno)
         lang, fv = row[0].strip(), row[1].strip()
@@ -432,14 +477,12 @@ def load_wals_csv(path: str | Path) -> WalsTable:
 def load_stats_csv(path: str | Path) -> dict[LangId, TokenizationStats]:
     """CSV ``lang,word_count,subword_count,continued_word_count``."""
     path = Path(path)
-    rows = read_csv_rows(path)
-    if not rows:
-        raise DataError("empty file", path=path, line=1)
+    header, rows = read_csv_rows(path)
     expected = ["lang", "word_count", "subword_count", "continued_word_count"]
-    if [h.strip() for h in rows[0][1]] != expected:
-        raise DataError(f"bad header {rows[0][1]!r}, expected {expected!r}", path=path, line=1)
+    if [h.strip() for h in header] != expected:
+        raise DataError(f"bad header {header!r}, expected {expected!r}", path=path, line=1)
     out: dict[LangId, TokenizationStats] = {}
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         if len(row) != 4:
             raise DataError(f"expected 4 cells, got {len(row)}", path=path, line=lineno)
         lang = row[0].strip()

@@ -2,7 +2,10 @@
 parsed once and the WALS feature-values were ranked once per table: a
 typology row parsed cell by cell over its full padded width, a vocabulary
 line stripped twice, ``wmrr`` ranking the whole table on every call, and
-``geo_distance`` copying both vectors into float lists.
+``geo_distance`` copying both vectors into float lists. It also keeps the
+forms of that time that the package has since changed: ``FeatureResources``
+holding every vocabulary in a dict, and a CSV reader that returns the whole
+file as a list of rows.
 
 ``test_frozen_reference`` checks the package's loaders and feature table
 against it. Keep this file as it is: it is the fixed point the comparison is
@@ -11,15 +14,17 @@ made against, not code to refactor along with the package.
 
 from __future__ import annotations
 
+import csv
 import math
 from bisect import bisect_right
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from xferlens.data import FEATURE_NAMES, DataError, FeatureVector, LangId, LanguageMeta, read_csv_rows
+from xferlens.data import FEATURE_NAMES, DataError, FeatureVector, LangId, LanguageMeta
 from xferlens.features import (
     _KIND_FEATURE,
-    FeatureResources,
+    TokenizationStats,
     TypologyVector,
     VocabSet,
     WalsTable,
@@ -28,6 +33,44 @@ from xferlens.features import (
     tokenizer_metrics,
     typo_similarity,
 )
+
+
+def read_csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
+    """CSV rows with their 1-based line numbers; comment lines (#...) skipped."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as err:
+        raise DataError(str(err), path=path) from err
+    return [
+        (lineno, row)
+        for lineno, row in enumerate(rows, start=1)
+        if row and not row[0].lstrip().startswith("#")
+    ]
+
+
+@dataclass
+class FeatureResources:
+    """Raw resources from which the feature table is assembled.
+
+    Every field is optional; features whose inputs are absent for a pair end
+    up in that pair's missing mask.
+    """
+
+    vocabs: dict[LangId, VocabSet] = field(default_factory=dict)
+    typology: dict[tuple[LangId, str], TypologyVector] = field(default_factory=dict)
+    wals: WalsTable | None = None
+    stats: dict[LangId, TokenizationStats] = field(default_factory=dict)
+    meta: dict[LangId, LanguageMeta] = field(default_factory=dict)
+
+    def languages(self) -> list[LangId]:
+        langs: set[LangId] = set(self.vocabs)
+        langs.update(lang for lang, _ in self.typology)
+        if self.wals is not None:
+            langs.update(self.wals.rows)
+        langs.update(self.stats)
+        langs.update(self.meta)
+        return sorted(langs)
 
 
 def geo_distance(a: TypologyVector, b: TypologyVector, scale: float = 1.0) -> float:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +149,34 @@ class TestFeaturesCommand:
         assert capsys.readouterr().err == f"error: {wals}:3: invalid language code 'French'\n"
         assert not out.exists()
 
+    def test_pivot_in_no_resource_exits_two(self, tmp_path, capsys):
+        vocab_dir, typology, wals, stats, meta = write_resources(tmp_path)
+        out = tmp_path / "f.csv"
+        argv = ["features", "--vocab-dir", str(vocab_dir), "--typology", str(typology),
+                "--wals", str(wals), "--stats", str(stats), "--meta", str(meta), "--out", str(out)]
+        assert main([*argv, "--pivots", "aa,zz"]) == 2
+        assert capsys.readouterr().err == "error: no resource has pivot 'zz'\n"
+        assert not out.exists()
+        # A pivot named by one resource alone keeps its rows of target-side features.
+        meta.write_text(meta.read_text() + "ad,2,5000\n")
+        assert main([*argv, "--pivots", "ad"]) == 0
+        table = load_features_csv(out)
+        assert sorted(table) == [("ad", "aa"), ("ad", "ab"), ("ad", "ac")]
+        assert all("o_sw" in fv.missing and "size" in fv.values for fv in table.values())
+
+    def test_first_bad_vocab_file_in_sorted_order_reported(self, tmp_path, capsys):
+        # ab comes before the pivot ac, so it is loaded and held before ac's
+        # file is read; ac's error must not be the one reported.
+        vocab_dir, _, _, _, meta = write_resources(tmp_path)
+        (vocab_dir / "ab.txt").write_text(" \n\n")
+        (vocab_dir / "ac.txt").write_text("\n")
+        out = tmp_path / "f.csv"
+        code = main(["features", "--vocab-dir", str(vocab_dir), "--meta", str(meta),
+                     "--pivots", "ac", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {vocab_dir / 'ab.txt'}: empty vocabulary file\n"
+        assert not out.exists()
+
     def test_output_independent_of_hash_seed(self, tmp_path):
         # wmrr sums one reciprocal rank per feature-value of a language; the
         # values sit in a frozenset whose order follows the string hash seed.
@@ -213,6 +242,22 @@ class TestEvaluateCommand:
         one = (tmp_path / "one" / "report.json").read_bytes()
         two = (tmp_path / "two" / "report.json").read_bytes()
         assert one == two
+
+    def test_config_hash_follows_file_contents(self, toy_paths, tmp_path):
+        def stamp(out_dir):
+            return (out_dir / "table.txt").read_text().splitlines()[0]
+
+        assert self.run_eval(toy_paths, tmp_path / "one") == 0
+        moved = {key: Path(shutil.copy(path, tmp_path / f"moved_{path.name}"))
+                 for key, path in toy_paths.items()}
+        assert self.run_eval(moved, tmp_path / "two") == 0
+        assert stamp(tmp_path / "two") == stamp(tmp_path / "one")
+        lines = moved["scores"].read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[4] = "0.25" if cells[4] != "0.25" else "0.5"
+        moved["scores"].write_text("\n".join([*lines[:-1], ",".join(cells)]) + "\n")
+        assert self.run_eval(moved, tmp_path / "three") == 0
+        assert stamp(tmp_path / "three") != stamp(tmp_path / "one")
 
     def test_cmf_with_fewer_tasks_than_d_latent(self, toy_paths, tmp_path):
         # two tasks, d_latent 5: the factorization's rank is capped at 2
@@ -559,6 +604,17 @@ class TestExplainCommand:
         assert self.run_permutation(five_task_paths, kind, tmp_path / "two") == 0
         one = (tmp_path / "one" / "attribution.csv").read_bytes()
         assert one == (tmp_path / "two" / "attribution.csv").read_bytes()
+
+    def test_stamp_covers_repeats_and_meta(self, toy_paths, tmp_path):
+        stamps = set()
+        for i, extra in enumerate((["--repeats", "1"], ["--repeats", "2"],
+                                   ["--repeats", "1", "--meta", str(toy_paths["meta"])])):
+            out = tmp_path / f"out{i}"
+            assert main(["explain", "--scores", str(toy_paths["scores"]),
+                         "--features", str(toy_paths["features"]), "--model", "lasso",
+                         "--method", "permutation", "--out", str(out), *extra]) == 0
+            stamps.add((out / "attribution.csv").read_text().splitlines()[0])
+        assert len(stamps) == 3
 
     def test_permutation_cmf_with_fewer_tasks_than_d_latent(self, toy_paths, tmp_path):
         assert self.run_permutation(toy_paths, "cmf", tmp_path / "out") == 0

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from xferlens.features import (
     subword_overlap,
     tokenizer_metrics,
     typo_similarity,
+    vocab_overlaps,
     wmrr,
 )
 
@@ -408,10 +410,9 @@ class TestBuildFeatureTable:
     def full_resources(self):
         langs = ["aa", "ab"]
         res = FeatureResources()
-        res.vocabs = {
-            "aa": VocabSet("aa", frozenset({"x", "y"})),
-            "ab": VocabSet("ab", frozenset({"y", "z"})),
-        }
+        res.vocabs = vocab_overlaps(
+            [VocabSet("aa", frozenset({"x", "y"})), VocabSet("ab", frozenset({"y", "z"}))]
+        )
         for lang, base in zip(langs, (0.0, 1.0)):
             res.typology[(lang, "syntax")] = TypologyVector(lang, "syntax", (1.0, base))
             res.typology[(lang, "phonology")] = TypologyVector(lang, "phonology", (0.5, 0.5))
@@ -462,8 +463,8 @@ class TestBuildFeatureTable:
         # per-target memo in build_feature_table would break it.
         res = FeatureResources()
         langs = ["aa", "ab", "ac", "ad", "ae"]
+        pivots = ["aa", "ab", "ac"]
         for i, lang in enumerate(langs):
-            res.vocabs[lang] = VocabSet(lang, frozenset({"x", f"t{i}", f"t{i + 1}"}))
             for kind in ("syntax", "phonology", "genetic"):
                 res.typology[(lang, kind)] = TypologyVector(lang, kind, (1.0, float(i), None))
             res.meta[lang] = LanguageMeta(lang, 5, 10.0 ** (i + 3))
@@ -475,9 +476,54 @@ class TestBuildFeatureTable:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(features, name, counted)
-        table = build_feature_table(res, pivots=["aa", "ab", "ac"])
+        res.vocabs = vocab_overlaps(
+            (VocabSet(lang, frozenset({"x", f"t{i}", f"t{i + 1}"})) for i, lang in enumerate(langs)),
+            pivots,
+        )
+        table = build_feature_table(res, pivots=pivots)
         assert len(table) == 12
         assert calls == {"wmrr": 12, "subword_overlap": 12, "typo_similarity": 3 * 12}
+        for (pivot, target), fv in table.items():
+            adjacent = abs(langs.index(pivot) - langs.index(target)) == 1
+            assert fv.values["o_sw"] == (2 / 4 if adjacent else 1 / 5)
+
+
+class TestVocabOverlaps:
+    LANGS = ["aa", "ab", "ac", "ad", "ae", "af", "ag", "ah"]
+
+    @staticmethod
+    def vocab(i, lang):
+        return VocabSet(lang, frozenset({"x", f"t{i}", f"t{i + 1}", f"u{i % 3}"}))
+
+    @pytest.mark.parametrize("pivots", [["ab", "ae"], ["aa", "ab"], ["ah"], ["ac", "zz"], None])
+    def test_holds_only_pivots_and_pending(self, pivots):
+        # Only the pivots stay live, plus the non-pivots that came while a
+        # pivot was still to come (a pivot with no vocabulary never comes),
+        # plus the one VocabSet the consumer's loop variable holds.
+        live = weakref.WeakSet()
+        pivot_set = set(self.LANGS if pivots is None else pivots)
+        seen: list[str] = []
+
+        def stream():
+            for i, lang in enumerate(self.LANGS):
+                waiting = pivot_set - set(seen)
+                held = [s for s in seen if s in pivot_set or waiting]
+                assert len(live) <= len(held) + 1, (lang, sorted(vs.lang for vs in live))
+                vocab = self.vocab(i, lang)
+                live.add(vocab)
+                seen.append(lang)
+                yield vocab
+                del vocab
+
+        result = vocab_overlaps(stream(), pivots)
+        assert len(live) == 0  # the result keeps no vocabulary
+        assert result.langs == frozenset(self.LANGS)
+        vocabs = {lang: self.vocab(i, lang) for i, lang in enumerate(self.LANGS)}
+        expected = {
+            (p, t): subword_overlap(vocabs[p], vocabs[t])
+            for p in sorted(pivot_set & set(vocabs)) for t in self.LANGS if t != p
+        }
+        assert result.overlaps == expected
 
 
 class TestTypologyCsv:

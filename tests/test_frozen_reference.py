@@ -353,7 +353,7 @@ def feature_resources(draw):
     Pre-training sizes come from a few values and languages without metadata
     weigh zero, so WALS feature-value masses often tie."""
     langs = ["aa", "ab", "ac", "ad", "ae"][: draw(st.integers(2, 5))]
-    res = features.FeatureResources()
+    res = frozen_features.FeatureResources()
     dim = st.one_of(st.none(), st.floats(-2, 2))
     present = st.integers(0, 3).map(bool)
     for lang in langs:
@@ -381,6 +381,19 @@ def feature_resources(draw):
             for lang in langs if draw(present)
         })
     pivots = draw(st.none() | st.lists(st.sampled_from(langs), min_size=1, unique=True))
+    return res, pivots
+
+
+def sparse_resources(pivots):
+    """aa and ad have only a vocabulary, ab has every resource, ac no vocabulary."""
+    res = frozen_features.FeatureResources()
+    for i, lang in enumerate(["aa", "ab", "ad"]):
+        res.vocabs[lang] = features.VocabSet(lang, frozenset({"x", f"t{i}"}))
+    for lang, place in (("ab", (1.0, 2.0)), ("ac", (3.0, 0.0))):
+        res.typology[(lang, "geography")] = features.TypologyVector(lang, "geography", place)
+        res.meta[lang] = LanguageMeta(lang, 3, 1e6)
+        res.stats[lang] = features.TokenizationStats(lang, 10, 12, 2)
+    res.wals = features.WalsTable({"ab": frozenset({"1A=1"}), "ac": frozenset({"1A=2"})})
     return res, pivots
 
 
@@ -429,12 +442,26 @@ class TestFeaturesAgainstFrozen:
             assert new == ("DataError", f"{path}: empty vocabulary file")
 
     @given(feature_resources())
+    @example(sparse_resources(["ac", "ab"]))  # ac: a pivot with no vocabulary
+    @example(sparse_resources(None))
+    @example(sparse_resources(["ab", "zz"]))  # zz: a pivot in no resource
     @settings(max_examples=200, deadline=None)
     def test_feature_table_and_wmrr(self, problem):
+        # The frozen table holds every vocabulary; the package streams the
+        # same ones, in language order, through vocab_overlaps. A pivot may
+        # lack a vocabulary, and a language may have nothing else.
         res, pivots = problem
-        new = outcome(features.build_feature_table, res, pivots=pivots)
+        streamed = features.FeatureResources(
+            vocabs=features.vocab_overlaps((res.vocabs[lang] for lang in sorted(res.vocabs)), pivots),
+            typology=res.typology, wals=res.wals, stats=res.stats, meta=res.meta,
+        )
+        assert streamed.languages() == res.languages()
+        new = outcome(features.build_feature_table, streamed, pivots=pivots)
+        unknown = sorted(set(pivots or ()) - set(res.languages()))
         ref = outcome(frozen_features.build_feature_table, res, pivots=pivots)
-        if new[0] == ref[0] == "ok":
+        if unknown:  # the frozen table gave such a pivot rows of target-side features
+            assert new == ("ValueError", f"no resource has pivot {', '.join(map(repr, unknown))}")
+        elif new[0] == ref[0] == "ok":
             assert table_view(new[1]) == table_view(ref[1])
         else:
             assert new == ref

@@ -1,5 +1,6 @@
-"""Contracts of the GP, MAML and CMF solvers that no output shows: the calls
-the benchmark's tracer counts, and independence from the BLAS thread count."""
+"""Contracts of the GP, MAML and CMF solvers and of the features command that
+no output shows: the calls the benchmark's tracer counts, and independence
+from the BLAS thread count."""
 
 import collections
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import lang_codes, planted_dataset
-from xferlens import factorization, gp, meta
+from xferlens import cli, factorization, features, gp, meta
 from xferlens.data import save_dataset
 from xferlens.evaluation import ModelSpec, fit_predictors
 
@@ -19,14 +20,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # bench/tracing.py replaces these module attributes by counting wrappers and
 # derives gp.mll_evals, gp.cho_solve_s, meta.adapt_calls,
-# factorization.cmf_sweeps and the per-row prediction invariants from their
+# factorization.cmf_sweeps, features.load_s, features.overlap_s,
+# features.wmrr_calls and the per-row prediction invariants from their
 # calls. Tier-1 runs no traced pass, so a refactor that calls them by another
 # name (or not at all) would pass here and break the benchmark's invariants
 # silently.
 COUNTED = ((gp, "cholesky"), (gp, "cho_solve"), (gp, "predict_gp"),
            (meta, "adapt"), (meta, "predict_net"),
            (factorization, "_objective"), (factorization, "predict_cmf"),
-           (factorization, "predict_cold_start"))
+           (factorization, "predict_cold_start"),
+           (cli, "load_vocab_file"), (features, "subword_overlap"), (features, "wmrr"))
 
 
 @pytest.fixture
@@ -93,6 +96,26 @@ class TestTracerCounts:
         assert dict(calls) == {"factorization._objective": 2 * (1 + 3 * 4),
                                "factorization.predict_cmf": len(x),
                                "factorization.predict_cold_start": len(x)}
+
+    def test_features(self, calls, tmp_path):
+        # One load per vocabulary file, through cli's attribute; one overlap
+        # and one wmrr per (pivot, target) pair, through features'.
+        langs = lang_codes(6)
+        vocab_dir = tmp_path / "vocabs"
+        vocab_dir.mkdir()
+        for i, lang in enumerate(langs):
+            (vocab_dir / f"{lang}.txt").write_text(f"x\nt{i}\nt{i + 1}\n")
+        wals = tmp_path / "wals.csv"
+        wals.write_text("lang,feature_value\n" + "".join(f"{lang},1A={i % 2}\n" for i, lang in enumerate(langs)))
+        meta_csv = tmp_path / "meta.csv"
+        meta_csv.write_text("lang,class,pretrain_words\n" + "".join(f"{lang},3,1000\n" for lang in langs))
+        code = cli.main(["features", "--vocab-dir", str(vocab_dir), "--wals", str(wals),
+                         "--meta", str(meta_csv), "--pivots", f"{langs[1]},{langs[4]}",
+                         "--out", str(tmp_path / "features.csv")])
+        assert code == 0
+        pairs = 2 * (len(langs) - 1)
+        assert dict(calls) == {"cli.load_vocab_file": len(langs),
+                               "features.subword_overlap": pairs, "features.wmrr": pairs}
 
 
 def test_gp_and_maml_outputs_independent_of_blas_threads(tmp_path):
