@@ -23,7 +23,6 @@ from .data import (
 )
 from .evaluation import (
     MODEL_KINDS,
-    EvalReport,
     ModelSpec,
     aggregate,
     run_llro,
@@ -37,7 +36,6 @@ __all__ = [
     "MODEL_KINDS",
     "DataError",
     "Dataset",
-    "EvalReport",
     "FeatureVector",
     "LanguageMeta",
     "ModelSpec",

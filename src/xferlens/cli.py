@@ -234,14 +234,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     curves: list[tuple[str, str, int, float]] = []
     for kind in kinds:
         spec = ModelSpec(kind, {}, seed)
-        fragments = []
+        blocks = []
         for task in tasks:
             try:
-                fragments.append(evaluation.run_protocol(ds, spec, cfg["protocol"], task))
+                blocks.append(evaluation.run_protocol(ds, spec, cfg["protocol"], task))
             except Exception as err:  # noqa: BLE001 - cell failures must not stop the run
                 failures.append({"model": kind, "task": task, "error": str(err)})
-        if fragments:
-            results.append(evaluation.report_to_dict(evaluation.aggregate(spec, fragments)))
+        if blocks:
+            results.append(evaluation.aggregate(spec, cfg["protocol"], blocks))
         if cfg["helper_curve"] and kind in ("group-lasso", "cmf", "mdgpr"):
             for task in tasks:
                 try:
@@ -457,17 +457,22 @@ def cmd_explain(args: argparse.Namespace) -> int:
                     (args.model, task, name, float(v), "permutation")
                     for name, v in zip(FEATURE_NAMES, imp)
                 )
-        config_hash = _config_hash(
-            {
-                "scores": _file_sha256(args.scores),
-                "features": _file_sha256(args.features),
-                "meta": _file_sha256(args.meta),
-                "model": args.model,
-                "method": args.method,
-                "repeats": args.repeats,
-                "seed": args.seed,
+        config = {
+            "scores": _file_sha256(args.scores),
+            "features": _file_sha256(args.features),
+            "meta": _file_sha256(args.meta),
+            "model": args.model,
+            "method": args.method,
+            "repeats": args.repeats,
+            "seed": args.seed,
+        }
+        if artifact is not None:
+            # The model itself, fitted or loaded: two model files get two stamps,
+            # and a saved model.json reproduces the stamp of the run that wrote it.
+            config["artifact"] = {
+                k: v for k, v in artifact.items() if k not in ("config_hash", "seed")
             }
-        )
+        config_hash = _config_hash(config)
     except (DataError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -183,11 +183,15 @@ def read_csv_rows(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list
 
 
 def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Each row with the line it starts on: a quoted cell can span lines."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            reader = csv.reader(fh)
+            lineno = 1
+            for row in reader:
                 if row and not row[0].lstrip().startswith("#"):
                     yield lineno, row
+                lineno = reader.line_num + 1
     except OSError as err:
         raise DataError(str(err), path=path) from err
 

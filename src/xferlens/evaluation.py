@@ -1,5 +1,5 @@
 """Evaluation harness: run any model kind under LOLO or LLRO, collect
-per-record absolute errors, and aggregate them into a report.
+per-record absolute errors, and aggregate them into report.json's results.
 
 Single-task kinds (lasso, gbt, dgpr, and the within-task baseline) are fit on
 the eval task's train rows only; multi-task kinds additionally see the full
@@ -56,9 +56,6 @@ _DEFAULT_HYPERPARAMS: dict[str, dict] = {
 
 MODEL_KINDS = tuple(_DEFAULT_HYPERPARAMS)
 
-#: Kinds whose training data includes the helper tasks.
-MULTI_TASK_KINDS = frozenset({"aat", "group-lasso", "cmf", "mdgpr", "maml"})
-
 PROTOCOLS = ("lolo", "llro")
 
 #: Tasks with at most this many target languages count as low-data.
@@ -87,61 +84,6 @@ class ModelSpec:
             for k, v in sorted(self.merged().items())
         }
         return {"kind": self.kind, "hyperparameters": hp, "seed": self.seed}
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    pivot: LangId
-    target: LangId
-    y_true: float
-    y_pred: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.y_true - self.y_pred)
-
-
-@dataclass(frozen=True)
-class FoldResult:
-    held_out: str
-    records: tuple[PredictionRecord, ...]
-
-    @property
-    def mae(self) -> float:
-        return float(np.mean([r.abs_err for r in self.records]))
-
-
-@dataclass(frozen=True)
-class TaskFragment:
-    task: TaskId
-    protocol: str
-    n_targets: int
-    folds: tuple[FoldResult, ...]
-
-    @property
-    def task_mae(self) -> float:
-        """Mean over folds (i.e. held-out languages) of the per-fold MAE."""
-        return float(np.mean([f.mae for f in self.folds]))
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    spec: ModelSpec
-    protocol: str
-    fragments: tuple[TaskFragment, ...]
-
-    @property
-    def per_task_mae(self) -> dict[TaskId, float]:
-        return {f.task: f.task_mae for f in self.fragments}
-
-    @property
-    def macro_average(self) -> float:
-        return float(np.mean([f.task_mae for f in self.fragments]))
-
-    @property
-    def low_data_average(self) -> float | None:
-        low = [f.task_mae for f in self.fragments if f.n_targets <= LOW_DATA_MAX_TARGETS]
-        return float(np.mean(low)) if low else None
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +344,17 @@ def _run_folds(
     ds: Dataset,
     spec: ModelSpec,
     eval_task: TaskId,
-    protocol: str,
     folds: Sequence[tuple[Dataset, Dataset, str]],
-) -> TaskFragment:
+) -> dict:
     """Check, fit and score each (train, test, context) fold of ``eval_task``.
 
     A fold's held-out targets are those of its test side; ``context`` names
-    the fold in the error raised when its fit or prediction fails.
+    the fold in the error raised when its fit or prediction fails. Returns the
+    task's block of report.json: its folds' records with their absolute errors,
+    and ``mae``, the mean over folds of each fold's MAE.
     """
     full_counts = {t: len(ds.task_records(t)) for t in ds.tasks}
-    results = []
+    fold_blocks, fold_maes = [], []
     for i, (train, test, context) in enumerate(folds):
         held_out = sorted({r.target for r in test.records})
         _check_fold_integrity(train, eval_task, set(held_out), full_counts)
@@ -421,29 +364,36 @@ def _run_folds(
             raise RuntimeError(
                 f"model {spec.kind!r} failed on task {eval_task!r}{context}: {err}"
             ) from err
-        records = tuple(
-            PredictionRecord(r.pivot, r.target, r.score, float(p))
-            for r, p in zip(test.records, preds)
-        )
-        results.append(FoldResult(";".join(held_out), records))
-    return TaskFragment(eval_task, protocol, len(ds.targets(eval_task)), tuple(results))
+        records = [
+            {"pivot": r.pivot, "target": r.target, "y": r.score, "yhat": yhat,
+             "abs_err": abs(r.score - yhat)}
+            for r, yhat in zip(test.records, map(float, preds))
+        ]
+        fold_blocks.append({"held_out": ";".join(held_out), "records": records})
+        fold_maes.append(float(np.mean([r["abs_err"] for r in records])))
+    return {
+        "task": eval_task,
+        "n_targets": len(ds.targets(eval_task)),
+        "mae": float(np.mean(fold_maes)),
+        "folds": fold_blocks,
+    }
 
 
-def run_lolo(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> TaskFragment:
+def run_lolo(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> dict:
     """One fold per target language of the eval task; helpers keep all data."""
     folds = [
         (s.train, s.test, f", held-out {s.held_out!r}") for s in make_lolo_splits(ds, eval_task)
     ]
-    return _run_folds(ds, spec, eval_task, "lolo", folds)
+    return _run_folds(ds, spec, eval_task, folds)
 
 
-def run_llro(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> TaskFragment:
+def run_llro(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> dict:
     """Single split: train on class 4-5 target languages, test on class <= 3."""
     train, test = make_llro_split(ds, eval_task)
-    return _run_folds(ds, spec, eval_task, "llro", [(train, test, " under llro")])
+    return _run_folds(ds, spec, eval_task, [(train, test, " under llro")])
 
 
-def run_protocol(ds: Dataset, spec: ModelSpec, protocol: str, eval_task: TaskId) -> TaskFragment:
+def run_protocol(ds: Dataset, spec: ModelSpec, protocol: str, eval_task: TaskId) -> dict:
     if protocol == "lolo":
         return run_lolo(ds, spec, eval_task)
     if protocol == "llro":
@@ -451,15 +401,25 @@ def run_protocol(ds: Dataset, spec: ModelSpec, protocol: str, eval_task: TaskId)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def aggregate(spec: ModelSpec, fragments: Iterable[TaskFragment]) -> EvalReport:
-    """Macro averages over tasks, plus the low-data average (<= 10 targets)."""
-    fragments = tuple(fragments)
-    if not fragments:
-        raise ValueError("no fragments to aggregate")
-    protocols = {f.protocol for f in fragments}
-    if len(protocols) != 1:
-        raise ValueError(f"mixed protocols {sorted(protocols)}")
-    return EvalReport(spec, fragments[0].protocol, fragments)
+def aggregate(spec: ModelSpec, protocol: str, task_blocks: Iterable[dict]) -> dict:
+    """The report.json result of ``spec`` under ``protocol`` from its task blocks.
+
+    Adds the macro average of the task MAEs over tasks and the low-data
+    average over the tasks with at most ``LOW_DATA_MAX_TARGETS`` targets
+    (None when there is none).
+    """
+    blocks = list(task_blocks)
+    if not blocks:
+        raise ValueError("no task blocks to aggregate")
+    low = [b["mae"] for b in blocks if b["n_targets"] <= LOW_DATA_MAX_TARGETS]
+    return {
+        "model": spec.to_dict(),
+        "protocol": protocol,
+        "per_task_mae": dict(sorted({b["task"]: b["mae"] for b in blocks}.items())),
+        "macro_average_mae": float(np.mean([b["mae"] for b in blocks])),
+        "low_data_average_mae": float(np.mean(low)) if low else None,
+        "tasks": blocks,
+    }
 
 
 def helper_curve(
@@ -475,47 +435,12 @@ def helper_curve(
     for k in range(len(helpers) + 1):
         keep = set(helpers[:k]) | {eval_task}
         sub = ds.restrict([r for r in ds.records if r.task in keep])
-        fragment = run_lolo(sub, spec, eval_task)
-        curve.append((k, fragment.task_mae))
+        curve.append((k, run_lolo(sub, spec, eval_task)["mae"]))
     return curve
 
 
 # ---------------------------------------------------------------------------
-# Report serialization and rendering
-
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "model": report.spec.to_dict(),
-        "protocol": report.protocol,
-        "per_task_mae": {t: m for t, m in sorted(report.per_task_mae.items())},
-        "macro_average_mae": report.macro_average,
-        "low_data_average_mae": report.low_data_average,
-        "tasks": [
-            {
-                "task": f.task,
-                "n_targets": f.n_targets,
-                "mae": f.task_mae,
-                "folds": [
-                    {
-                        "held_out": fold.held_out,
-                        "records": [
-                            {
-                                "pivot": r.pivot,
-                                "target": r.target,
-                                "y": r.y_true,
-                                "yhat": r.y_pred,
-                                "abs_err": r.abs_err,
-                            }
-                            for r in fold.records
-                        ],
-                    }
-                    for fold in f.folds
-                ],
-            }
-            for f in report.fragments
-        ],
-    }
-
+# Report rendering
 
 def render_table(report_dicts: Sequence[dict]) -> str:
     """Text table of MAE x 100 per task and model, with the two average rows."""

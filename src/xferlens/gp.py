@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -250,28 +250,6 @@ def _init_vec(prob: _Problem, seed: int, init_noise_variance: float) -> np.ndarr
     if prob.multi_task:
         parts.append(np.eye(prob.n_tasks).ravel())
     return np.concatenate(parts)
-
-
-def mll_function(
-    data_by_task: Mapping[TaskId, tuple[np.ndarray, np.ndarray]],
-    multi_task: bool,
-    seed: int = 0,
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-    init_noise_variance: float = 0.01,
-) -> tuple[Callable[[np.ndarray], tuple[float, np.ndarray]], np.ndarray]:
-    """Marginal log-likelihood as a checkable function of the parameter vector.
-
-    Returns ``(f, x0)`` where ``f(vec) -> (mll, grad)`` and ``x0`` is the
-    seeded initialization. Useful for verifying gradients independently.
-    """
-    prob, _, _ = _build_problem(data_by_task, multi_task, hidden)
-    vec0 = _init_vec(prob, seed, init_noise_variance)
-
-    def f(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        lik = _likelihood(prob, vec)
-        return lik.mll, _gradient(prob, lik)
-
-    return f, vec0
 
 
 def fit_gp(

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import string
 import zlib
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 from hypothesis import strategies as st
 
+from xferlens import gp
 from xferlens.data import (
     FEATURE_NAMES,
     Dataset,
@@ -126,6 +127,28 @@ def grad_check(
         denom = max(1.0, abs(grad[j]), abs(numeric))
         worst = max(worst, abs(grad[j] - numeric) / denom)
     return worst
+
+
+def mll_function(
+    data_by_task: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    multi_task: bool,
+    seed: int = 0,
+    hidden: tuple[int, ...] = gp.DEFAULT_HIDDEN,
+    init_noise_variance: float = 0.01,
+) -> tuple[Callable[[np.ndarray], tuple[float, np.ndarray]], np.ndarray]:
+    """The GP's marginal log-likelihood as a checkable function of its parameter vector.
+
+    Returns ``(f, x0)`` where ``f(vec) -> (mll, grad)`` and ``x0`` is the
+    seeded initialization that ``gp.fit_gp`` starts from, for ``grad_check``.
+    """
+    prob, _, _ = gp._build_problem(data_by_task, multi_task, hidden)
+    vec0 = gp._init_vec(prob, seed, init_noise_variance)
+
+    def f(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        lik = gp._likelihood(prob, vec)
+        return lik.mll, gp._gradient(prob, lik)
+
+    return f, vec0
 
 
 def simple_dataset() -> Dataset:

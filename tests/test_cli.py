@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -503,6 +504,26 @@ class TestExplainCommand:
         reuse_csv = (tmp_path / "reuse" / "attribution.csv").read_bytes()
         assert fit_csv == reuse_csv
 
+    def test_model_files_differing_in_one_weight_get_different_stamps(self, toy_paths, tmp_path):
+        base_args = [
+            "explain",
+            "--scores", str(toy_paths["scores"]),
+            "--features", str(toy_paths["features"]),
+            "--model", "lasso",
+            "--method", "linear-shap",
+        ]
+        assert main(base_args + ["--out", str(tmp_path / "fit")]) == 0
+        artifact = json.loads((tmp_path / "fit" / "model.json").read_text())
+        artifact["models"]["A"]["weights"][0] += 0.25
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(artifact))
+        stamps = []
+        for name, path in (("reuse", tmp_path / "fit" / "model.json"), ("edited", edited)):
+            assert main(base_args + ["--model-file", str(path), "--out", str(tmp_path / name)]) == 0
+            stamps.append((tmp_path / name / "attribution.csv").read_text().splitlines()[0])
+        assert stamps[0].startswith("# config_hash=")
+        assert stamps[0] != stamps[1]
+
     def test_model_file_kind_mismatch_exit_two(self, toy_paths, tmp_path):
         args = [
             "explain",
@@ -661,3 +682,58 @@ class TestReportCommand:
         report.write_text('{"results": [{"protocol": "lolo"}]}')
         assert main(["report", "--report", str(report)]) == 2
         assert f"{report}: malformed" in capsys.readouterr().err
+
+
+GOLDEN_SCORES = """model,task,pivot,target,score
+m,A,en,aa,0.61
+m,A,en,ab,0.42
+m,A,en,ac,0.55
+m,A,en,ad,0.3
+m,B,en,aa,0.71
+m,B,en,ab,0.52
+m,B,en,ac,0.66
+m,B,en,ad,0.38
+m,B,en,ae,0.47
+m,C,en,ab,0.58
+m,C,en,ac,0.49
+m,C,en,ae,0.35
+"""
+GOLDEN_META = "lang,class,pretrain_words\nen,5,3e9\naa,5,1e8\nab,4,1e7\nac,2,1e5\nad,1,1e4\nae,3,1e6\n"
+#: sha256 of each output of `evaluate --models awt,aat` on the golden inputs.
+#: awt and aat average scores without a BLAS call, so the bytes do not depend
+#: on the BLAS build; a change to any output format or float operation shows.
+GOLDEN_SHA256 = {
+    "lolo": {
+        "report.json": "44076fff27321d8836170c389a09203aa4e3859fecdc360ae08da766df6dc81b",
+        "records.csv": "66738c0600240b7dc0c1d498b0c33efb4637991f0aa8b1465871a4351b0e0539",
+        "task_mae.csv": "394861190830df92a4a01581c21d998e832d2555d6c860d0d611c9488bb44fb3",
+        "table.txt": "59ba9f632d772a5c9360cb67bf6578152706ce081edb65dc394f654a0cc4db81",
+    },
+    "llro": {
+        "report.json": "ca8df314b6f0a77bd03c4731b725c187c1bd24211c8fdf1abe23c2c5f5a91338",
+        "records.csv": "09a28d277682d630c0d71e30474319cfb61ab4d4763f180d7fddc4af4064f7dc",
+        "task_mae.csv": "8109374ae5ab124f84726100b1fc3a2140967e5b42416d174ab8edbccd1d9356",
+        "table.txt": "9fba6e9bcfc6506a449b0ce2ac8ecd06ad13cde92a66ddc5ef97e3246b0af3c6",
+    },
+}
+
+
+class TestEvaluateGolden:
+    @pytest.mark.parametrize("protocol", ["lolo", "llro"])
+    def test_averaging_baselines_outputs_pinned(self, protocol, tmp_path):
+        (tmp_path / "scores.csv").write_text(GOLDEN_SCORES)
+        (tmp_path / "features.csv").write_text(
+            "pivot,target," + ",".join(FEATURE_NAMES) + "\n"
+            + "".join(f"en,{lang},0.{i},0.5,0.5,0.5,0.2,6.0,0.9,1.5,0.1\n"
+                      for i, lang in enumerate(("aa", "ab", "ac", "ad", "ae"), start=1))
+        )
+        (tmp_path / "meta.csv").write_text(GOLDEN_META)
+        out = tmp_path / "out"
+        code = main(["evaluate", "--scores", str(tmp_path / "scores.csv"),
+                     "--features", str(tmp_path / "features.csv"),
+                     "--meta", str(tmp_path / "meta.csv"), "--models", "awt,aat",
+                     "--protocol", protocol, "--seed", "0", "--out", str(out)])
+        assert code == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in GOLDEN_SHA256[protocol]}
+        assert digests == GOLDEN_SHA256[protocol]

@@ -65,6 +65,14 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"scores\.csv:2.*out of range"):
             load_dataset(scores, features)
 
+    def test_line_numbers_count_lines_inside_quoted_cells(self, tmp_path):
+        scores = write(
+            tmp_path, "scores.csv", SCORES_HEADER + 'm,"t\nx",en,de,0.5\nm,u,en,de,1.5\n'
+        )
+        features = write(tmp_path, "features.csv", FEATURES_HEADER + feature_row("en", "de"))
+        with pytest.raises(DataError, match=r"scores\.csv:4: .*out of range"):
+            load_dataset(scores, features)
+
     def test_pivot_equals_target(self, tmp_path):
         scores = write(tmp_path, "scores.csv", SCORES_HEADER + "m,t,en,en,0.5\n")
         features = write(tmp_path, "features.csv", FEATURES_HEADER + feature_row("en", "de"))

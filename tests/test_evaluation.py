@@ -7,17 +7,21 @@ from hypothesis import given, settings
 
 from helpers import lang_codes, planted_dataset, random_feature_vector, random_layouts
 from xferlens import factorization, meta
-from xferlens.data import Dataset, PerformanceRecord, make_llro_split, make_lolo_splits
+from xferlens.cli import main
+from xferlens.data import (
+    Dataset,
+    PerformanceRecord,
+    load_dataset,
+    make_llro_split,
+    make_lolo_splits,
+    save_dataset,
+)
 from xferlens.evaluation import (
     MODEL_KINDS,
     ModelSpec,
-    TaskFragment,
-    FoldResult,
-    PredictionRecord,
     aggregate,
     fit_predictors,
     helper_curve,
-    report_to_dict,
     render_table,
     run_llro,
     run_lolo,
@@ -37,6 +41,10 @@ def tiny_dataset(scores, classes=None):
 
         meta = {lang: LanguageMeta(lang, cls, 1e6) for lang, cls in classes.items()}
     return Dataset(records, features, meta)
+
+
+def fold_mae(fold):
+    return float(np.mean([r["abs_err"] for r in fold["records"]]))
 
 
 class TestModelSpec:
@@ -60,15 +68,14 @@ class TestRunLolo:
         # Scores 0.2, 0.4, 0.9: fold errors are |0.2-0.65|, |0.4-0.55|, |0.9-0.3|
         # = 0.45, 0.15, 0.60, whose mean is 0.40.
         ds = tiny_dataset({"aa": 0.2, "ab": 0.4, "ac": 0.9})
-        frag = run_lolo(ds, ModelSpec("awt"), "T")
-        np.testing.assert_allclose(sorted(f.mae for f in frag.folds), [0.15, 0.45, 0.60])
-        assert frag.task_mae == pytest.approx(0.40)
+        block = run_lolo(ds, ModelSpec("awt"), "T")
+        np.testing.assert_allclose(sorted(map(fold_mae, block["folds"])), [0.15, 0.45, 0.60])
+        assert block["mae"] == pytest.approx(0.40)
 
     def test_perfect_model_zero_error(self):
         # Constant scores make the within-task average an exact oracle.
         ds = tiny_dataset({"aa": 0.5, "ab": 0.5, "ac": 0.5})
-        frag = run_lolo(ds, ModelSpec("awt"), "T")
-        assert frag.task_mae == 0.0
+        assert run_lolo(ds, ModelSpec("awt"), "T")["mae"] == 0.0
 
     def test_planted_linear_group_lasso_beats_awt(self):
         w = np.zeros(9)
@@ -77,8 +84,8 @@ class TestRunLolo:
         ds = planted_dataset(
             {"A": langs, "B": langs, "C": langs, "D": langs}, w, noise=0.01, seed=1
         )
-        gl = run_lolo(ds, ModelSpec("group-lasso"), "A").task_mae
-        awt = run_lolo(ds, ModelSpec("awt"), "A").task_mae
+        gl = run_lolo(ds, ModelSpec("group-lasso"), "A")["mae"]
+        awt = run_lolo(ds, ModelSpec("awt"), "A")["mae"]
         assert gl < awt
 
     def test_fit_failure_carries_fold_context(self):
@@ -94,10 +101,10 @@ class TestRunLlro:
             {"aa": 0.8, "ab": 0.6, "ac": 0.5, "ad": 0.9},
             classes={"aa": 5, "ab": 4, "ac": 1, "ad": 2},
         )
-        frag = run_llro(ds, ModelSpec("awt"), "T")
-        errors = sorted(r.abs_err for r in frag.folds[0].records)
+        block = run_llro(ds, ModelSpec("awt"), "T")
+        errors = sorted(r["abs_err"] for r in block["folds"][0]["records"])
         np.testing.assert_allclose(errors, [0.2, 0.2])
-        assert frag.task_mae == pytest.approx(0.2)
+        assert block["mae"] == pytest.approx(0.2)
 
     def test_empty_low_resource_side_errors(self):
         ds = tiny_dataset({"aa": 0.8, "ab": 0.6}, classes={"aa": 5, "ab": 4})
@@ -112,8 +119,8 @@ class TestRunLlro:
         ds = planted_dataset(
             {"A": langs, "B": langs, "C": langs}, w, noise=0.01, seed=3, classes=classes
         )
-        gl = run_llro(ds, ModelSpec("group-lasso"), "A").task_mae
-        awt = run_llro(ds, ModelSpec("awt"), "A").task_mae
+        gl = run_llro(ds, ModelSpec("group-lasso"), "A")["mae"]
+        awt = run_llro(ds, ModelSpec("awt"), "A")["mae"]
         assert gl < awt
 
 
@@ -141,8 +148,8 @@ class TestProtocolIntegrity:
     def test_all_eval_tasks_pass_structural_checks(self):
         ds = self.four_task_dataset(seed=1)
         for task in sorted(ds.tasks):
-            frag = run_lolo(ds, ModelSpec("awt"), task)
-            assert len(frag.folds) == len(ds.targets(task))
+            block = run_lolo(ds, ModelSpec("awt"), task)
+            assert len(block["folds"]) == len(ds.targets(task))
 
 
 class TestFoldProperties:
@@ -151,7 +158,7 @@ class TestFoldProperties:
 
     @staticmethod
     def assert_fold_rows(fold, test):
-        got = [(r.pivot, r.target, r.y_true) for r in fold.records]
+        got = [(r["pivot"], r["target"], r["y"]) for r in fold["records"]]
         assert got == [(r.pivot, r.target, r.score) for r in test.records]
 
     @given(random_layouts(complete=True))
@@ -160,9 +167,9 @@ class TestFoldProperties:
         spec = ModelSpec("awt")
         for eval_task in sorted(ds.tasks):
             splits = make_lolo_splits(ds, eval_task)
-            frag = run_lolo(ds, spec, eval_task)
-            assert [f.held_out for f in frag.folds] == [s.held_out for s in splits]
-            for fold, split in zip(frag.folds, splits):
+            block = run_lolo(ds, spec, eval_task)
+            assert [f["held_out"] for f in block["folds"]] == [s.held_out for s in splits]
+            for fold, split in zip(block["folds"], splits):
                 self.assert_fold_rows(fold, split.test)
             try:
                 _, test = make_llro_split(ds, eval_task)
@@ -170,10 +177,10 @@ class TestFoldProperties:
                 with pytest.raises(ValueError, match=re.escape(str(err))):
                     run_llro(ds, spec, eval_task)
                 continue
-            frag = run_llro(ds, spec, eval_task)
-            assert frag.n_targets == len(ds.targets(eval_task))
-            (fold,) = frag.folds
-            assert fold.held_out == ";".join(sorted({r.target for r in test.records}))
+            block = run_llro(ds, spec, eval_task)
+            assert block["n_targets"] == len(ds.targets(eval_task))
+            (fold,) = block["folds"]
+            assert fold["held_out"] == ";".join(sorted({r.target for r in test.records}))
             self.assert_fold_rows(fold, test)
 
 
@@ -192,9 +199,9 @@ class TestAllKindsSmoke:
             "cmf": {"sweeps": 10, "d_latent": 2},
         }
         spec = ModelSpec(kind, light.get(kind, {}), seed=0)
-        frag = run_lolo(ds, spec, "A")
-        assert len(frag.folds) == 4
-        assert np.isfinite(frag.task_mae)
+        block = run_lolo(ds, spec, "A")
+        assert len(block["folds"]) == 4
+        assert np.isfinite(block["mae"])
 
 
 class TestFitPredictors:
@@ -244,42 +251,45 @@ class TestFitPredictors:
         spec = ModelSpec("maml", {"meta_epochs": 2}, seed=0)
         fit_predictors(spec, ds, ["A", "B"], seed=0)  # explain: every task
         assert seen == [["A", "B", "C", "D", "E"]]
-        fragment = run_lolo(ds, spec, "A")  # a protocol: the helpers only
-        assert seen[1:] == [["B", "C", "D", "E"]] * len(fragment.folds)
+        block = run_lolo(ds, spec, "A")  # a protocol: the helpers only
+        assert seen[1:] == [["B", "C", "D", "E"]] * len(block["folds"])
 
 
 class TestAggregate:
-    def frag(self, task, mae, n_targets, protocol="lolo"):
-        rec = PredictionRecord("en", "de", 0.5, 0.5 + mae)
-        return TaskFragment(task, protocol, n_targets, (FoldResult("de", (rec,)),))
+    def block(self, task, mae, n_targets):
+        rec = {"pivot": "en", "target": "de", "y": 0.5, "yhat": 0.5 + mae, "abs_err": mae}
+        return {"task": task, "n_targets": n_targets, "mae": mae,
+                "folds": [{"held_out": "de", "records": [rec]}]}
 
     def test_macro_average(self):
-        report = aggregate(ModelSpec("awt"), [self.frag("a", 0.02, 12), self.frag("b", 0.04, 12)])
-        assert report.macro_average == pytest.approx(0.03)
-        assert report.low_data_average is None
+        blocks = [self.block("b", 0.04, 12), self.block("a", 0.02, 12)]
+        report = aggregate(ModelSpec("awt"), "lolo", blocks)
+        assert report["macro_average_mae"] == pytest.approx(0.03)
+        assert report["low_data_average_mae"] is None
+        assert report["per_task_mae"] == {"a": 0.02, "b": 0.04}
+        assert list(report["per_task_mae"]) == ["a", "b"]
+        assert report["model"] == ModelSpec("awt").to_dict()
+        assert report["protocol"] == "lolo"
+        assert report["tasks"] == blocks
 
     def test_single_task_both_averages_equal(self):
-        report = aggregate(ModelSpec("awt"), [self.frag("a", 0.05, 7)])
-        assert report.macro_average == pytest.approx(0.05)
-        assert report.low_data_average == pytest.approx(0.05)
+        report = aggregate(ModelSpec("awt"), "llro", [self.block("a", 0.05, 7)])
+        assert report["macro_average_mae"] == pytest.approx(0.05)
+        assert report["low_data_average_mae"] == pytest.approx(0.05)
 
     def test_boundary_task_with_ten_targets_is_low_data(self):
         report = aggregate(
-            ModelSpec("awt"), [self.frag("a", 0.02, 10), self.frag("b", 0.06, 11)]
+            ModelSpec("awt"), "lolo", [self.block("a", 0.02, 10), self.block("b", 0.06, 11)]
         )
-        assert report.low_data_average == pytest.approx(0.02)
+        assert report["low_data_average_mae"] == pytest.approx(0.02)
 
-    def test_mixed_protocols_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            aggregate(
-                ModelSpec("awt"),
-                [self.frag("a", 0.1, 3), self.frag("b", 0.1, 3, protocol="llro")],
-            )
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ValueError, match="no task blocks"):
+            aggregate(ModelSpec("awt"), "lolo", [])
 
     def test_reaggregation_from_raw_records(self):
         ds = tiny_dataset({"aa": 0.2, "ab": 0.4, "ac": 0.9})
-        report = aggregate(ModelSpec("awt"), [run_lolo(ds, ModelSpec("awt"), "T")])
-        payload = report_to_dict(report)
+        payload = aggregate(ModelSpec("awt"), "lolo", [run_lolo(ds, ModelSpec("awt"), "T")])
         for task_block in payload["tasks"]:
             recomputed = np.mean(
                 [
@@ -293,6 +303,23 @@ class TestAggregate:
         )
 
 
+class TestReportBlocks:
+    @pytest.mark.parametrize("kind", ["awt", "lasso"])
+    def test_run_lolo_is_the_task_block_evaluate_writes(self, kind, tmp_path):
+        langs = lang_codes(5)
+        w = np.zeros(9)
+        w[1] = 0.1
+        paths = save_dataset(planted_dataset({"A": langs[:4], "B": langs}, w, seed=3), tmp_path)
+        out = tmp_path / "out"
+        args = ["evaluate", "--scores", str(paths["scores"]), "--features", str(paths["features"]),
+                "--models", kind, "--protocol", "lolo", "--task", "A", "--seed", "4",
+                "--out", str(out)]
+        assert main(args) == 0
+        (result,) = json.loads((out / "report.json").read_text())["results"]
+        ds = load_dataset(paths["scores"], paths["features"])
+        assert result["tasks"] == [run_lolo(ds, ModelSpec(kind, {}, 4), "A")]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["gbt", "cmf", "mdgpr"])
     def test_same_seed_identical_report(self, kind):
@@ -300,8 +327,8 @@ class TestDeterminism:
         ds = planted_dataset({"A": langs, "B": langs}, np.zeros(9), seed=5)
         light = {"cmf": {"sweeps": 5, "d_latent": 2}, "mdgpr": {"epochs": 5}}
         spec = ModelSpec(kind, light.get(kind, {"n_estimators": 5}), seed=9)
-        one = report_to_dict(aggregate(spec, [run_lolo(ds, spec, "A")]))
-        two = report_to_dict(aggregate(spec, [run_lolo(ds, spec, "A")]))
+        one = aggregate(spec, "lolo", [run_lolo(ds, spec, "A")])
+        two = aggregate(spec, "lolo", [run_lolo(ds, spec, "A")])
         assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
 
@@ -319,9 +346,14 @@ class TestRenderTable:
     def test_table_contains_average_rows(self):
         ds = tiny_dataset({"aa": 0.2, "ab": 0.4, "ac": 0.9})
         spec = ModelSpec("awt")
-        payload = report_to_dict(aggregate(spec, [run_lolo(ds, spec, "T")]))
-        table = render_table([payload])
+        table = render_table([aggregate(spec, "lolo", [run_lolo(ds, spec, "T")])])
         assert "Average (|T| <= 10)" in table
         assert "awt" in table
         # MAE x 100 of the hand example: 0.40 -> "40.00"
         assert "40.00" in table
+
+
+def test_every_package_export_resolves():
+    import xferlens
+
+    assert [name for name in xferlens.__all__ if not hasattr(xferlens, name)] == []

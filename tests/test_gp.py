@@ -4,14 +4,13 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import grad_check
+from helpers import grad_check, mll_function
 import xferlens.gp as gp_module
 from xferlens.gp import (
     _build_problem,
     _latent,
     _likelihood,
     fit_gp,
-    mll_function,
     predict_gp,
 )
 
