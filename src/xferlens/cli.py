@@ -79,11 +79,18 @@ def _stamp(config_hash: str, seed: int) -> str:
     return f"# config_hash={config_hash} seed={seed}"
 
 
+def _check_seed(seed: int) -> int:
+    """Reject a negative seed before any fit: numpy's generators take none."""
+    if seed < 0:
+        raise DataError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     """Key=value config lines; requires a schema_version entry.
 
-    Unknown keys, a ``seed`` that is not an integer and a ``helper_curve``
-    other than ``true``/``false`` are rejected with their line.
+    Unknown keys, a ``seed`` that is not a non-negative integer and a
+    ``helper_curve`` other than ``true``/``false`` are rejected with their line.
     """
     out: dict[str, str] = {}
     try:
@@ -102,6 +109,8 @@ def _load_config_file(path: str) -> dict[str, str]:
                             path=path, line=lineno)
         if key == "seed" and not re.fullmatch(r"[+-]?\d+", value):
             raise DataError(f"seed must be an integer, got {value!r}", path=path, line=lineno)
+        if key == "seed" and int(value) < 0:
+            raise DataError(f"--seed must be >= 0, got {value!r}", path=path, line=lineno)
         if key == "helper_curve" and value not in ("true", "false"):
             raise DataError(f"helper_curve must be 'true' or 'false', got {value!r}",
                             path=path, line=lineno)
@@ -177,7 +186,7 @@ def _resolve_evaluate_args(args: argparse.Namespace) -> dict:
         "models": args.models or config.get("models"),
         "protocol": args.protocol or config.get("protocol"),
         "tasks": args.task or (config.get("tasks", "").split(",") if config.get("tasks") else []),
-        "seed": args.seed if args.seed is not None else int(config.get("seed", "0")),
+        "seed": _check_seed(args.seed if args.seed is not None else int(config.get("seed", "0"))),
         "out": args.out or config.get("out"),
         "helper_curve": args.helper_curve or config.get("helper_curve") == "true",
     }
@@ -395,12 +404,8 @@ def _read_json(path: str, problem) -> dict:
 
 def _attribution_rows_from_artifact(ds: Dataset, artifact: dict):
     kind = artifact["kind"]
+    joint = kind == "group-lasso"  # one model over every task; lasso saves one per task
     rows = []
-    joint = (
-        sparse_linear.linear_model_from_dict(artifact["models"]["joint"])
-        if kind == "group-lasso"
-        else None
-    )
     for task in artifact["tasks"]:
         if task not in ds.tasks:
             continue
@@ -408,11 +413,8 @@ def _attribution_rows_from_artifact(ds: Dataset, artifact: dict):
         scaler = Scaler(np.asarray(entry["mean"]), np.asarray(entry["scale"]))
         x_std = scaler.transform(ds.feature_matrix(ds.task_records(task)))
         background = x_std.mean(axis=0)
-        if kind == "group-lasso":
-            values = explain.mean_abs_shap(joint, task, x_std, background)
-        else:
-            model = sparse_linear.linear_model_from_dict(artifact["models"][task])
-            values = explain.mean_abs_shap(model, None, x_std, background)
+        model = sparse_linear.linear_model_from_dict(artifact["models"]["joint" if joint else task])
+        values = explain.mean_abs_shap(model, task if joint else None, x_std, background)
         rows.extend((kind, task, name, value, "linear-shap") for name, value in values.items())
     return rows
 
@@ -433,6 +435,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         )
         return EXIT_METHOD
     try:
+        _check_seed(args.seed)
         ds = load_dataset(args.scores, args.features, args.meta)
         artifact = None
         if args.method == "linear-shap":

@@ -320,6 +320,8 @@ def load_dataset(
     multilingual model; a second ``model`` value is rejected, not pooled.
     """
     scored = load_scores_csv(scores_path)
+    if not scored:
+        raise DataError("no score rows after the header", path=Path(scores_path))
     features = load_features_csv(features_path)
     meta = load_meta_csv(meta_path) if meta_path is not None else {}
     for lineno, record in scored:

@@ -106,7 +106,7 @@ class Predictor:
     """
 
     rows: RowPredict
-    model: sparse_linear.LassoModel | sparse_linear.GroupLassoModel | None = None
+    model: sparse_linear.LinearModel | None = None
     scaler: Scaler | None = None
 
     def predict(self, x: np.ndarray, pairs: Sequence[Pair] | None = None) -> np.ndarray:

@@ -14,40 +14,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import FEATURE_NAMES, TaskId
-from .sparse_linear import GroupLassoModel, LassoModel
+from .sparse_linear import LinearModel
 
 
 @dataclass
 class Attribution:
-    model_kind: str
     task: TaskId | None
     per_feature: dict[str, float]
     base_value: float
     method: str  # "linear-shap" or "permutation"
 
 
-def _linear_parts(
-    model: LassoModel | GroupLassoModel, task: TaskId | None
-) -> tuple[np.ndarray, float, str]:
-    if isinstance(model, LassoModel):
-        return model.weights, model.intercept, "lasso"
-    if task is None:
-        raise ValueError("a task is required for group-lasso attributions")
-    if task not in model.tasks:
-        raise ValueError(f"unknown task {task!r}")
-    t = model.tasks.index(task)
-    return model.weights[:, t], float(model.intercepts[t]), "group-lasso"
-
-
 def linear_shap(
-    model: LassoModel | GroupLassoModel,
+    model: LinearModel,
     x: np.ndarray,
     background_mean: np.ndarray,
     task: TaskId | None = None,
     feature_names: Sequence[str] = FEATURE_NAMES,
 ) -> Attribution:
     """Exact additive attribution of one prediction against a background mean."""
-    weights, intercept, kind = _linear_parts(model, task)
+    weights, intercept = model.coefficients(task)
     x = np.asarray(x, dtype=float)
     background_mean = np.asarray(background_mean, dtype=float)
     if x.shape != weights.shape or background_mean.shape != weights.shape:
@@ -57,7 +43,6 @@ def linear_shap(
     phi = weights * (x - background_mean)
     base = float(weights @ background_mean + intercept)
     return Attribution(
-        model_kind=kind,
         task=task,
         per_feature={name: float(v) for name, v in zip(feature_names, phi)},
         base_value=base,
@@ -66,7 +51,7 @@ def linear_shap(
 
 
 def mean_abs_shap(
-    model: LassoModel | GroupLassoModel,
+    model: LinearModel,
     task: TaskId | None,
     rows: np.ndarray,
     background_mean: np.ndarray,
@@ -76,7 +61,7 @@ def mean_abs_shap(
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[0] < 1:
         raise ValueError("need at least one row")
-    weights, _, _ = _linear_parts(model, task)
+    weights, _ = model.coefficients(task)
     phi = np.abs(rows - background_mean) * np.abs(weights)
     means = phi.mean(axis=0)
     return {name: float(v) for name, v in zip(feature_names, means)}

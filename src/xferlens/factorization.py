@@ -20,7 +20,7 @@ from .data import LangId, TaskId
 Pair = tuple[LangId, LangId]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CmfModel:
     task_factors: np.ndarray  # |tasks| x d
     pair_factors: np.ndarray  # |pairs| x d
@@ -31,8 +31,16 @@ class CmfModel:
     reg: float
     alpha: float
     objective_trace: tuple[float, ...]
-    # (inputs, alpha FᵀF + reg I) of fold_in_pair, built on first use
-    _fold_in: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # fold_in_pair's matrix alpha FᵀF + reg I, or None when F carries no
+    # information (alpha <= 0 or F all zero); dataclasses.replace rebuilds it.
+    fold_in_system: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        f = self.feature_factors
+        system = None
+        if self.alpha > 0 and np.any(f):
+            system = self.alpha * (f.T @ f) + self.reg * np.eye(self.d_latent)
+        object.__setattr__(self, "fold_in_system", system)
 
 
 def _objective(
@@ -143,33 +151,20 @@ def predict_cmf(m: CmfModel, task: TaskId, pair: Pair) -> float:
     return float(m.task_factors[m.task_index[task]] @ m.pair_factors[m.pair_index[pair]])
 
 
-def _fold_in_system(m: CmfModel) -> np.ndarray:
-    """fold_in_pair's matrix alpha FᵀF + reg I, built once per model.
-
-    It is rebuilt only if alpha, reg, d or the feature factors change.
-    """
-    f = m.feature_factors
-    key = (m.alpha, m.reg, m.d_latent, f.shape, f.tobytes())
-    if m._fold_in is None or m._fold_in[0] != key:
-        if m.alpha <= 0 or not np.any(f):
-            raise ValueError("feature factors are degenerate (model was fit with alpha = 0)")
-        m._fold_in = (key, m.alpha * (f.T @ f) + m.reg * np.eye(m.d_latent))
-    return m._fold_in[1]
-
-
 def fold_in_pair(m: CmfModel, x_new: np.ndarray) -> np.ndarray:
     """Latent vector for an unseen pair from its features alone.
 
     Solves min_l alpha ||x_new - F l||^2 + reg ||l||^2 in closed form. Requires
     the model to have been trained with alpha > 0 so F carries information.
-    The d x d system matrix does not depend on ``x_new``: it is built on the
-    model's first cold-start row and reused for the rest.
+    The d x d system matrix does not depend on ``x_new``: it is built with the
+    model and reused for every row.
     """
-    a = _fold_in_system(m)
+    if m.fold_in_system is None:
+        raise ValueError("feature factors are degenerate (model was fit with alpha = 0)")
     x_new = np.asarray(x_new, dtype=float)
     if x_new.shape != (m.feature_factors.shape[0],):
         raise ValueError("feature vector has the wrong dimensionality")
-    return np.linalg.solve(a, m.alpha * (m.feature_factors.T @ x_new))
+    return np.linalg.solve(m.fold_in_system, m.alpha * (m.feature_factors.T @ x_new))
 
 
 def predict_cold_start(m: CmfModel, task: TaskId, x_new: np.ndarray) -> float:

@@ -22,24 +22,27 @@ from .data import TaskId
 
 
 @dataclass
-class LassoModel:
-    weights: np.ndarray
-    intercept: float
-    lam: float
-    converged: bool
-    n_iter: int
-    objective_trace: tuple[float, ...]
+class LinearModel:
+    """A fitted Lasso or Group Lasso: one weight column and intercept per task.
 
+    A Lasso is the one-task case with one unnamed task, ``tasks == (None,)``,
+    so ``coefficients(None)`` reads it.
+    """
 
-@dataclass
-class GroupLassoModel:
     weights: np.ndarray  # n_features x n_tasks
     intercepts: np.ndarray
-    lambda_group: float
-    tasks: tuple[TaskId, ...]
+    lam: float
+    tasks: tuple[TaskId | None, ...]
     converged: bool
     n_iter: int
     objective_trace: tuple[float, ...]
+
+    def coefficients(self, task: TaskId | None) -> tuple[np.ndarray, float]:
+        """The weight vector and intercept of ``task``."""
+        if task not in self.tasks:
+            raise ValueError(f"unknown task {task!r}")
+        t = self.tasks.index(task)
+        return self.weights[:, t], float(self.intercepts[t])
 
 
 def _moments(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], lam: float):
@@ -138,13 +141,13 @@ def _solve(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], lam: float, tol: 
 
 def fit_lasso(
     x: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-6, max_iter: int = 10000
-) -> LassoModel:
+) -> LinearModel:
     """The one-task case of the block solver.
 
     Objective: (1/(2m)) ||y - Xw - b||^2 + lam ||w||_1, intercept unpenalized.
     """
     phi, intercepts, converged, sweeps, trace = _solve([x], [y], lam, tol, max_iter)
-    return LassoModel(phi[:, 0], float(intercepts[0]), lam, converged, sweeps, trace)
+    return LinearModel(phi, intercepts, lam, (None,), converged, sweeps, trace)
 
 
 def fit_group_lasso(
@@ -154,7 +157,7 @@ def fit_group_lasso(
     tol: float = 1e-6,
     max_iter: int = 10000,
     tasks: Sequence[TaskId] | None = None,
-) -> GroupLassoModel:
+) -> LinearModel:
     """Block coordinate descent over feature rows of the task-weight matrix.
 
     Objective: sum_t (1/(2 m_t)) ||y_t - X_t phi_t - b_t||^2
@@ -164,66 +167,46 @@ def fit_group_lasso(
     if len(task_names) != len(xs):
         raise ValueError("task name list does not match the number of tasks")
     phi, intercepts, converged, sweeps, trace = _solve(xs, ys, lambda_group, tol, max_iter)
-    return GroupLassoModel(phi, intercepts, lambda_group, task_names, converged, sweeps, trace)
+    return LinearModel(phi, intercepts, lambda_group, task_names, converged, sweeps, trace)
 
 
-def predict_linear(
-    model: LassoModel | GroupLassoModel, x: np.ndarray, task: TaskId | None = None
-) -> float:
+def predict_linear(model: LinearModel, x: np.ndarray, task: TaskId | None = None) -> float:
+    weights, intercept = model.coefficients(task)
     x = np.asarray(x, dtype=float)
-    if isinstance(model, LassoModel):
-        if x.shape != model.weights.shape:
-            raise ValueError("dimension mismatch")
-        return float(model.weights @ x + model.intercept)
-    if task is None:
-        raise ValueError("a task is required for group-lasso predictions")
-    if task not in model.tasks:
-        raise ValueError(f"unknown task {task!r}")
-    t = model.tasks.index(task)
-    if x.shape != (model.weights.shape[0],):
+    if x.shape != weights.shape:
         raise ValueError("dimension mismatch")
-    return float(model.weights[:, t] @ x + model.intercepts[t])
+    return float(weights @ x + intercept)
 
 
 # ---------------------------------------------------------------------------
 # Minimal JSON round-trip for fitted linear models (used by the CLI)
 
-def linear_model_to_dict(model: LassoModel | GroupLassoModel) -> dict:
-    if isinstance(model, LassoModel):
+def linear_model_to_dict(model: LinearModel) -> dict:
+    if model.tasks == (None,):
         return {
             "kind": "lasso",
-            "weights": model.weights.tolist(),
-            "intercept": model.intercept,
+            "weights": model.weights[:, 0].tolist(),
+            "intercept": float(model.intercepts[0]),
             "lambda": model.lam,
         }
     return {
         "kind": "group-lasso",
         "weights": model.weights.tolist(),
         "intercepts": model.intercepts.tolist(),
-        "lambda_group": model.lambda_group,
+        "lambda_group": model.lam,
         "tasks": list(model.tasks),
     }
 
 
-def linear_model_from_dict(payload: dict) -> LassoModel | GroupLassoModel:
+def linear_model_from_dict(payload: dict) -> LinearModel:
     kind = payload.get("kind")
     if kind == "lasso":
-        return LassoModel(
-            weights=np.asarray(payload["weights"], dtype=float),
-            intercept=float(payload["intercept"]),
-            lam=float(payload["lambda"]),
-            converged=True,
-            n_iter=0,
-            objective_trace=(),
-        )
-    if kind == "group-lasso":
-        return GroupLassoModel(
-            weights=np.asarray(payload["weights"], dtype=float),
-            intercepts=np.asarray(payload["intercepts"], dtype=float),
-            lambda_group=float(payload["lambda_group"]),
-            tasks=tuple(payload["tasks"]),
-            converged=True,
-            n_iter=0,
-            objective_trace=(),
-        )
-    raise ValueError(f"unknown linear model kind {kind!r}")
+        weights = np.asarray(payload["weights"], dtype=float)[:, None]
+        intercepts, lam, tasks = [payload["intercept"]], payload["lambda"], (None,)
+    elif kind == "group-lasso":
+        weights = np.asarray(payload["weights"], dtype=float)
+        intercepts, lam, tasks = payload["intercepts"], payload["lambda_group"], tuple(payload["tasks"])
+    else:
+        raise ValueError(f"unknown linear model kind {kind!r}")
+    return LinearModel(weights, np.asarray(intercepts, dtype=float), float(lam), tasks,
+                       converged=True, n_iter=0, objective_trace=())

@@ -330,6 +330,17 @@ class TestEvaluateCommand:
         assert "--protocol llro needs --meta" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_header_only_scores_exit_two(self, toy_paths, tmp_path, capsys):
+        toy_paths["scores"].write_text("model,task,pivot,target,score\n")
+        assert self.run_eval(toy_paths, tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {toy_paths['scores']}: no score rows after the header\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exit_two_before_any_fit(self, toy_paths, tmp_path, capsys):
+        assert self.run_eval(toy_paths, tmp_path / "out", ["--models", "awt,dgpr", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_models_exit_two(self, toy_paths, tmp_path, capsys):
         assert self.run_eval(toy_paths, tmp_path / "out", ["--models", ","]) == 2
         assert "--models names no model kind" in capsys.readouterr().err
@@ -390,6 +401,7 @@ class TestEvaluateCommand:
         "line, message",
         [
             ("seed=abc", "seed must be an integer"),
+            ("seed=-1", "--seed must be >= 0, got '-1'"),
             ("sede=5", "unknown key 'sede'"),
             ("helper_curve=yes", "helper_curve must be 'true' or 'false'"),
         ],
@@ -487,6 +499,26 @@ class TestExplainCommand:
         body = rows[1:]
         assert len(body) == 2 * len(FEATURE_NAMES)  # 2 tasks x 9 features
         assert {r[4] for r in body} == {"linear-shap"}
+
+    @pytest.mark.parametrize("model, method", [
+        ("lasso", "linear-shap"), ("group-lasso", "linear-shap"), ("gbt", "permutation"),
+    ])
+    def test_header_only_scores_exit_two(self, toy_paths, tmp_path, capsys, model, method):
+        toy_paths["scores"].write_text("model,task,pivot,target,score\n")
+        code = main(["explain", "--scores", str(toy_paths["scores"]),
+                     "--features", str(toy_paths["features"]), "--model", model,
+                     "--method", method, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {toy_paths['scores']}: no score rows after the header\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exit_two(self, toy_paths, tmp_path, capsys):
+        code = main(["explain", "--scores", str(toy_paths["scores"]),
+                     "--features", str(toy_paths["features"]), "--model", "dgpr",
+                     "--method", "permutation", "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_model_file_reproduces_attribution(self, toy_paths, tmp_path):
         base_args = [
@@ -718,22 +750,51 @@ GOLDEN_SHA256 = {
 }
 
 
+#: sha256 of `explain --method linear-shap` outputs on the golden inputs. Only
+#: the first feature column varies, so each fit has one active weight.
+GOLDEN_EXPLAIN_SHA256 = {
+    "lasso": {
+        "model.json": "6665a529e5335d94a171f954d93c24e5e52c5f38acb8d9803b58f94af9dbb321",
+        "attribution.csv": "31725f5a88d9b98355926373895346c9f4f7d6be10b152b0d31e0bfc7a830633",
+    },
+    "group-lasso": {
+        "model.json": "2f1768f21415efc90b2d2cf3a21be064ba4be36cac8a61b6f86a74ffdf101e26",
+        "attribution.csv": "b6177714eaf1bfbd481e202f7562172015eeb365aa3bb8881ab7e59cd9dbee7a",
+    },
+}
+
+
+@pytest.fixture
+def golden_paths(tmp_path):
+    (tmp_path / "scores.csv").write_text(GOLDEN_SCORES)
+    (tmp_path / "features.csv").write_text(
+        "pivot,target," + ",".join(FEATURE_NAMES) + "\n"
+        + "".join(f"en,{lang},0.{i},0.5,0.5,0.5,0.2,6.0,0.9,1.5,0.1\n"
+                  for i, lang in enumerate(("aa", "ab", "ac", "ad", "ae"), start=1))
+    )
+    (tmp_path / "meta.csv").write_text(GOLDEN_META)
+    return [f"--{name}={tmp_path / name}.csv" for name in ("scores", "features", "meta")]
+
+
+def sha256_of(out: Path, names) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 class TestEvaluateGolden:
     @pytest.mark.parametrize("protocol", ["lolo", "llro"])
-    def test_averaging_baselines_outputs_pinned(self, protocol, tmp_path):
-        (tmp_path / "scores.csv").write_text(GOLDEN_SCORES)
-        (tmp_path / "features.csv").write_text(
-            "pivot,target," + ",".join(FEATURE_NAMES) + "\n"
-            + "".join(f"en,{lang},0.{i},0.5,0.5,0.5,0.2,6.0,0.9,1.5,0.1\n"
-                      for i, lang in enumerate(("aa", "ab", "ac", "ad", "ae"), start=1))
-        )
-        (tmp_path / "meta.csv").write_text(GOLDEN_META)
+    def test_averaging_baselines_outputs_pinned(self, protocol, golden_paths, tmp_path):
         out = tmp_path / "out"
-        code = main(["evaluate", "--scores", str(tmp_path / "scores.csv"),
-                     "--features", str(tmp_path / "features.csv"),
-                     "--meta", str(tmp_path / "meta.csv"), "--models", "awt,aat",
+        code = main(["evaluate", *golden_paths, "--models", "awt,aat",
                      "--protocol", protocol, "--seed", "0", "--out", str(out)])
         assert code == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in GOLDEN_SHA256[protocol]}
-        assert digests == GOLDEN_SHA256[protocol]
+        assert sha256_of(out, GOLDEN_SHA256[protocol]) == GOLDEN_SHA256[protocol]
+
+    @pytest.mark.parametrize("kind", ["lasso", "group-lasso"])
+    def test_linear_shap_outputs_pinned(self, kind, golden_paths, tmp_path):
+        args = ["explain", *golden_paths, "--model", kind, "--method", "linear-shap"]
+        assert main([*args, "--out", str(tmp_path / "fit")]) == 0
+        assert sha256_of(tmp_path / "fit", GOLDEN_EXPLAIN_SHA256[kind]) == GOLDEN_EXPLAIN_SHA256[kind]
+        assert main([*args, "--model-file", str(tmp_path / "fit" / "model.json"),
+                     "--out", str(tmp_path / "reuse")]) == 0
+        assert (sha256_of(tmp_path / "reuse", ["attribution.csv"])["attribution.csv"]
+                == GOLDEN_EXPLAIN_SHA256[kind]["attribution.csv"])

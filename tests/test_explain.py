@@ -8,13 +8,13 @@ from xferlens.explain import (
     mean_abs_shap,
     permutation_importance,
 )
-from xferlens.sparse_linear import GroupLassoModel, LassoModel, predict_linear
+from xferlens.sparse_linear import LinearModel, predict_linear
 
 FEATS = tuple(f"f{i}" for i in range(4))
 
 
 def lasso(w, b=0.0):
-    return LassoModel(np.asarray(w, dtype=float), b, 0.0, True, 1, ())
+    return LinearModel(np.asarray(w, dtype=float)[:, None], np.array([b]), 0.0, (None,), True, 1, ())
 
 
 class TestLinearShap:
@@ -46,7 +46,7 @@ class TestLinearShap:
 
     def test_group_lasso_task_column(self):
         w = np.array([[1.0, 0.0], [0.0, 2.0]])
-        model = GroupLassoModel(w, np.array([0.0, 0.5]), 0.0, ("a", "b"), True, 1, ())
+        model = LinearModel(w, np.array([0.0, 0.5]), 0.0, ("a", "b"), True, 1, ())
         x = np.array([1.0, 1.0])
         bg = np.zeros(2)
         att = linear_shap(model, x, bg, task="b", feature_names=("f0", "f1"))
@@ -77,7 +77,7 @@ class TestMeanAbsShap:
 
     def test_group_zero_row_zero_in_every_task(self):
         w = np.array([[0.0, 0.0], [1.5, -0.5], [0.0, 0.0], [2.0, 1.0]])
-        model = GroupLassoModel(w, np.zeros(2), 0.1, ("a", "b"), True, 1, ())
+        model = LinearModel(w, np.zeros(2), 0.1, ("a", "b"), True, 1, ())
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((6, 4))
         for task in ("a", "b"):

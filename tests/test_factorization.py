@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -181,27 +183,26 @@ class TestFoldIn:
 
     def test_large_reg_shrinks_to_zero(self):
         model, x, _ = self.fitted_with_side_info()
-        model.reg = 1e9
+        model = replace(model, reg=1e9)
         np.testing.assert_allclose(fold_in_pair(model, x[0]), np.zeros(2), atol=1e-6)
 
     def test_system_built_once_and_rebuilt_on_change(self):
         model, x, _ = self.fitted_with_side_info()
-        f = model.feature_factors
 
-        def direct(row):
-            a = model.alpha * (f.T @ f) + model.reg * np.eye(model.d_latent)
-            return np.linalg.solve(a, model.alpha * (f.T @ row))
+        def direct(m, row):
+            f = m.feature_factors
+            a = m.alpha * (f.T @ f) + m.reg * np.eye(m.d_latent)
+            return np.linalg.solve(a, m.alpha * (f.T @ row))
 
         for row in x:
-            assert fold_in_pair(model, row).tobytes() == direct(row).tobytes()
-        system = model._fold_in[1]
+            assert fold_in_pair(model, row).tobytes() == direct(model, row).tobytes()
+        system = model.fold_in_system
         fold_in_pair(model, x[0])
-        assert model._fold_in[1] is system
-        model.reg = 1e9
-        np.testing.assert_allclose(fold_in_pair(model, x[0]), np.zeros(2), atol=1e-6)
-        model.reg = 1e-7
-        f[0, 0] += 1.0  # in place: the system must follow
-        assert fold_in_pair(model, x[1]).tobytes() == direct(x[1]).tobytes()
+        assert model.fold_in_system is system
+        np.testing.assert_allclose(fold_in_pair(replace(model, reg=1e9), x[0]), np.zeros(2), atol=1e-6)
+        assert fold_in_pair(model, x[1]).tobytes() == direct(model, x[1]).tobytes()
+        moved = replace(model, feature_factors=model.feature_factors + np.eye(5, 2))
+        assert fold_in_pair(moved, x[1]).tobytes() == direct(moved, x[1]).tobytes()
 
     def test_alpha_zero_is_degenerate(self):
         y = np.ones((2, 3))
@@ -228,9 +229,9 @@ class TestGaugeInvariance:
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         before = [(t, p, predict_cmf(model, t, p)) for t in model.task_index for p in pairs]
         cold_before = predict_cold_start(model, "task0", x[0])
-        model.task_factors = model.task_factors @ rot
-        model.pair_factors = model.pair_factors @ rot
-        model.feature_factors = model.feature_factors @ rot
+        model = replace(model, task_factors=model.task_factors @ rot,
+                        pair_factors=model.pair_factors @ rot,
+                        feature_factors=model.feature_factors @ rot)
         for t, p, value in before:
             assert predict_cmf(model, t, p) == pytest.approx(value, abs=1e-9)
         assert predict_cold_start(model, "task0", x[0]) == pytest.approx(cold_before, abs=1e-9)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xferlens.sparse_linear import (
-    GroupLassoModel,
-    LassoModel,
+    LinearModel,
     fit_group_lasso,
     fit_lasso,
     linear_model_from_dict,
@@ -95,7 +94,7 @@ def kkt_gaps(xs, ys, model):
         row_norm = np.linalg.norm(model.weights[j])
         grad_norm = np.linalg.norm(grads[j])
         if row_norm > 0:
-            active_gaps.append(abs(grad_norm - model.lambda_group))
+            active_gaps.append(abs(grad_norm - model.lam))
         else:
             inactive_norms.append(grad_norm)
     return active_gaps, inactive_norms
@@ -135,7 +134,8 @@ def reference_lasso(x, y, lam, tol, max_iter):
         if delta < tol:
             converged = True
             break
-    return LassoModel(w, ym - float(xm @ w), lam, converged, sweeps, tuple(trace))
+    return LinearModel(w[:, None], np.array([ym - float(xm @ w)]), lam, (None,), converged, sweeps,
+                       tuple(trace))
 
 
 def reference_group_soft(v, lam):
@@ -193,7 +193,7 @@ def reference_group_lasso(xs, ys, lam, tol, max_iter):
             converged = True
             break
     intercepts = np.array([y_means[t] - float(x_means[t] @ phi[:, t]) for t in range(n_tasks)])
-    return GroupLassoModel(phi, intercepts, lam, (), converged, sweeps, tuple(trace))
+    return LinearModel(phi, intercepts, lam, (), converged, sweeps, tuple(trace))
 
 
 @st.composite
@@ -237,9 +237,9 @@ def lambda_max(xs, ys):
     return float(np.linalg.norm(cov, axis=1).max())
 
 
-def assert_same_fit(got, want, intercepts):
+def assert_same_fit(got, want):
     np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(intercepts(got), intercepts(want), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got.intercepts, want.intercepts, rtol=0, atol=1e-9)
     assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
     assert abs(got.objective_trace[-1] - want.objective_trace[-1]) <= 1e-12
 
@@ -254,7 +254,7 @@ class TestAgainstResidualSolvers:
         lam = 1.0001 * lambda_max(xs, ys) if lam == "max" else lam
         got = fit_group_lasso(xs, ys, lam, tol, self.MAX_ITER)
         want = reference_group_lasso(xs, ys, lam, tol, self.MAX_ITER)
-        assert_same_fit(got, want, lambda model: model.intercepts)
+        assert_same_fit(got, want)
 
     @given(cd_problems())
     @settings(max_examples=60, deadline=None)
@@ -264,7 +264,7 @@ class TestAgainstResidualSolvers:
         lam = 1.0001 * lambda_max([x], [y]) if lam == "max" else lam
         got = fit_lasso(x, y, lam, tol, self.MAX_ITER)
         want = reference_lasso(x, y, lam, tol, self.MAX_ITER)
-        assert_same_fit(got, want, lambda model: model.intercept)
+        assert_same_fit(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +272,8 @@ class TestAgainstResidualSolvers:
 class TestLasso:
     def test_exact_fit_without_penalty(self):
         model = fit_lasso(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), lam=0.0)
-        assert model.weights[0] == pytest.approx(1.0, abs=1e-10)
-        assert model.intercept == pytest.approx(0.0, abs=1e-10)
+        assert model.weights[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert model.intercepts[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_full_shrinkage_threshold(self):
         rng = np.random.default_rng(0)
@@ -283,7 +283,7 @@ class TestLasso:
         lam_max = np.abs((x - x.mean(0)).T @ yc).max() / len(y)
         model = fit_lasso(x, y, lam=lam_max * 1.0001)
         np.testing.assert_allclose(model.weights, 0.0, atol=1e-12)
-        assert model.intercept == pytest.approx(y.mean())
+        assert model.intercepts[0] == pytest.approx(y.mean())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_orthonormal_matches_closed_form(self, seed):
@@ -293,7 +293,7 @@ class TestLasso:
         y = rng.standard_normal(m)
         lam = 0.1 * float(rng.uniform(0.2, 2.0))
         model = fit_lasso(x, y, lam)
-        np.testing.assert_allclose(model.weights, lasso_closed_form(x, y, lam), atol=1e-6)
+        np.testing.assert_allclose(model.weights[:, 0], lasso_closed_form(x, y, lam), atol=1e-6)
 
     def test_objective_monotone_per_sweep(self):
         rng = np.random.default_rng(3)
@@ -310,7 +310,7 @@ class TestLasso:
         y = rng.standard_normal(15)
         model = fit_lasso(x, y, lam=0.07)
         assert model.objective_trace[-1] == pytest.approx(
-            lasso_objective(x, y, model.weights, model.intercept, model.lam), abs=1e-12
+            lasso_objective(x, y, model.weights[:, 0], model.intercepts[0], model.lam), abs=1e-12
         )
 
     def test_constant_column_with_inexact_mean_gets_no_weight(self):
@@ -323,8 +323,8 @@ class TestLasso:
         for x in (np.full((7, 1), 0.1), np.column_stack([np.full(7, 0.1), other])):
             assert x[:, 0].mean() != 0.1
             model = fit_lasso(x, y, 0.0)
-            assert model.weights[0] == 0.0
-        assert fit_lasso(np.full((7, 1), 0.1), y, 0.0).intercept == float(y.mean())
+            assert model.weights[0, 0] == 0.0
+        assert fit_lasso(np.full((7, 1), 0.1), y, 0.0).intercepts[0] == float(y.mean())
         group = fit_group_lasso([x, x + rng.standard_normal((7, 2))], [y, y], 0.0)
         assert group.weights[0, 0] == 0.0 and group.weights[0, 1] != 0.0
 
@@ -342,8 +342,19 @@ class TestGroupLasso:
         lam = 0.05
         single = fit_group_lasso([x], [y], lam, tol=1e-10)
         lasso = fit_lasso(x, y, lam, tol=1e-10)
-        np.testing.assert_allclose(single.weights[:, 0], lasso.weights, atol=1e-4)
-        assert single.intercepts[0] == pytest.approx(lasso.intercept, abs=1e-4)
+        np.testing.assert_allclose(single.weights[:, 0], lasso.weights[:, 0], atol=1e-4)
+        assert single.intercepts[0] == pytest.approx(lasso.intercepts[0], abs=1e-4)
+
+    @given(cd_problems())
+    @settings(max_examples=30, deadline=None)
+    def test_one_task_is_bitwise_lasso(self, problem):
+        xs, ys, lam, tol = problem
+        lam = 1.0001 * lambda_max(xs[:1], ys[:1]) if lam == "max" else lam
+        lasso = fit_lasso(xs[0], ys[0], lam, tol, 300)
+        group = fit_group_lasso(xs[:1], ys[:1], lam, tol, 300)
+        assert lasso.weights.tobytes() == group.weights.tobytes()
+        assert lasso.intercepts.tobytes() == group.intercepts.tobytes()
+        assert lasso.tasks == (None,) and group.tasks == ("0",)
 
     def test_zero_penalty_matches_least_squares(self):
         rng = np.random.default_rng(2)
@@ -407,7 +418,7 @@ class TestGroupLasso:
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         gaps, slacks = kkt_gaps(xs, ys, model)
         assert all(g < 1e-4 for g in gaps)
-        assert all(s <= model.lambda_group + 1e-4 for s in slacks)
+        assert all(s <= model.lam + 1e-4 for s in slacks)
 
     def test_kkt_at_convergence(self):
         xs, ys, _ = self.make_shared_support_problem(seed=7)
@@ -449,24 +460,24 @@ class TestGroupLasso:
 
 class TestPredictLinear:
     def test_zero_weights_returns_intercept(self):
-        model = LassoModel(np.zeros(3), 0.75, 0.1, True, 1, ())
+        model = LinearModel(np.zeros((3, 1)), np.array([0.75]), 0.1, (None,), True, 1, ())
         assert predict_linear(model, np.ones(3)) == 0.75
 
     def test_one_hot_picks_weight(self):
-        model = LassoModel(np.array([1.5, -2.0, 0.3]), 0.1, 0.0, True, 1, ())
+        model = LinearModel(np.array([[1.5], [-2.0], [0.3]]), np.array([0.1]), 0.0, (None,), True, 1, ())
         assert predict_linear(model, np.array([0.0, 1.0, 0.0])) == pytest.approx(-1.9)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(12)
         w = rng.standard_normal(6)
-        model = LassoModel(w, 0.2, 0.0, True, 1, ())
+        model = LinearModel(w[:, None], np.array([0.2]), 0.0, (None,), True, 1, ())
         for _ in range(10):
             x = rng.standard_normal(6)
             expected = sum(w[i] * x[i] for i in range(6)) + 0.2
             assert predict_linear(model, x) == pytest.approx(expected, abs=1e-12)
 
     def test_group_requires_task(self):
-        model = GroupLassoModel(np.zeros((2, 2)), np.zeros(2), 0.1, ("a", "b"), True, 1, ())
+        model = LinearModel(np.zeros((2, 2)), np.zeros(2), 0.1, ("a", "b"), True, 1, ())
         with pytest.raises(ValueError, match="task"):
             predict_linear(model, np.zeros(2))
         with pytest.raises(ValueError, match="unknown task"):
@@ -474,20 +485,21 @@ class TestPredictLinear:
 
     def test_group_uses_task_column(self):
         w = np.array([[1.0, 0.0], [0.0, 2.0]])
-        model = GroupLassoModel(w, np.array([0.1, 0.2]), 0.0, ("a", "b"), True, 1, ())
+        model = LinearModel(w, np.array([0.1, 0.2]), 0.0, ("a", "b"), True, 1, ())
         assert predict_linear(model, np.array([1.0, 1.0]), task="a") == pytest.approx(1.1)
         assert predict_linear(model, np.array([1.0, 1.0]), task="b") == pytest.approx(2.2)
 
 
 class TestSerialization:
     def test_lasso_round_trip(self):
-        model = LassoModel(np.array([0.5, -0.1]), 0.3, 0.01, True, 12, (1.0,))
+        model = LinearModel(np.array([[0.5], [-0.1]]), np.array([0.3]), 0.01, (None,), True, 12, (1.0,))
         again = linear_model_from_dict(linear_model_to_dict(model))
         np.testing.assert_array_equal(again.weights, model.weights)
-        assert again.intercept == model.intercept
+        assert again.intercepts[0] == model.intercepts[0]
+        assert again.tasks == (None,)
 
     def test_group_round_trip(self):
-        model = GroupLassoModel(
+        model = LinearModel(
             np.array([[1.0, 2.0]]), np.array([0.1, 0.2]), 0.01, ("a", "b"), True, 3, ()
         )
         again = linear_model_from_dict(linear_model_to_dict(model))
