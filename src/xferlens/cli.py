@@ -218,6 +218,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             repeated = sorted({n for n in names if names.count(n) > 1})
             if repeated:
                 raise DataError(f"{option} repeats {', '.join(map(repr, repeated))}")
+        if cfg["protocol"] == "llro":  # its split reads the class of every eval-task target
+            for task in tasks:
+                unclassed = [t for t in ds.targets(task) if t not in ds.meta]
+                if unclassed:
+                    raise DataError(f"no class for language {unclassed[0]!r}, a target of task "
+                                    f"{task!r}: --protocol llro needs one", path=cfg["meta"])
         seed = cfg["seed"]
         config_hash = _config_hash(
             {
@@ -436,11 +442,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return EXIT_METHOD
     try:
         _check_seed(args.seed)
+        if args.method == "permutation" and args.repeats < 1:
+            raise DataError(f"--repeats must be >= 1, got {args.repeats}")
         ds = load_dataset(args.scores, args.features, args.meta)
         artifact = None
         if args.method == "linear-shap":
             if args.model_file:
                 artifact = _read_json(args.model_file, lambda a: _artifact_problem(a, args.model))
+                unlisted = sorted(ds.tasks - set(artifact["tasks"]))
+                if unlisted:
+                    raise DataError(f"no model for task {', '.join(map(repr, unlisted))} "
+                                    "of the scores", path=args.model_file)
             else:
                 artifact = _fit_linear_artifact(ds, args.model, args.seed)
             rows = _attribution_rows_from_artifact(ds, artifact)

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,6 +24,7 @@ LANG_CODE_RE = re.compile(r"^[a-z]{2,3}(-[a-z0-9]+)*$")
 
 LangId = str
 TaskId = str
+T = TypeVar("T")
 
 _SCORE_COLUMNS = ["model", "task", "pivot", "target", "score"]
 _FEATURE_COLUMNS = ["pivot", "target", *FEATURE_NAMES]
@@ -189,32 +190,65 @@ def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
             reader = csv.reader(fh)
             lineno = 1
             for row in reader:
-                if row and not row[0].lstrip().startswith("#"):
+                # A first cell without "#" is no comment: one cheap test for most rows.
+                if row and ("#" not in row[0] or not row[0].lstrip().startswith("#")):
                     yield lineno, row
                 lineno = reader.line_num + 1
     except OSError as err:
         raise DataError(str(err), path=path) from err
 
 
-def _check_header(path: Path, header: list[str], expected: list[str], optional: tuple[str, ...] = ()):
+def read_table(path: str | Path, columns: Sequence[str], parse: Callable[[list[str]], T],
+               key: Callable[[T], Hashable] | None = None, what: str = "row",
+               optional: Sequence[str] = ()) -> list[tuple[int, T]]:
+    """(line, ``parse(cells)``) for each row of a table CSV.
+
+    The header is ``columns``, then any of ``optional``, no column twice; a
+    row has one cell per header column. ``parse`` gets the cells stripped, and
+    a ValueError it raises becomes a DataError at the row's line. A second
+    row with the ``key`` of an earlier one is a ``duplicate <what> for <key>``
+    error.
+    """
+    path = Path(path)
+    header, rows = read_csv_rows(path)
     header = [h.strip() for h in header]
-    allowed = expected + [c for c in optional if c not in expected]
-    if (header[: len(expected)] != expected or any(c not in allowed for c in header)
-            or len(set(header)) != len(header)):
-        raise DataError(
-            f"bad header {header!r}, expected {expected!r}"
-            + (f" with optional {list(optional)!r}" if optional else ""),
-            path=path,
-            line=1,
-        )
-    return header
+    if (header[: len(columns)] != list(columns) or len(set(header)) != len(header)
+            or any(c not in (*columns, *optional) for c in header)):
+        extra = f" with optional {list(optional)!r}" if optional else ""
+        raise DataError(f"bad header {header!r}, expected {list(columns)!r}{extra}", path, line=1)
+    out: list[tuple[int, T]] = []
+    seen: set[Hashable] = set()
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"expected {len(header)} cells, got {len(row)}", path, lineno)
+        try:
+            item = parse([*map(str.strip, row)])
+        except ValueError as err:
+            raise DataError(str(err), path, lineno) from None
+        if key is not None:
+            if (k := key(item)) in seen:
+                raise DataError(f"duplicate {what} for {k}", path, lineno)
+            seen.add(k)
+        out.append((lineno, item))
+    return out
 
 
-def _parse_float(cell: str, what: str, path: Path, line: int) -> float:
+def parse_number(cell: str, column: str, kind: type = float):
+    """``kind(cell)``, a float or an int; an error names the column and the cell."""
     try:
-        return float(cell)
+        return kind(cell)
     except ValueError:
-        raise DataError(f"could not parse {what} {cell!r} as a number", path=path, line=line) from None
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"could not parse {column} {cell!r} as {what}") from None
+
+
+def _score_row(cells: list[str]) -> PerformanceRecord:
+    model, task, pivot, target, score, *scale = cells
+    scale = scale[0] if scale and scale[0] else "unit"
+    if scale not in ("unit", "percent"):
+        raise ValueError(f"scale must be 'unit' or 'percent', got {scale!r}")
+    value = parse_number(score, "score")
+    return PerformanceRecord(model, task, pivot, target, value / 100.0 if scale == "percent" else value)
 
 
 def load_scores_csv(path: str | Path) -> list[tuple[int, PerformanceRecord]]:
@@ -223,90 +257,31 @@ def load_scores_csv(path: str | Path) -> list[tuple[int, PerformanceRecord]]:
     The optional ``scale`` column (``unit`` or ``percent``, default ``unit``)
     divides percentage scores by 100 before the [0, 1] range check.
     """
-    path = Path(path)
-    header, rows = read_csv_rows(path)
-    header = _check_header(path, header, _SCORE_COLUMNS, optional=("scale",))
-    has_scale = "scale" in header
-    out: list[tuple[int, PerformanceRecord]] = []
-    seen: set[tuple[str, str, str, str]] = set()
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise DataError(f"expected {len(header)} cells, got {len(row)}", path=path, line=lineno)
-        model, task, pivot, target, score_cell = (c.strip() for c in row[:5])
-        scale = row[5].strip() if has_scale and len(row) > 5 else "unit"
-        if scale == "":
-            scale = "unit"
-        if scale not in ("unit", "percent"):
-            raise DataError(f"scale must be 'unit' or 'percent', got {scale!r}", path=path, line=lineno)
-        score = _parse_float(score_cell, "score", path, lineno)
-        if scale == "percent":
-            score /= 100.0
-        if not 0.0 <= score <= 1.0:
-            raise DataError(f"score out of range [0, 1]: {score}", path=path, line=lineno)
-        key = (model, task, pivot, target)
-        if key in seen:
-            raise DataError(f"duplicate record for {key}", path=path, line=lineno)
-        seen.add(key)
-        try:
-            record = PerformanceRecord(model, task, pivot, target, score)
-        except ValueError as err:
-            raise DataError(str(err), path=path, line=lineno) from None
-        out.append((lineno, record))
-    return out
+    return read_table(path, _SCORE_COLUMNS, _score_row, optional=("scale",),
+                      key=lambda r: (r.model, r.task, r.pivot, r.target), what="record")
+
+
+def _feature_row(cells: list[str]) -> FeatureVector:
+    pivot, target, *cells = cells
+    values = {name: parse_number(cell, name) for name, cell in zip(FEATURE_NAMES, cells) if cell}
+    return FeatureVector(pivot, target, values, frozenset(FEATURE_NAMES).difference(values))
 
 
 def load_features_csv(path: str | Path) -> dict[tuple[LangId, LangId], FeatureVector]:
     """Parse features.csv; empty cells mark missing feature values."""
-    path = Path(path)
-    header, rows = read_csv_rows(path)
-    _check_header(path, header, _FEATURE_COLUMNS)
-    out: dict[tuple[LangId, LangId], FeatureVector] = {}
-    for lineno, row in rows:
-        if len(row) != len(_FEATURE_COLUMNS):
-            raise DataError(
-                f"expected {len(_FEATURE_COLUMNS)} cells, got {len(row)}", path=path, line=lineno
-            )
-        pivot, target = row[0].strip(), row[1].strip()
-        values: dict[str, float] = {}
-        missing: set[str] = set()
-        for name, cell in zip(FEATURE_NAMES, row[2:]):
-            cell = cell.strip()
-            if cell == "":
-                missing.add(name)
-            else:
-                values[name] = _parse_float(cell, name, path, lineno)
-        try:
-            fv = FeatureVector(pivot, target, values, frozenset(missing))
-        except ValueError as err:
-            raise DataError(str(err), path=path, line=lineno) from None
-        if (pivot, target) in out:
-            raise DataError(f"duplicate feature row for ({pivot}, {target})", path=path, line=lineno)
-        out[(pivot, target)] = fv
-    return out
+    rows = read_table(path, _FEATURE_COLUMNS, _feature_row,
+                      key=lambda fv: f"({fv.pivot}, {fv.target})", what="feature row")
+    return {(fv.pivot, fv.target): fv for _, fv in rows}
+
+
+def _meta_row(cells: list[str]) -> LanguageMeta:
+    lang, cls, words = cells
+    return LanguageMeta(lang, parse_number(cls, "class", int), parse_number(words, "pretrain_words"))
 
 
 def load_meta_csv(path: str | Path) -> dict[LangId, LanguageMeta]:
-    path = Path(path)
-    header, rows = read_csv_rows(path)
-    _check_header(path, header, _META_COLUMNS)
-    out: dict[LangId, LanguageMeta] = {}
-    for lineno, row in rows:
-        if len(row) != 3:
-            raise DataError(f"expected 3 cells, got {len(row)}", path=path, line=lineno)
-        lang = row[0].strip()
-        try:
-            cls = int(row[1])
-        except ValueError:
-            raise DataError(f"could not parse class {row[1]!r} as an integer", path=path, line=lineno) from None
-        words = _parse_float(row[2].strip(), "pretrain_words", path, lineno)
-        try:
-            meta = LanguageMeta(lang, cls, words)
-        except ValueError as err:
-            raise DataError(str(err), path=path, line=lineno) from None
-        if lang in out:
-            raise DataError(f"duplicate metadata row for {lang}", path=path, line=lineno)
-        out[lang] = meta
-    return out
+    rows = read_table(path, _META_COLUMNS, _meta_row, key=lambda m: m.lang, what="metadata row")
+    return {m.lang: m for _, m in rows}
 
 
 def load_dataset(

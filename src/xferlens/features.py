@@ -31,7 +31,9 @@ from .data import (
     FeatureVector,
     LangId,
     LanguageMeta,
+    parse_number,
     read_csv_rows,
+    read_table,
     validate_lang,
 )
 
@@ -121,8 +123,6 @@ class TokenizationStats:
 
 def subword_overlap(vp: VocabSet, vt: VocabSet) -> float:
     """Fraction of unique subword types common to both vocabularies."""
-    if not vp.tokens or not vt.tokens:
-        raise ValueError("empty vocabulary")
     inter = len(vp.tokens & vt.tokens)
     return inter / (len(vp.tokens) + len(vt.tokens) - inter)
 
@@ -179,8 +179,6 @@ def max_geo_distance(vectors: Iterable[TypologyVector]) -> float:
 
 def pretrain_size_feature(meta: LanguageMeta) -> float:
     """log10 of the pre-training corpus word count."""
-    if meta.pretrain_words <= 0:
-        raise ValueError("pretrain_words must be positive")
     return math.log10(meta.pretrain_words)
 
 
@@ -233,8 +231,6 @@ def tokenizer_metrics(stats: TokenizationStats) -> tuple[float, float]:
     Fertility is subwords per tokenized word; the proportion counts words the
     tokenizer continued across at least two tokens.
     """
-    if stats.word_count <= 0:
-        raise ValueError("word_count must be positive")
     fert = stats.subword_count / stats.word_count
     pcw = stats.continued_word_count / stats.word_count
     return fert, pcw
@@ -453,48 +449,30 @@ def load_typology_csv(path: str | Path) -> dict[tuple[LangId, str], TypologyVect
 
 
 def load_wals_csv(path: str | Path) -> WalsTable:
-    """Long-format CSV ``lang,feature_value``."""
-    path = Path(path)
-    header, rows = read_csv_rows(path)
-    if [h.strip() for h in header] != ["lang", "feature_value"]:
-        raise DataError(f"bad header {header!r}, expected lang,feature_value", path=path, line=1)
+    """Long-format CSV ``lang,feature_value``; a repeated row adds nothing."""
     acc: dict[LangId, set[str]] = {}
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise DataError(f"expected 2 cells, got {len(row)}", path=path, line=lineno)
-        lang, fv = row[0].strip(), row[1].strip()
+
+    def add(cells: list[str]) -> None:
+        lang, fv = cells
         if not fv:
-            raise DataError("empty feature-value identifier", path=path, line=lineno)
-        if lang not in acc:
-            try:
-                validate_lang(lang)
-            except ValueError as err:
-                raise DataError(str(err), path=path, line=lineno) from None
-        acc.setdefault(lang, set()).add(fv)
+            raise ValueError("empty feature-value identifier")
+        if lang not in acc:  # each language is validated once, on its first row
+            acc[validate_lang(lang)] = set()
+        acc[lang].add(fv)
+
+    read_table(path, ["lang", "feature_value"], add)
     return WalsTable({lang: frozenset(v) for lang, v in acc.items()})
+
+
+_STATS_COUNTS = ("word_count", "subword_count", "continued_word_count")
+
+
+def _stats_row(cells: list[str]) -> TokenizationStats:
+    lang, *counts = cells
+    return TokenizationStats(lang, *(parse_number(c, name, int) for name, c in zip(_STATS_COUNTS, counts)))
 
 
 def load_stats_csv(path: str | Path) -> dict[LangId, TokenizationStats]:
     """CSV ``lang,word_count,subword_count,continued_word_count``."""
-    path = Path(path)
-    header, rows = read_csv_rows(path)
-    expected = ["lang", "word_count", "subword_count", "continued_word_count"]
-    if [h.strip() for h in header] != expected:
-        raise DataError(f"bad header {header!r}, expected {expected!r}", path=path, line=1)
-    out: dict[LangId, TokenizationStats] = {}
-    for lineno, row in rows:
-        if len(row) != 4:
-            raise DataError(f"expected 4 cells, got {len(row)}", path=path, line=lineno)
-        lang = row[0].strip()
-        try:
-            counts = [int(c) for c in row[1:]]
-        except ValueError:
-            raise DataError(f"could not parse counts {row[1:]!r}", path=path, line=lineno) from None
-        try:
-            stats = TokenizationStats(lang, *counts)
-        except ValueError as err:
-            raise DataError(str(err), path=path, line=lineno) from None
-        if lang in out:
-            raise DataError(f"duplicate stats row for {lang}", path=path, line=lineno)
-        out[lang] = stats
-    return out
+    rows = read_table(path, ["lang", *_STATS_COUNTS], _stats_row, key=lambda s: s.lang, what="stats row")
+    return {s.lang: s for _, s in rows}

@@ -440,6 +440,32 @@ class TestEvaluateCommand:
         )
         assert code == 0
 
+    def test_llro_meta_without_an_eval_target_exit_two_before_any_fit(self, tmp_path, capsys):
+        langs = lang_codes(6)
+        classes = {lang: (5 if i % 2 == 0 else 2) for i, lang in enumerate(langs)}
+        ds = planted_dataset({"A": langs[:4], "B": langs}, np.zeros(9), seed=2, classes=classes)
+        paths = save_dataset(ds, tmp_path / "d")
+        meta = paths["meta"]
+        meta.write_text("".join(line for line in meta.read_text().splitlines(keepends=True)
+                                if not line.startswith(f"{langs[5]},")))
+        args = ["evaluate", "--scores", str(paths["scores"]), "--features", str(paths["features"]),
+                "--meta", str(meta), "--models", "awt", "--protocol", "llro"]
+        # Only B has langs[5] as a target, so a run on A alone needs no class for it.
+        assert main(args + ["--task", "A", "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        assert main(args + ["--out", str(tmp_path / "all")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {meta}: no class for language {langs[5]!r}, a target of task 'B': "
+            "--protocol llro needs one\n"
+        )
+        meta.write_text("lang,class,pretrain_words\n")
+        assert main(args + ["--out", str(tmp_path / "all")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {meta}: no class for language {langs[0]!r}, a target of task 'A': "
+            "--protocol llro needs one\n"
+        )
+        assert not (tmp_path / "all").exists()
+
     def test_helper_curve_emitted(self, toy_paths, tmp_path):
         code = main(
             [
@@ -520,6 +546,14 @@ class TestExplainCommand:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
+    def test_zero_repeats_exit_two_before_loading(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.csv")  # loading it would fail with another error
+        code = main(["explain", "--scores", absent, "--features", absent, "--model", "gbt",
+                     "--method", "permutation", "--repeats", "0", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --repeats must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_model_file_reproduces_attribution(self, toy_paths, tmp_path):
         base_args = [
             "explain",
@@ -535,6 +569,25 @@ class TestExplainCommand:
         fit_csv = (tmp_path / "fit" / "attribution.csv").read_bytes()
         reuse_csv = (tmp_path / "reuse" / "attribution.csv").read_bytes()
         assert fit_csv == reuse_csv
+
+    def test_model_file_without_a_task_of_the_scores_exit_two(self, toy_paths, tmp_path, capsys):
+        base_args = [
+            "explain",
+            "--scores", str(toy_paths["scores"]),
+            "--features", str(toy_paths["features"]),
+            "--model", "lasso",
+            "--method", "linear-shap",
+        ]
+        assert main(base_args + ["--out", str(tmp_path / "fit")]) == 0
+        artifact = json.loads((tmp_path / "fit" / "model.json").read_text())
+        artifact["tasks"].remove("A")
+        del artifact["scalers"]["A"], artifact["models"]["A"]
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert main(base_args + ["--model-file", str(partial), "--out", str(tmp_path / "reuse")]) == 2
+        assert capsys.readouterr().err == f"error: {partial}: no model for task 'A' of the scores\n"
+        assert not (tmp_path / "reuse").exists()
 
     def test_model_files_differing_in_one_weight_get_different_stamps(self, toy_paths, tmp_path):
         base_args = [

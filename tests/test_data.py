@@ -18,11 +18,15 @@ from xferlens.data import (
     PerformanceRecord,
     fit_scaler,
     load_dataset,
+    load_features_csv,
+    load_meta_csv,
+    load_scores_csv,
     make_llro_split,
     make_lolo_splits,
     save_dataset,
     standardize,
 )
+from xferlens.features import load_stats_csv, load_wals_csv
 
 SCORES_HEADER = "model,task,pivot,target,score\n"
 FEATURES_HEADER = "pivot,target," + ",".join(FEATURE_NAMES) + "\n"
@@ -202,6 +206,48 @@ class TestLoadDataset:
         meta = write(tmp_path, "meta.csv", f"lang,class,pretrain_words\nen,5,1e9\nde,5,{words}\n")
         with pytest.raises(DataError, match=r"meta\.csv:3: pretrain_words must be positive and finite"):
             load_dataset(scores, features, meta)
+
+
+# Per table loader: header, a valid row, that row with one cell its parser
+# rejects, the parser's error, and the duplicate error (None: repeated rows
+# are one row).
+TABLES = {
+    "scores": (load_scores_csv, SCORES_HEADER, "m,t,en,de,0.5", "m,t,en,de,x",
+               "could not parse score 'x' as a number", "duplicate record for ('m', 't', 'en', 'de')"),
+    "features": (load_features_csv, FEATURES_HEADER, feature_row("en", "de").strip(),
+                 "en,de,,x,0.5,0.5,0.2,6.0,0.9,1.5,0.1",
+                 "could not parse s_syn 'x' as a number", "duplicate feature row for (en, de)"),
+    "meta": (load_meta_csv, "lang,class,pretrain_words\n", "de,5,1e9", "de, five ,1e9",
+             "could not parse class 'five' as an integer", "duplicate metadata row for de"),
+    "wals": (load_wals_csv, "lang,feature_value\n", "de,81A=SVO", "De,81A=SVO",
+             "invalid language code 'De'", None),
+    "stats": (load_stats_csv, "lang,word_count,subword_count,continued_word_count\n", "de,10,12,2",
+              "de,10,y,2", "could not parse subword_count 'y' as an integer", "duplicate stats row for de"),
+}
+
+
+class TestTableLoaders:
+    @pytest.mark.parametrize("fault", ["bad header", "cell count", "unparseable cell", "duplicate row"])
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_error_names_file_and_line(self, tmp_path, table, fault):
+        load, header, row, bad_row, bad_cell_error, duplicate_error = TABLES[table]
+        n = header.count(",") + 1
+        line, message, last = {
+            "bad header": (1, "bad header ", row),
+            "cell count": (4, f"expected {n} cells, got {n + 1}", row + ",0"),
+            "unparseable cell": (4, bad_cell_error, bad_row),
+            "duplicate row": (4, duplicate_error, row),
+        }[fault]
+        if fault == "bad header":
+            header = header.rstrip("\n") + ",bogus\n"
+        path = write(tmp_path, f"{table}.csv", f"{header}{row}\n# a comment\n{last}\n")
+        if message is None:  # WALS: a repeated (language, feature-value) pair adds nothing
+            assert load(path).rows == {"de": frozenset({"81A=SVO"})}
+            return
+        with pytest.raises(DataError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}:{line}: {message}")
+        assert (err.value.path, err.value.line) == (path, line)
 
 
 class TestRoundTrip:

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import frozen_cmf
 import frozen_features
 import frozen_gp_meta as frozen
-from xferlens import factorization, features, gp, meta
-from xferlens.data import DataError, LanguageMeta
+import frozen_loaders
+from xferlens import data, factorization, features, gp, meta
+from xferlens.data import FEATURE_NAMES, DataError, LanguageMeta
 from xferlens.numerics import init_mlp
 
 
@@ -472,3 +473,181 @@ class TestFeaturesAgainstFrozen:
             ref = outcome(frozen_features.wmrr, t, res.wals, res.meta)
             assert outcome(features.wmrr, t, res.wals, res.meta) == ref
             assert outcome(features.wmrr, t, res.wals, res.meta, ranks) == ref
+
+
+# ---------------------------------------------------------------------------
+# Table loaders: the five CSV tables read through data.read_table
+
+FEATURES_HEADER = ",".join(["pivot", "target", *FEATURE_NAMES]) + "\n"
+
+STATS_COUNTS = ("word_count", "subword_count", "continued_word_count")
+TABLE_COLUMNS = {
+    "scores": ["model", "task", "pivot", "target", "score"],
+    "features": ["pivot", "target", *FEATURE_NAMES],
+    "meta": ["lang", "class", "pretrain_words"],
+    "wals": ["lang", "feature_value"],
+    "stats": ["lang", *STATS_COUNTS],
+}
+TABLE_LOADERS = {
+    "scores": (data.load_scores_csv, frozen_loaders.load_scores_csv),
+    "features": (data.load_features_csv, frozen_loaders.load_features_csv),
+    "meta": (data.load_meta_csv, frozen_loaders.load_meta_csv),
+    "wals": (features.load_wals_csv, frozen_loaders.load_wals_csv),
+    "stats": (features.load_stats_csv, frozen_loaders.load_stats_csv),
+}
+#: the cells a row's duplicate rule looks at
+TABLE_KEYS = {"scores": 4, "features": 2, "meta": 1, "wals": 2, "stats": 1}
+UNIT_CELLS = st.floats(0, 1).map(repr)
+# a bad language code, a non-integer, an out-of-range number, a bad scale
+FAULT_CELLS = st.one_of(
+    BLANKS, ODD_CELLS,
+    st.sampled_from(["Bad", "a", "x1", "-1", "1.5", "150", "-0.0", "0", "y", "pct", "percent", "6"]),
+)
+PAD = st.sampled_from(["", "", "", "", "", " ", "\t"])
+
+
+def table_row(draw, name):
+    """A valid row of the named table, before any fault."""
+    if name == "scores":
+        return ["m", draw(st.sampled_from(["t", "u"])), draw(st.sampled_from(["aa", "ab"])),
+                draw(st.sampled_from(["ac", "ad", "ae"])), draw(UNIT_CELLS)]
+    if name == "features":
+        ranges = {"d_geo": (0, 1e3), "size": (-10, 10), "fert": (1, 5)}
+        return [draw(st.sampled_from(["aa", "ab"])), draw(st.sampled_from(["ac", "ad", "ae"])),
+                *(draw(st.one_of(st.just(""), st.floats(*ranges.get(n, (0, 1))).map(repr)))
+                  for n in FEATURE_NAMES)]
+    lang = draw(st.sampled_from(["aa", "ab", "ac", "ad"]))
+    if name == "meta":
+        words = st.one_of(st.floats(1, 1e12).map(repr), st.integers(1, 10**9).map(str))
+        return [lang, str(draw(st.integers(0, 5))), draw(words)]
+    if name == "wals":
+        return [lang, draw(st.sampled_from(["1A=1", "1A=2", "2A=1", "3A=3"]))]
+    words = draw(st.integers(1, 50))
+    return [lang, str(words), str(draw(st.integers(words, 3 * words))), str(draw(st.integers(0, words)))]
+
+
+@st.composite
+def table_csvs(draw):
+    """A table CSV with up to two faults: a bad header (a column dropped,
+    added, repeated or moved), a wrong cell count, a duplicate row (as it
+    was, or with one cell changed) or a fault cell (blank, unparseable,
+    non-finite, out of range, a bad language code or scale) anywhere. Cells
+    and header names are often padded with whitespace; comment and blank
+    lines move the line numbers. Scores files may carry the scale column."""
+    name = draw(st.sampled_from(sorted(TABLE_COLUMNS)))
+    header = list(TABLE_COLUMNS[name])
+    scale = name == "scores" and draw(st.booleans())
+    rows = [table_row(draw, name) for _ in range(draw(st.integers(0, 6)))]
+    if scale:
+        header.append("scale")
+        for row in rows:
+            row.append(draw(st.sampled_from(["", "unit", "percent"])))
+            if row[5] == "percent":
+                row[4] = repr(float(row[4]) * 100)
+    keyed = {}
+    for row in rows:  # one row per key before the faults
+        keyed.setdefault(tuple(row[: TABLE_KEYS[name]]), row)
+    rows = list(keyed.values())
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["header", "cell count", "duplicate", "cell", "cell"]))
+        if fault == "header":
+            i = draw(st.integers(0, len(header) - 1))
+            change = draw(st.sampled_from(["drop", "add", "repeat", "move", "scale"]))
+            if change == "drop":
+                del header[i]
+            elif change == "add":
+                header.insert(i, "bogus")
+            elif change == "repeat":
+                header.insert(i, header[draw(st.integers(0, len(header) - 1))])
+            elif change == "move":
+                header.insert(draw(st.integers(0, len(header) - 1)), header.pop(i))
+            else:
+                header.append("scale")
+            continue
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        if fault == "cell count":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [""]
+        elif fault == "duplicate":
+            copy = list(rows[i])
+            if draw(st.booleans()):
+                copy[j] = draw(FAULT_CELLS)
+            rows.insert(draw(st.integers(0, len(rows))), copy)
+        else:
+            rows[i][j] = draw(FAULT_CELLS)
+    lines = [",".join(draw(PAD) + h + draw(PAD) for h in header)]
+    for row in rows:
+        lines.append(draw(st.sampled_from(["", "# comment", None, None, None])))
+        lines.append(",".join(draw(PAD) + c + draw(PAD) for c in row))
+    return name, "\n".join(line for line in lines if line is not None) + "\n"
+
+
+def parses_as_int(cell):
+    try:
+        int(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def moved_outcome(name, ref, path):
+    """The frozen loader's outcome, as the shared reader changes it on purpose:
+    a bad WALS or stats header is reported like the other tables' (stripped,
+    with the columns as a list); an unparseable stats count or meta class
+    names its column and its stripped cell; and a scores row with an
+    out-of-range score and another fault reports PerformanceRecord's first."""
+    if ref[0] != "DataError":
+        return ref
+    where, _, message = ref[1].partition(": ")
+    if name in ("wals", "stats") and message.startswith("bad header"):
+        header = [h.strip() for h in data.read_csv_rows(path)[0]]
+        return "DataError", f"{where}: bad header {header!r}, expected {TABLE_COLUMNS[name]!r}"
+    if not message.startswith(("could not parse counts", "could not parse class", "score out of range")):
+        return ref
+    cells = [c.strip() for c in dict(data.read_csv_rows(path)[1])[int(where.rsplit(":", 1)[1])]]
+    if name == "stats":
+        column, cell = next((c, v) for c, v in zip(STATS_COUNTS, cells[1:]) if not parses_as_int(v))
+        return "DataError", f"{where}: could not parse {column} {cell!r} as an integer"
+    if name == "meta":
+        return "DataError", f"{where}: could not parse class {cells[1]!r} as an integer"
+    try:
+        data.PerformanceRecord(*cells[:4], 0.5)
+    except ValueError as err:
+        return "DataError", f"{where}: {err}"
+    return ref
+
+
+def loader_view(result):
+    """A loaded table by repr, but its sets as sets: they print in hash order."""
+    if isinstance(result, features.WalsTable):
+        return [(lang, sorted(values)) for lang, values in result.rows.items()]
+    if isinstance(result, dict) and all(isinstance(v, data.FeatureVector) for v in result.values()):
+        return [(key, fv.pivot, fv.target, repr(fv.values), sorted(fv.missing)) for key, fv in result.items()]
+    return repr(result)
+
+
+class TestTableLoadersAgainstFrozen:
+    @given(table_csvs())
+    @example(("wals", " lang ,feature\naa,1A=1\n"))
+    @example(("stats", "lang ,word_count,subword_count,continued_word_count\naa,10,y,x\n"))
+    @example(("stats", "lang,word_count,subword_count,continued_word_count\naa,10,12,2\n# c\naa,10,12,2\n"))
+    @example(("meta", "lang,class,pretrain_words\naa, x ,1e9\n"))
+    @example(("scores", "model,task,pivot,target,score\nm,t,aa,Bad,1.5\n"))
+    @example(("scores", "model,task,pivot,target,score,scale\nm,t,aa,ab,150,percent\nm,t,aa,ab,0.5,\n"))
+    @example(("features", FEATURES_HEADER + "aa,ab" + ",0.5" * 4 + ",nan,1,0.5,1,0.5\n"))
+    @example(("wals", "# no header\n\n"))  # an empty file
+    @settings(max_examples=400, deadline=None)
+    def test_table_csv(self, tmp_path_factory, table):
+        name, text = table
+        path = tmp_path_factory.mktemp("table") / f"{name}.csv"
+        path.write_text(text, encoding="utf-8")
+        load, frozen_load = TABLE_LOADERS[name]
+        new = outcome(load, path)
+        ref = outcome(frozen_load, path)
+        if new[0] == ref[0] == "ok":
+            assert loader_view(new[1]) == loader_view(ref[1])
+        else:
+            assert new == moved_outcome(name, ref, path)
+            assert new[0] == "DataError" and new[1].startswith(f"{path}:")
