@@ -22,18 +22,17 @@ from . import evaluation, explain, sparse_linear
 # fit_gbt, predict_gbt, fit_scaler and standardize are unused here but stay
 # module attributes: bench/tracing.py installs its wrappers through them.
 from .baselines import fit_gbt, predict_gbt  # noqa: F401
-from .data import (  # noqa: F401
+from .data import (
     FEATURE_NAMES,
     DataError,
     Dataset,
     Scaler,
-    fit_scaler,
     load_dataset,
     load_meta_csv,
-    standardize,
     write_csv,
     write_features_csv,
 )
+from .data import fit_scaler, standardize  # noqa: F401
 from .evaluation import MODEL_KINDS, ModelSpec
 from .features import (
     FeatureResources,
@@ -59,20 +58,16 @@ _CONFIG_KEYS = (
 )
 
 
-def _config_hash(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _run_hash(scores: str, features: str, meta: str | None, **options) -> str:
+    """The config hash of a run: its ``options`` and the sha256 of each input
+    file's bytes, so an edited file changes the stamp and a moved copy keeps it."""
+    for key, path in (("scores", scores), ("features", features), ("meta", meta)):
+        try:
+            options[key] = hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else None
+        except OSError as err:
+            raise DataError(str(err), path=path) from err
+    canonical = json.dumps(options, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def _file_sha256(path: str | None) -> str | None:
-    """sha256 of an input file's bytes, for the config hash: an edited file
-    changes the stamp, and a moved copy keeps it."""
-    if not path:
-        return None
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as err:
-        raise DataError(str(err), path=path) from err
 
 
 def _stamp(config_hash: str, seed: int) -> str:
@@ -95,7 +90,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(str(err), path=path) from err
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -107,7 +102,7 @@ def _load_config_file(path: str) -> dict[str, str]:
         if key not in (*_CONFIG_KEYS, "schema_version"):
             raise DataError(f"unknown key {key!r}, expected one of {_CONFIG_KEYS}",
                             path=path, line=lineno)
-        if key == "seed" and not re.fullmatch(r"[+-]?\d+", value):
+        if key == "seed" and not re.fullmatch(r"[+-]?[0-9]+", value):
             raise DataError(f"seed must be an integer, got {value!r}", path=path, line=lineno)
         if key == "seed" and int(value) < 0:
             raise DataError(f"--seed must be >= 0, got {value!r}", path=path, line=lineno)
@@ -123,6 +118,11 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _names(value: str | None) -> list[str]:
+    """The entries of a comma-separated list, stripped, without empty ones."""
+    return [name for name in map(str.strip, (value or "").split(",")) if name]
+
+
 # ---------------------------------------------------------------------------
 # features subcommand
 
@@ -136,28 +136,24 @@ def cmd_features(args: argparse.Namespace) -> int:
             return True
         return False
 
-    pivots = args.pivots.split(",") if args.pivots else None
-    try:
-        if args.vocab_dir and not missing("vocab", args.vocab_dir):
-            files = sorted(Path(args.vocab_dir).glob("*.txt"))
-            # A pivot without a file would keep every other vocabulary waiting.
-            stems = {vf.stem for vf in files}
-            resources.vocabs = vocab_overlaps(
-                (load_vocab_file(vf, vf.stem) for vf in files),
-                None if pivots is None else [p for p in pivots if p in stems],
-            )
-        if args.typology and not missing("typology", args.typology):
-            resources.typology = load_typology_csv(args.typology)
-        if args.wals and not missing("wals", args.wals):
-            resources.wals = load_wals_csv(args.wals)
-        if args.stats and not missing("stats", args.stats):
-            resources.stats = load_stats_csv(args.stats)
-        if args.meta and not missing("meta", args.meta):
-            resources.meta = load_meta_csv(args.meta)
-        table = build_feature_table(resources, pivots=pivots)
-    except (DataError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    pivots = _names(args.pivots) or None
+    if args.vocab_dir and not missing("vocab", args.vocab_dir):
+        files = sorted(Path(args.vocab_dir).glob("*.txt"))
+        # A pivot without a file would keep every other vocabulary waiting.
+        stems = {vf.stem for vf in files}
+        resources.vocabs = vocab_overlaps(
+            (load_vocab_file(vf, vf.stem) for vf in files),
+            None if pivots is None else [p for p in pivots if p in stems],
+        )
+    if args.typology and not missing("typology", args.typology):
+        resources.typology = load_typology_csv(args.typology)
+    if args.wals and not missing("wals", args.wals):
+        resources.wals = load_wals_csv(args.wals)
+    if args.stats and not missing("stats", args.stats):
+        resources.stats = load_stats_csv(args.stats)
+    if args.meta and not missing("meta", args.meta):
+        resources.meta = load_meta_csv(args.meta)
+    table = build_feature_table(resources, pivots=pivots)
 
     for w in warnings:
         print(w, file=sys.stderr)
@@ -185,7 +181,7 @@ def _resolve_evaluate_args(args: argparse.Namespace) -> dict:
         "meta": args.meta or config.get("meta"),
         "models": args.models or config.get("models"),
         "protocol": args.protocol or config.get("protocol"),
-        "tasks": args.task or (config.get("tasks", "").split(",") if config.get("tasks") else []),
+        "tasks": args.task or _names(config.get("tasks")),
         "seed": _check_seed(args.seed if args.seed is not None else int(config.get("seed", "0"))),
         "out": args.out or config.get("out"),
         "helper_curve": args.helper_curve or config.get("helper_curve") == "true",
@@ -201,44 +197,31 @@ def _resolve_evaluate_args(args: argparse.Namespace) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _resolve_evaluate_args(args)
-        ds = load_dataset(cfg["scores"], cfg["features"], cfg["meta"])
-        kinds = [k.strip() for k in cfg["models"].split(",") if k.strip()]
-        if not kinds:
-            raise DataError("--models names no model kind")
-        for kind in kinds:
-            if kind not in MODEL_KINDS:
-                raise DataError(f"unknown model kind {kind!r}, choose from {MODEL_KINDS}")
-        tasks = cfg["tasks"] or sorted(ds.tasks)
+    cfg = _resolve_evaluate_args(args)
+    ds = load_dataset(cfg["scores"], cfg["features"], cfg["meta"])
+    kinds = _names(cfg["models"])
+    if not kinds:
+        raise DataError("--models names no model kind")
+    for kind in kinds:
+        if kind not in MODEL_KINDS:
+            raise DataError(f"unknown model kind {kind!r}, choose from {MODEL_KINDS}")
+    tasks = cfg["tasks"] or sorted(ds.tasks)
+    for task in tasks:
+        if task not in ds.tasks:
+            raise DataError(f"unknown task {task!r}")
+    for option, names in (("--models", kinds), ("--task", tasks)):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise DataError(f"{option} repeats {', '.join(map(repr, repeated))}")
+    if cfg["protocol"] == "llro":  # its split reads the class of every eval-task target
         for task in tasks:
-            if task not in ds.tasks:
-                raise DataError(f"unknown task {task!r}")
-        for option, names in (("--models", kinds), ("--task", tasks)):
-            repeated = sorted({n for n in names if names.count(n) > 1})
-            if repeated:
-                raise DataError(f"{option} repeats {', '.join(map(repr, repeated))}")
-        if cfg["protocol"] == "llro":  # its split reads the class of every eval-task target
-            for task in tasks:
-                unclassed = [t for t in ds.targets(task) if t not in ds.meta]
-                if unclassed:
-                    raise DataError(f"no class for language {unclassed[0]!r}, a target of task "
-                                    f"{task!r}: --protocol llro needs one", path=cfg["meta"])
-        seed = cfg["seed"]
-        config_hash = _config_hash(
-            {
-                "scores": _file_sha256(cfg["scores"]),
-                "features": _file_sha256(cfg["features"]),
-                "meta": _file_sha256(cfg["meta"]),
-                "models": kinds,
-                "protocol": cfg["protocol"],
-                "tasks": tasks,
-                "seed": seed,
-            }
-        )
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+            unclassed = [t for t in ds.targets(task) if t not in ds.meta]
+            if unclassed:
+                raise DataError(f"no class for language {unclassed[0]!r}, a target of task "
+                                f"{task!r}: --protocol llro needs one", path=cfg["meta"])
+    seed = cfg["seed"]
+    config_hash = _run_hash(cfg["scores"], cfg["features"], cfg["meta"],
+                            models=kinds, protocol=cfg["protocol"], tasks=tasks, seed=seed)
 
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -440,60 +423,44 @@ def cmd_explain(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_METHOD
-    try:
-        _check_seed(args.seed)
-        if args.method == "permutation" and args.repeats < 1:
-            raise DataError(f"--repeats must be >= 1, got {args.repeats}")
-        ds = load_dataset(args.scores, args.features, args.meta)
-        artifact = None
-        if args.method == "linear-shap":
-            if args.model_file:
-                artifact = _read_json(args.model_file, lambda a: _artifact_problem(a, args.model))
-                unlisted = sorted(ds.tasks - set(artifact["tasks"]))
-                if unlisted:
-                    raise DataError(f"no model for task {', '.join(map(repr, unlisted))} "
-                                    "of the scores", path=args.model_file)
-            else:
-                artifact = _fit_linear_artifact(ds, args.model, args.seed)
-            rows = _attribution_rows_from_artifact(ds, artifact)
+    _check_seed(args.seed)
+    if args.method == "permutation" and args.repeats < 1:
+        raise DataError(f"--repeats must be >= 1, got {args.repeats}")
+    ds = load_dataset(args.scores, args.features, args.meta)
+    artifact = None
+    if args.method == "linear-shap":
+        if args.model_file:
+            artifact = _read_json(args.model_file, lambda a: _artifact_problem(a, args.model))
+            unlisted = sorted(ds.tasks - set(artifact["tasks"]))
+            if unlisted:
+                raise DataError(f"no model for task {', '.join(map(repr, unlisted))} "
+                                "of the scores", path=args.model_file)
         else:
-            predictors = _permutation_predictors(ds, args.model, args.seed)
-            rows = []
-            for task in sorted(ds.tasks):
-                recs = ds.task_records(task)
-                if len(recs) < 2:
-                    continue
-                x_raw = ds.feature_matrix(recs)
-                y = ds.scores(recs)
-                imp = explain.permutation_importance(
-                    predictors[task].predict, x_raw, y, repeats=args.repeats, seed=args.seed
-                )
-                rows.extend(
-                    (args.model, task, name, float(v), "permutation")
-                    for name, v in zip(FEATURE_NAMES, imp)
-                )
-        config = {
-            "scores": _file_sha256(args.scores),
-            "features": _file_sha256(args.features),
-            "meta": _file_sha256(args.meta),
-            "model": args.model,
-            "method": args.method,
-            "repeats": args.repeats,
-            "seed": args.seed,
-        }
-        if artifact is not None:
-            # The model itself, fitted or loaded: two model files get two stamps,
-            # and a saved model.json reproduces the stamp of the run that wrote it.
-            config["artifact"] = {
-                k: v for k, v in artifact.items() if k not in ("config_hash", "seed")
-            }
-        config_hash = _config_hash(config)
-    except (DataError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except RuntimeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARTIAL
+            artifact = _fit_linear_artifact(ds, args.model, args.seed)
+        rows = _attribution_rows_from_artifact(ds, artifact)
+    else:
+        predictors = _permutation_predictors(ds, args.model, args.seed)
+        rows = []
+        for task in sorted(ds.tasks):
+            recs = ds.task_records(task)
+            if len(recs) < 2:
+                continue
+            x_raw = ds.feature_matrix(recs)
+            y = ds.scores(recs)
+            imp = explain.permutation_importance(
+                predictors[task].predict, x_raw, y, repeats=args.repeats, seed=args.seed
+            )
+            rows.extend(
+                (args.model, task, name, float(v), "permutation")
+                for name, v in zip(FEATURE_NAMES, imp)
+            )
+    options = {"model": args.model, "method": args.method, "repeats": args.repeats,
+               "seed": args.seed}
+    if artifact is not None:
+        # The model itself, fitted or loaded: two model files get two stamps,
+        # and a saved model.json reproduces the stamp of the run that wrote it.
+        options["artifact"] = {k: v for k, v in artifact.items() if k not in ("config_hash", "seed")}
+    config_hash = _run_hash(args.scores, args.features, args.meta, **options)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -518,11 +485,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 # report subcommand
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        payload = _read_json(args.report, _report_problem)
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    payload = _read_json(args.report, _report_problem)
     table = evaluation.render_table(payload.get("results", []))
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
@@ -584,7 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:  # a DataError, a fit that rejects its data, numpy's LinAlgError
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -169,18 +169,21 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-def read_csv_rows(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """A CSV file's header cells, and its other rows with their 1-based line numbers.
+def read_csv_rows(
+    path: str | Path,
+) -> tuple[tuple[int, list[str]], Iterator[tuple[int, list[str]]]]:
+    """A CSV file's header cells and its other rows, each with its 1-based line number.
 
-    Blank and comment lines (#...) are skipped; a file without any other line
-    is an ``empty file`` error on line 1. The rows are parsed as they are
-    consumed, so a loader holds one row at a time, not the whole file.
+    Blank and comment lines (#...) are skipped, so the header is the first
+    other line; a file without one is an ``empty file`` error on line 1. The
+    rows are parsed as they are consumed, so a loader holds one row at a time,
+    not the whole file.
     """
     rows = _csv_rows(path)
-    first = next(rows, None)
-    if first is None:
+    header = next(rows, None)
+    if header is None:
         raise DataError("empty file", path=path, line=1)
-    return first[1], rows
+    return header, rows
 
 
 def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -194,7 +197,7 @@ def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
                 if row and ("#" not in row[0] or not row[0].lstrip().startswith("#")):
                     yield lineno, row
                 lineno = reader.line_num + 1
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(str(err), path=path) from err
 
 
@@ -210,12 +213,13 @@ def read_table(path: str | Path, columns: Sequence[str], parse: Callable[[list[s
     error.
     """
     path = Path(path)
-    header, rows = read_csv_rows(path)
+    (header_line, header), rows = read_csv_rows(path)
     header = [h.strip() for h in header]
     if (header[: len(columns)] != list(columns) or len(set(header)) != len(header)
             or any(c not in (*columns, *optional) for c in header)):
         extra = f" with optional {list(optional)!r}" if optional else ""
-        raise DataError(f"bad header {header!r}, expected {list(columns)!r}{extra}", path, line=1)
+        raise DataError(f"bad header {header!r}, expected {list(columns)!r}{extra}", path,
+                        header_line)
     out: list[tuple[int, T]] = []
     seen: set[Hashable] = set()
     for lineno, row in rows:
@@ -234,12 +238,16 @@ def read_table(path: str | Path, columns: Sequence[str], parse: Callable[[list[s
 
 
 def parse_number(cell: str, column: str, kind: type = float):
-    """``kind(cell)``, a float or an int; an error names the column and the cell."""
+    """``kind(cell)``, a float or an int, of a plain decimal: ``kind`` alone
+    would also take non-ASCII digits and ``_`` separators. An error names the
+    column and the cell."""
     try:
-        return kind(cell)
+        if cell.isascii() and "_" not in cell:
+            return kind(cell)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"could not parse {column} {cell!r} as {what}") from None
+        pass
+    what = "an integer" if kind is int else "a number"
+    raise ValueError(f"could not parse {column} {cell!r} as {what}")
 
 
 def _score_row(cells: list[str]) -> PerformanceRecord:

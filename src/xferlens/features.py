@@ -386,7 +386,7 @@ def load_vocab_file(path: str | Path, lang: LangId) -> VocabSet:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(str(err), path=path) from err
     tokens = set(map(str.strip, lines))
     tokens.discard("")
@@ -409,10 +409,11 @@ def load_typology_csv(path: str | Path) -> dict[tuple[LangId, str], TypologyVect
     kind's width are just padding. Interior empty cells stay missing.
     """
     path = Path(path)
-    header, rows = read_csv_rows(path)
+    (header_line, header), rows = read_csv_rows(path)
     header = [h.strip() for h in header]
     if header[:2] != ["lang", "kind"] or len(header) < 3:
-        raise DataError(f"bad header {header!r}, expected lang,kind,d0,...", path=path, line=1)
+        raise DataError(f"bad header {header!r}, expected lang,kind,d0,...", path=path,
+                        line=header_line)
     parsed: list[tuple[int, LangId, str, tuple[float | None, ...]]] = []
     for lineno, row in rows:
         if len(row) != len(header):
@@ -421,11 +422,15 @@ def load_typology_csv(path: str | Path) -> dict[tuple[LangId, str], TypologyVect
         padding = len(list(takewhile(not_, map(str.strip, reversed(cells)))))
         cells = [cell.strip() for cell in cells[: len(cells) - padding]]
         try:
+            # One test of the row for what parse_number tests per cell.
+            joined = "".join(cells)
+            if not joined.isascii() or "_" in joined:
+                raise ValueError
             dims = tuple([float(cell) if cell else None for cell in cells])
         except ValueError:
-            for cell in filter(None, cells):  # find the first cell float() rejects
+            for cell in filter(None, cells):  # find the first cell parse_number rejects
                 try:
-                    float(cell)
+                    parse_number(cell, "dimension")
                 except ValueError:
                     raise DataError(f"could not parse dimension {cell!r}", path=path, line=lineno) from None
         parsed.append((lineno, row[0].strip(), row[1].strip(), dims))

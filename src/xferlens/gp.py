@@ -27,17 +27,17 @@ from scipy.linalg.lapack import dtrtrs
 from .data import TaskId
 # bench/tracing.py counts calls through gp.mlp_forward, gp.mlp_backward (unused
 # here), gp.cholesky and gp.cho_solve, so all stay module attributes.
-from .numerics import (  # noqa: F401
+from .numerics import (
     MlpParams,
     cho_solve,
     cholesky,
     init_mlp,
     mlp_activations,
     mlp_backprop,
-    mlp_backward,
     mlp_forward,
     mlp_from_vector,
 )
+from .numerics import mlp_backward  # noqa: F401
 
 DEFAULT_HIDDEN = (50, 10)
 

@@ -26,15 +26,15 @@ import numpy as np
 from .data import TaskId
 # mlp_backward is unused here but stays a module attribute: bench/tracing.py
 # counts calls through meta.mlp_forward and meta.mlp_backward.
-from .numerics import (  # noqa: F401
+from .numerics import (
     MlpParams,
     init_mlp,
     mlp_activations,
     mlp_backprop,
-    mlp_backward,
     mlp_forward,
     mlp_from_vector,
 )
+from .numerics import mlp_backward  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ def load_scores_csv(path: str | Path) -> list[tuple[int, PerformanceRecord]]:
     divides percentage scores by 100 before the [0, 1] range check.
     """
     path = Path(path)
-    header, rows = read_csv_rows(path)
+    (_, header), rows = read_csv_rows(path)
     header = _check_header(path, header, _SCORE_COLUMNS, optional=("scale",))
     has_scale = "scale" in header
     out: list[tuple[int, PerformanceRecord]] = []
@@ -92,7 +92,7 @@ def load_scores_csv(path: str | Path) -> list[tuple[int, PerformanceRecord]]:
 def load_features_csv(path: str | Path) -> dict[tuple[LangId, LangId], FeatureVector]:
     """Parse features.csv; empty cells mark missing feature values."""
     path = Path(path)
-    header, rows = read_csv_rows(path)
+    (_, header), rows = read_csv_rows(path)
     _check_header(path, header, _FEATURE_COLUMNS)
     out: dict[tuple[LangId, LangId], FeatureVector] = {}
     for lineno, row in rows:
@@ -121,7 +121,7 @@ def load_features_csv(path: str | Path) -> dict[tuple[LangId, LangId], FeatureVe
 
 def load_meta_csv(path: str | Path) -> dict[LangId, LanguageMeta]:
     path = Path(path)
-    header, rows = read_csv_rows(path)
+    (_, header), rows = read_csv_rows(path)
     _check_header(path, header, _META_COLUMNS)
     out: dict[LangId, LanguageMeta] = {}
     for lineno, row in rows:
@@ -146,7 +146,7 @@ def load_meta_csv(path: str | Path) -> dict[LangId, LanguageMeta]:
 def load_wals_csv(path: str | Path) -> WalsTable:
     """Long-format CSV ``lang,feature_value``."""
     path = Path(path)
-    header, rows = read_csv_rows(path)
+    (_, header), rows = read_csv_rows(path)
     if [h.strip() for h in header] != ["lang", "feature_value"]:
         raise DataError(f"bad header {header!r}, expected lang,feature_value", path=path, line=1)
     acc: dict[LangId, set[str]] = {}
@@ -168,7 +168,7 @@ def load_wals_csv(path: str | Path) -> WalsTable:
 def load_stats_csv(path: str | Path) -> dict[LangId, TokenizationStats]:
     """CSV ``lang,word_count,subword_count,continued_word_count``."""
     path = Path(path)
-    header, rows = read_csv_rows(path)
+    (_, header), rows = read_csv_rows(path)
     expected = ["lang", "word_count", "subword_count", "continued_word_count"]
     if [h.strip() for h in header] != expected:
         raise DataError(f"bad header {header!r}, expected {expected!r}", path=path, line=1)

@@ -165,6 +165,13 @@ class TestFeaturesCommand:
         assert sorted(table) == [("ad", "aa"), ("ad", "ab"), ("ad", "ac")]
         assert all("o_sw" in fv.missing and "size" in fv.values for fv in table.values())
 
+    def test_pivot_list_entries_stripped(self, tmp_path):
+        vocab_dir, *_, meta = write_resources(tmp_path)
+        out = tmp_path / "f.csv"
+        assert main(["features", "--vocab-dir", str(vocab_dir), "--meta", str(meta),
+                     "--pivots", "ab, ac,", "--out", str(out)]) == 0
+        assert sorted({pivot for pivot, _ in load_features_csv(out)}) == ["ab", "ac"]
+
     def test_first_bad_vocab_file_in_sorted_order_reported(self, tmp_path, capsys):
         # ab comes before the pivot ac, so it is loaded and held before ac's
         # file is read; ac's error must not be the one reported.
@@ -391,6 +398,21 @@ class TestEvaluateCommand:
         assert payload["protocol"] == "lolo"  # flag overrode the config
         assert payload["seed"] == 5
 
+    def test_config_task_list_entries_stripped(self, toy_paths, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "schema_version=1\n"
+            f"scores={toy_paths['scores']}\n"
+            f"features={toy_paths['features']}\n"
+            "models=awt\n"
+            "protocol=lolo\n"
+            "tasks = B, A,\n"
+            f"out={tmp_path / 'cfg_out'}\n"
+        )
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        payload = json.loads((tmp_path / "cfg_out" / "report.json").read_text())
+        assert [t["task"] for t in payload["results"][0]["tasks"]] == ["B", "A"]
+
     def test_config_file_requires_schema_version(self, toy_paths, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scores=x\n")
@@ -401,6 +423,7 @@ class TestEvaluateCommand:
         "line, message",
         [
             ("seed=abc", "seed must be an integer"),
+            ("seed=\u0663", "seed must be an integer"),  # an Arabic-Indic 3
             ("seed=-1", "--seed must be >= 0, got '-1'"),
             ("sede=5", "unknown key 'sede'"),
             ("helper_curve=yes", "helper_curve must be 'true' or 'false'"),
@@ -767,6 +790,64 @@ class TestReportCommand:
         report.write_text('{"results": [{"protocol": "lolo"}]}')
         assert main(["report", "--report", str(report)]) == 2
         assert f"{report}: malformed" in capsys.readouterr().err
+
+
+def single_row_task_scores(toy_paths):
+    """The toy scores with task B cut to its first row."""
+    lines = toy_paths["scores"].read_text().splitlines(keepends=True)
+    rows_b = [line for line in lines if line.split(",")[1:2] == ["B"]]
+    toy_paths["scores"].write_text("".join(line for line in lines if line not in rows_b[1:]))
+    return toy_paths["scores"]
+
+
+def input_error_argv(command, toy_paths, tmp_path, out):
+    """Arguments that give ``command`` an input error, and a part of its message."""
+    if command == "features":
+        vocab_dir, _, _, _, meta = write_resources(tmp_path)
+        return ["features", "--vocab-dir", str(vocab_dir), "--meta", str(meta),
+                "--pivots", "aa,zz", "--out", str(out)], "no resource has pivot 'zz'"
+    if command == "evaluate":
+        return ["evaluate", "--scores", str(toy_paths["scores"]),
+                "--features", str(toy_paths["features"]), "--models", "awt,bogus",
+                "--protocol", "lolo", "--out", str(out)], "unknown model kind 'bogus'"
+    if command == "explain":  # the fit rejects the data: not a check of the CLI's own
+        return ["explain", "--scores", str(single_row_task_scores(toy_paths)),
+                "--features", str(toy_paths["features"]), "--model", "dgpr",
+                "--method", "permutation", "--out", str(out)], \
+            "task 'B' needs at least 2 training points"
+    missing = tmp_path / "nope.json"
+    return ["report", "--report", str(missing), "--out", str(out)], f"{missing}: "
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate", "explain", "report"])
+def test_input_error_exits_two_with_one_line(toy_paths, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv, message = input_error_argv(command, toy_paths, tmp_path, out)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("file", ["scores", "config", "vocab"])
+def test_non_utf8_input_exits_two_naming_the_file(toy_paths, tmp_path, capsys, file):
+    out = tmp_path / "out"
+    if file == "scores":
+        bad = toy_paths["scores"]
+        argv = ["evaluate", "--scores", str(bad), "--features", str(toy_paths["features"]),
+                "--models", "awt", "--protocol", "lolo", "--out", str(out)]
+    elif file == "config":
+        bad = tmp_path / "run.cfg"
+        argv = ["evaluate", "--config", str(bad)]
+    else:
+        vocab_dir = write_resources(tmp_path)[0]
+        bad = vocab_dir / "ab.txt"
+        argv = ["features", "--vocab-dir", str(vocab_dir), "--out", str(out)]
+    bad.write_bytes(b"\xff\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert not out.exists()
 
 
 GOLDEN_SCORES = """model,task,pivot,target,score

@@ -249,6 +249,29 @@ class TestTableLoaders:
         assert str(err.value).startswith(f"{path}:{line}: {message}")
         assert (err.value.path, err.value.line) == (path, line)
 
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_bad_header_named_at_its_line(self, tmp_path, table):
+        load, header, row, *_ = TABLES[table]
+        path = write(tmp_path, f"{table}.csv", f"# stamp\n\n{header.rstrip()},bogus\n{row}\n")
+        with pytest.raises(DataError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}:3: bad header ")
+
+    @pytest.mark.parametrize("table, row, message", [
+        ("meta", "de,\u0663,1e9", "could not parse class '\u0663' as an integer"),  # Arabic-Indic 3
+        ("meta", "de,3,1_000", "could not parse pretrain_words '1_000' as a number"),
+        ("features", "en,de,0.5,1_0,0.5,0.5,0.2,6.0,0.9,1.5,0.1",
+         "could not parse s_syn '1_0' as a number"),
+        ("scores", "m,t,en,de,0.\uff15", "could not parse score '0.\uff15' as a number"),
+        ("stats", "de,1_0,12,2", "could not parse word_count '1_0' as an integer"),
+    ])
+    def test_only_plain_decimals_parse(self, tmp_path, table, row, message):
+        load, header, *_ = TABLES[table]
+        path = write(tmp_path, f"{table}.csv", f"{header}{row}\n")
+        with pytest.raises(DataError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:2: {message}"
+
 
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):

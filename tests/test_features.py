@@ -557,3 +557,18 @@ class TestTypologyCsv:
         path.write_text(f"lang,kind,d0,d1\naa,geography,0.0,1.0\naa,syntax,1.0,0.0\n{row}\n")
         with pytest.raises(DataError, match=r"typology\.csv:4: non-finite typology dimension"):
             load_typology_csv(path)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", " 2\uff10 "])  # _, Arabic-Indic 3, full-width 0
+    def test_only_plain_decimals_parse(self, tmp_path, cell):
+        path = tmp_path / "typology.csv"
+        path.write_text(f"lang,kind,d0,d1,d2\naa,syntax,1.0,0.0,\nab,syntax,0.5,{cell},\n")
+        with pytest.raises(DataError) as err:
+            load_typology_csv(path)
+        assert str(err.value) == f"{path}:3: could not parse dimension {cell.strip()!r}"
+
+    def test_bad_header_named_at_its_line(self, tmp_path):
+        path = tmp_path / "typology.csv"
+        path.write_text("# stamp\n\nlang,d0,d1\naa,1.0,0.0\n")
+        with pytest.raises(DataError) as err:
+            load_typology_csv(path)
+        assert str(err.value).startswith(f"{path}:3: bad header ['lang', 'd0', 'd1']")
