@@ -74,6 +74,14 @@ def _stamp(config_hash: str, seed: int) -> str:
     return f"# config_hash={config_hash} seed={seed}"
 
 
+def _integer(text: str) -> int:
+    """A plain decimal integer: ASCII digits after an optional sign. ``int()``
+    alone also reads ``1_0`` as 10 and non-ASCII digits such as ``\u0663`` as 3."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"must be an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _check_seed(seed: int) -> int:
     """Reject a negative seed before any fit: numpy's generators take none."""
     if seed < 0:
@@ -102,10 +110,13 @@ def _load_config_file(path: str) -> dict[str, str]:
         if key not in (*_CONFIG_KEYS, "schema_version"):
             raise DataError(f"unknown key {key!r}, expected one of {_CONFIG_KEYS}",
                             path=path, line=lineno)
-        if key == "seed" and not re.fullmatch(r"[+-]?[0-9]+", value):
-            raise DataError(f"seed must be an integer, got {value!r}", path=path, line=lineno)
-        if key == "seed" and int(value) < 0:
-            raise DataError(f"--seed must be >= 0, got {value!r}", path=path, line=lineno)
+        if key == "seed":
+            try:
+                seed = _integer(value)
+            except argparse.ArgumentTypeError as err:
+                raise DataError(f"seed {err}", path=path, line=lineno) from None
+            if seed < 0:
+                raise DataError(f"--seed must be >= 0, got {value!r}", path=path, line=lineno)
         if key == "helper_curve" and value not in ("true", "false"):
             raise DataError(f"helper_curve must be 'true' or 'false', got {value!r}",
                             path=path, line=lineno)
@@ -520,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--models", help="comma-separated model kinds")
     p_eval.add_argument("--protocol", choices=evaluation.PROTOCOLS)
     p_eval.add_argument("--task", action="append", help="eval task (repeatable; default all)")
-    p_eval.add_argument("--seed", type=int, default=None)
+    p_eval.add_argument("--seed", type=_integer, default=None)
     p_eval.add_argument("--out", help="output directory")
     p_eval.add_argument("--helper-curve", action="store_true", help="emit helper-count curve data")
     p_eval.set_defaults(func=cmd_evaluate)
@@ -532,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--model", required=True, choices=MODEL_KINDS)
     p_exp.add_argument("--method", choices=("linear-shap", "permutation"), default="linear-shap")
     p_exp.add_argument("--model-file", help="previously saved linear model JSON")
-    p_exp.add_argument("--repeats", type=int, default=10)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--repeats", type=_integer, default=10)
+    p_exp.add_argument("--seed", type=_integer, default=0)
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(func=cmd_explain)
 

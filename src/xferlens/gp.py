@@ -12,7 +12,9 @@ prediction time, so the GP prior mean is zero.
 
 The fit's vector ``[W0, b0, ..., log_ls, log_sv, log_noise (T), A (T x T,
 multi-task only)]`` holds the network's own flat vector, so (un)packing copies
-nothing; ``_Problem`` holds the per-fit constants; solves call LAPACK directly.
+nothing; ``_Problem`` holds the per-fit constants; solves call scipy's LAPACK
+directly, through :func:`numerics.lapack`, which imports scipy on the first
+solve so that commands without a GP never load it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .data import TaskId
 # bench/tracing.py counts calls through gp.mlp_forward, gp.mlp_backward (unused
@@ -32,6 +33,7 @@ from .numerics import (
     cho_solve,
     cholesky,
     init_mlp,
+    lapack,
     mlp_activations,
     mlp_backprop,
     mlp_forward,
@@ -326,7 +328,7 @@ def predict_gp(state: GpState, x: np.ndarray, task: TaskId) -> tuple[float, floa
         k_star = sv * np.exp(-sq / (2.0 * ls**2)) * state.task_cov[ti, state.train_task_idx]
     mean = float(k_star @ state.alpha) + float(state.task_means[ti])
     # L v = k_star as scipy's solve_triangular solves it: L.T's transposed system.
-    v, info = dtrtrs(state.chol.T, k_star, lower=0, trans=1)
+    v, info = lapack().dtrtrs(state.chol.T, k_star, lower=0, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
     var = sv * float(state.task_cov[ti, ti]) - float(v @ v)

@@ -17,6 +17,9 @@ everything else.
 
 :func:`cho_solve` calls LAPACK ``dpotrs`` directly: scipy's bits without its
 per-call checks (finiteness included), which cost more than a 7 x 7 solve.
+scipy is loaded by :func:`lapack` on the first solve, not at import: importing
+``scipy.linalg`` takes about half of every command's start-up, and only the GP
+kinds (dgpr, mdgpr) solve systems.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 MAX_JITTER = 1e-2
 # First non-zero rung of the escalation ladder when the caller asked for none.
@@ -66,9 +68,23 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, float]:
             current = min(current, MAX_JITTER)
 
 
+@lru_cache(maxsize=None)
+def lapack():
+    """The ``scipy.linalg.lapack`` module, imported on the first call.
+
+    Cached, so a solve pays a call (a fraction of a microsecond), not an import
+    statement's lookup. The solves need scipy's routines: ``np.linalg.solve``
+    factors by LU and numpy links another OpenBLAS build, so either would
+    change their last bits.
+    """
+    from scipy.linalg import lapack as module
+
+    return module
+
+
 def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L L^T x = b`` for the lower factor ``L`` from :func:`cholesky`."""
-    x, info = dpotrs(chol, b, lower=1)
+    x, info = lapack().dpotrs(chol, b, lower=1)
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
     return x

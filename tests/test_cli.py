@@ -424,6 +424,7 @@ class TestEvaluateCommand:
         [
             ("seed=abc", "seed must be an integer"),
             ("seed=\u0663", "seed must be an integer"),  # an Arabic-Indic 3
+            ("seed=1_0", "seed must be an integer"),
             ("seed=-1", "--seed must be >= 0, got '-1'"),
             ("sede=5", "unknown key 'sede'"),
             ("helper_curve=yes", "helper_curve must be 'true' or 'false'"),
@@ -444,6 +445,24 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"{cfg}:7: " in err and message in err
         assert not (tmp_path / "cfg_out").exists()
+
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--seed"), ("explain", "--seed"),
+                                               ("explain", "--repeats")])
+    @pytest.mark.parametrize("value", ["1_0", "\u0663"])  # int() reads 10 and 3
+    def test_integer_flag_takes_only_ascii_digits(self, toy_paths, tmp_path, capsys,
+                                                  command, flag, value):
+        argv = {
+            "evaluate": ["evaluate", "--models", "awt", "--protocol", "lolo"],
+            "explain": ["explain", "--model", "lasso", "--method", "permutation"],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--scores", str(toy_paths["scores"]),
+                  "--features", str(toy_paths["features"]), "--out", str(tmp_path / "out"),
+                  flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer in ASCII digits, got {value!r}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_llro_protocol(self, tmp_path):
         langs = lang_codes(6)

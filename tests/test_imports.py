@@ -1,12 +1,25 @@
-"""The package imports nothing it does not use, found with ``ast`` alone.
+"""The package imports nothing it does not use, and nothing it does not need yet.
 
 A name may stay imported and unused only on an import marked ``# noqa: F401``,
 and the marked names are exactly those bench/tracing.py wraps through the
 importing module: the package must keep calling them through it.
+
+scipy is imported by ``numerics.lapack`` on a GP's first solve, never at module
+level: ``scipy.linalg`` takes about half of every command's start-up, and only
+dgpr and mdgpr use it. The static check finds a module-level scipy import with
+``ast``; the runtime checks run each command in a fresh interpreter.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+
+from helpers import lang_codes, planted_dataset
+from xferlens.data import save_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "xferlens"
 
@@ -49,3 +62,115 @@ def test_every_import_used_or_traced():
                 unused.append(f"{path.name}: {name}")
     assert unused == []
     assert marked == TRACED
+
+
+def import_time_imports(tree: ast.Module):
+    """Each import statement that runs when the module is imported: every one
+    outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in import_time_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if node.level == 0 else [])
+            found += [f"{path.name}:{node.lineno}: {m}" for m in modules
+                      if m.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_import_time_imports_sees_nested_statements():
+    tree = ast.parse(
+        "import scipy\n"
+        "if True:\n    from scipy.linalg import lapack\n"
+        "class A:\n    import scipy.sparse\n"
+        "def f():\n    import scipy.optimize\n"
+    )
+    assert sorted(node.lineno for node in import_time_imports(tree)) == [1, 3, 5]
+
+
+# Runs in a fresh interpreter; exits naming the first step that loaded scipy.
+WITHOUT_SCIPY = """
+import sys
+
+def check(step):
+    if "scipy" in sys.modules:
+        sys.exit(f"scipy loaded by {step}")
+
+import xferlens
+check("import xferlens")
+import xferlens.cli
+check("import xferlens.cli")
+from xferlens.cli import main
+
+scores, features, meta, wals, out = sys.argv[1:]
+code = main(["features", "--wals", wals, "--meta", meta, "--out", out + "/features.csv"])
+assert code == 0, code
+check("features")
+code = main(["evaluate", "--scores", scores, "--features", features, "--meta", meta,
+             "--models", "awt,aat,lasso,gbt,group-lasso,cmf,maml", "--protocol", "lolo",
+             "--task", "A", "--out", out + "/eval"])
+assert code == 0, code
+check("evaluate")
+code = main(["report", "--report", out + "/eval/report.json", "--out", out + "/table.txt"])
+assert code == 0, code
+check("report")
+"""
+
+# Evaluates dgpr, after importing scipy first when asked to; exits 1 unless
+# scipy is loaded at the end.
+WITH_DGPR = """
+import sys
+
+if sys.argv[5] == "scipy-first":
+    import scipy.linalg
+from xferlens.cli import main
+
+scores, features, meta, out = sys.argv[1:5]
+code = main(["evaluate", "--scores", scores, "--features", features, "--meta", meta,
+             "--models", "dgpr", "--protocol", "lolo", "--task", "A", "--out", out])
+assert code == 0, code
+sys.exit(0 if "scipy" in sys.modules else "dgpr ran without loading scipy")
+"""
+
+
+def run_python(code: str, *args) -> None:
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def small_inputs(tmp_path: Path) -> dict[str, Path]:
+    langs = lang_codes(5)
+    w = np.zeros(9)
+    w[1] = 0.1
+    paths = save_dataset(planted_dataset({"A": langs[:4], "B": langs}, w, seed=0), tmp_path / "data")
+    paths["wals"] = tmp_path / "wals.csv"
+    paths["wals"].write_text("lang,feature_value\n" + "".join(
+        f"{lang},f{i % 3}\n" for i, lang in enumerate(["en", *langs])))
+    return paths
+
+
+def test_commands_without_a_gp_never_load_scipy(tmp_path):
+    p = small_inputs(tmp_path)
+    run_python(WITHOUT_SCIPY, p["scores"], p["features"], p["meta"], p["wals"], tmp_path)
+
+
+def test_dgpr_loads_scipy_and_its_outputs_do_not_depend_on_when(tmp_path):
+    p = small_inputs(tmp_path)
+    records = []
+    for order in ("lazy", "scipy-first"):
+        out = tmp_path / order
+        run_python(WITH_DGPR, p["scores"], p["features"], p["meta"], out, order)
+        records.append((out / "records.csv").read_bytes())
+    assert records[0] == records[1]

@@ -118,6 +118,7 @@ class TestTracerCounts:
                                "features.subword_overlap": pairs, "features.wmrr": pairs}
 
 
+# scipy, and the OpenBLAS it bundles, loads on dgpr's first solve, mid-run.
 def test_gp_and_maml_outputs_independent_of_blas_threads(tmp_path):
     paths = save_dataset(five_tasks(), tmp_path / "data5")
     outputs = []
@@ -130,7 +131,7 @@ def test_gp_and_maml_outputs_independent_of_blas_threads(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "xferlens.cli", "evaluate",
              "--scores", str(paths["scores"]), "--features", str(paths["features"]),
-             "--meta", str(paths["meta"]), "--models", "dgpr,mdgpr,maml,cmf",
+             "--meta", str(paths["meta"]), "--models", "dgpr,mdgpr,maml,cmf,lasso,group-lasso,gbt",
              "--protocol", "lolo", "--task", "A", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=600,
         )
