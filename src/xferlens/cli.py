@@ -168,6 +168,7 @@ def cmd_features(args: argparse.Namespace) -> int:
 
     for w in warnings:
         print(w, file=sys.stderr)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_features_csv(table, args.out)
 
     by_lang: dict[str, int] = {}
@@ -499,7 +500,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     payload = _read_json(args.report, _report_problem)
     table = evaluation.render_table(payload.get("results", []))
     if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(table, encoding="utf-8")
     print(table, end="")
     return EXIT_OK
 

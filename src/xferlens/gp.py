@@ -151,11 +151,11 @@ def _likelihood(prob: _Problem, vec: np.ndarray) -> _Likelihood:
         acts = mlp_activations(mlp, prob.x)
         g = np.maximum(acts[-1], 0.0)
         sq_norms = (g**2).sum(axis=1)
-        sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (g @ g.T)
+        sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * np.dot(g, g.T)
         np.fill_diagonal(sq, 0.0)
         np.maximum(sq, 0.0, out=sq)
         k_rbf = sv * np.exp(-sq / two_ls_sq)
-        q_task = a_root @ a_root.T
+        q_task = np.dot(a_root, a_root.T)
         # With one task q is all ones, and k_rbf * 1.0 is k_rbf bit for bit.
         k_nf = k_rbf * q_task[prob.pairs] if prob.multi_task else k_rbf
         noise = np.exp(log_noise)[prob.task_idx]
@@ -166,7 +166,7 @@ def _likelihood(prob: _Problem, vec: np.ndarray) -> _Likelihood:
     chol, jit = cholesky(k, jitter=0.0)
     alpha = cho_solve(chol, y)
     mll = (
-        -0.5 * float(y @ alpha)
+        -0.5 * float(np.dot(y, alpha))
         - float(np.log(chol.diagonal()).sum())
         - 0.5 * len(y) * math.log(2.0 * math.pi)
     )
@@ -197,11 +197,11 @@ def _gradient(prob: _Problem, lik: _Likelihood) -> np.ndarray:
     noise_diag = s.diagonal() * lik.noise
     grad[n + 2 : n + 2 + t] = [float(noise_diag[mask].sum()) for mask in prob.task_masks]
     if prob.multi_task:
-        m_block = prob.onehot.T @ (s * lik.k_rbf) @ prob.onehot
-        grad[n + 2 + t :] = (2.0 * m_block @ lik.vec[n + 2 + t :].reshape(t, t)).ravel()
+        m_block = np.dot(np.dot(prob.onehot.T, s * lik.k_rbf), prob.onehot)
+        grad[n + 2 + t :] = np.dot(2.0 * m_block, lik.vec[n + 2 + t :].reshape(t, t)).ravel()
 
     row_sums = w_in.sum(axis=1)
-    d_g = (2.0 / ls**2) * (w_in @ g - row_sums[:, None] * g)
+    d_g = (2.0 / ls**2) * (np.dot(w_in, g) - row_sums[:, None] * g)
     d_g_lin = d_g * (lik.acts[-1] > 0.0)
     mlp_backprop(lik.mlp, lik.acts, d_g_lin, mlp_from_vector(prob.layer_sizes, grad[:n]))
     return grad
@@ -326,10 +326,10 @@ def predict_gp(state: GpState, x: np.ndarray, task: TaskId) -> tuple[float, floa
         g_star = _latent(state.mlp, x)
         sq = ((state.train_latent - g_star) ** 2).sum(axis=1)
         k_star = sv * np.exp(-sq / (2.0 * ls**2)) * state.task_cov[ti, state.train_task_idx]
-    mean = float(k_star @ state.alpha) + float(state.task_means[ti])
+    mean = float(np.dot(k_star, state.alpha)) + float(state.task_means[ti])
     # L v = k_star as scipy's solve_triangular solves it: L.T's transposed system.
     v, info = lapack().dtrtrs(state.chol.T, k_star, lower=0, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-    var = sv * float(state.task_cov[ti, ti]) - float(v @ v)
+    var = sv * float(state.task_cov[ti, ti]) - float(np.dot(v, v))
     return mean, max(var, 0.0)

@@ -15,6 +15,15 @@ MAML trainers check their inputs once and then call them in their inner loops.
 :func:`mlp_forward` and :func:`mlp_backward` are the checked entry points for
 everything else.
 
+The kernel's arrays have tens of rows at most, so numpy's per-call dispatch
+costs more than the arithmetic. Its products are ``np.dot``, not ``@``: on
+2-D float64 both make the same BLAS call and give the same bits, but ``@``
+first goes through the generalized-ufunc machinery, about twice ``np.dot``'s
+cost per call. The bias, the ReLU and the mask are applied in place. An
+:class:`MlpWorkspace` holds the layer outputs, masks and deltas for a fixed
+number of rows, so a trainer that runs the same shapes thousands of times
+(MAML) allocates them once.
+
 :func:`cho_solve` calls LAPACK ``dpotrs`` directly: scipy's bits without its
 per-call checks (finiteness included), which cost more than a 7 x 7 solve.
 scipy is loaded by :func:`lapack` on the first solve, not at import: importing
@@ -110,9 +119,6 @@ class MlpParams:
             return self.flat
         return np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair])
 
-    def copy(self) -> "MlpParams":
-        return mlp_from_vector(self.layer_sizes, np.array(self.vector()))
-
 
 @lru_cache(maxsize=None)
 def _layout(layer_sizes: tuple[int, ...]) -> tuple[tuple, int]:
@@ -156,40 +162,65 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def mlp_activations(p: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+class MlpWorkspace:
+    """Scratch arrays for the network on a fixed number of rows, reused call
+    after call: each layer's output, each hidden layer's ReLU mask, and the
+    gradient at each layer's pre-activation (``deltas[-1]`` is the upstream
+    slot, which the caller fills)."""
+
+    def __init__(self, layer_sizes: tuple[int, ...], rows: int):
+        self.outs = [np.empty((rows, s)) for s in layer_sizes[1:]]
+        self.deltas = [np.empty((rows, s)) for s in layer_sizes[1:]]
+        self.masks = [np.empty((rows, s), dtype=bool) for s in layer_sizes[1:-1]]
+
+
+def mlp_activations(
+    p: MlpParams, x: np.ndarray, ws: MlpWorkspace | None = None
+) -> list[np.ndarray]:
     """Unchecked forward pass over a 2-D batch, keeping every activation.
 
     Returns ``[x, h_1, ..., h_{L-1}, out]``: the input of each affine layer
-    (ReLU outputs for the hidden layers) followed by the linear output.
+    (ReLU outputs for the hidden layers) followed by the linear output. With
+    ``ws`` they are written into ``ws.outs``, which the next pass overwrites.
     """
     acts = [x]
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        h = acts[-1] @ w + b
-        acts.append(np.maximum(h, 0.0) if i < last else h)
+        h = np.dot(acts[-1], w, out=None if ws is None else ws.outs[i])
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
     return acts
 
 
 def mlp_backprop(
-    p: MlpParams, acts: list[np.ndarray], upstream: np.ndarray, grad: MlpParams | None = None
+    p: MlpParams,
+    acts: list[np.ndarray],
+    upstream: np.ndarray,
+    grad: MlpParams | None = None,
+    ws: MlpWorkspace | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Unchecked backward pass from :func:`mlp_activations` output.
 
-    ``upstream`` is d(objective)/d(output), one row per input. Writes the
-    parameter gradients into ``grad``'s arrays (a new flat-backed one when
-    None) and returns ``(weight_grads, bias_grads, delta)`` where ``delta`` is
-    the gradient at the first layer's pre-activation; the input gradient is
-    ``delta @ p.weights[0].T``, left to the callers that need it.
+    ``upstream`` is d(objective)/d(output), one row per input; it is only
+    read. Writes the parameter gradients into ``grad``'s arrays (a new
+    flat-backed one when None) and returns ``(weight_grads, bias_grads,
+    delta)`` where ``delta`` is the gradient at the first layer's
+    pre-activation; the input gradient is ``delta @ p.weights[0].T``, left to
+    the callers that need it. With ``ws`` the deltas and masks are written
+    into its arrays.
     """
     grad = mlp_from_vector(p.layer_sizes) if grad is None else grad
     delta = upstream
     for i in range(len(p.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grad.weights[i])
-        delta.sum(axis=0, out=grad.biases[i])
+        np.dot(acts[i].T, delta, out=grad.weights[i])
+        np.add.reduce(delta, axis=0, out=grad.biases[i])
         if i > 0:
             # A hidden unit passes gradient where its ReLU was active, i.e.
             # where its output (the next layer's input) is positive.
-            delta = (delta @ p.weights[i].T) * (acts[i] > 0.0)
+            delta = np.dot(delta, p.weights[i].T, out=None if ws is None else ws.deltas[i - 1])
+            delta *= np.greater(acts[i], 0.0, out=None if ws is None else ws.masks[i - 1])
     return grad.weights, grad.biases, delta
 
 
@@ -225,5 +256,5 @@ def mlp_backward(
             f"upstream shape {ub.shape} does not match output ({xb.shape[0]}, {p.layer_sizes[-1]})"
         )
     weight_grads, bias_grads, delta = mlp_backprop(p, mlp_activations(p, xb), ub)
-    input_grad = delta @ p.weights[0].T
+    input_grad = np.dot(delta, p.weights[0].T)
     return weight_grads, bias_grads, input_grad[0] if single else input_grad

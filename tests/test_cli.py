@@ -165,6 +165,13 @@ class TestFeaturesCommand:
         assert sorted(table) == [("ad", "aa"), ("ad", "ab"), ("ad", "ac")]
         assert all("o_sw" in fv.missing and "size" in fv.values for fv in table.values())
 
+    def test_out_into_a_missing_directory(self, tmp_path):
+        vocab_dir, typology, wals, stats, meta = write_resources(tmp_path)
+        out = tmp_path / "new" / "dir" / "features.csv"
+        assert main(["features", "--vocab-dir", str(vocab_dir), "--meta", str(meta),
+                     "--out", str(out)]) == 0
+        assert len(load_features_csv(out)) == 6
+
     def test_pivot_list_entries_stripped(self, tmp_path):
         vocab_dir, *_, meta = write_resources(tmp_path)
         out = tmp_path / "f.csv"
@@ -800,6 +807,14 @@ class TestReportCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "Average" in out and "awt" in out
+
+    def test_out_into_a_missing_directory(self, toy_paths, tmp_path, capsys):
+        assert TestEvaluateCommand().run_eval(toy_paths, tmp_path / "out") == 0
+        capsys.readouterr()
+        table = tmp_path / "new" / "dir" / "table.txt"
+        assert main(["report", "--report", str(tmp_path / "out" / "report.json"),
+                     "--out", str(table)]) == 0
+        assert table.read_text(encoding="utf-8") == capsys.readouterr().out
 
     def test_missing_report_exit_two(self, tmp_path, capsys):
         assert main(["report", "--report", str(tmp_path / "nope.json")]) == 2

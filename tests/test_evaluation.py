@@ -254,6 +254,17 @@ class TestFitPredictors:
         block = run_lolo(ds, spec, "A")  # a protocol: the helpers only
         assert seen[1:] == [["B", "C", "D", "E"]] * len(block["folds"])
 
+    def test_maml_predictors_survive_later_fits(self):
+        # meta_train reuses its buffers from one adapt call to the next; the
+        # network each predictor adapted must not live in them.
+        ds = self.five_tasks()
+        spec = ModelSpec("maml", {"meta_epochs": 3, "inner_lr": 0.05}, seed=0)
+        predictors = fit_predictors(spec, ds, ["A", "B"], seed=0)
+        x = {task: ds.feature_matrix(ds.task_records(task)) for task in ("A", "B")}
+        before = {task: predictors[task].predict(x[task]).tobytes() for task in ("A", "B")}
+        fit_predictors(spec, ds, ["A", "C"], seed=1)
+        assert {task: predictors[task].predict(x[task]).tobytes() for task in ("A", "B")} == before
+
 
 class TestAggregate:
     def block(self, task, mae, n_targets):

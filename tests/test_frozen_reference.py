@@ -170,15 +170,21 @@ def assert_same_fit(data, multi_task, hidden, seed, lr, epochs, init_noise):
     return ref
 
 
+def maml_problem(seed, sizes, cfg):
+    """Seeded helper tasks of the given sizes for ``cfg``'s network."""
+    rng = np.random.default_rng(seed)
+    width = cfg.net_shape[0]
+    tasks = {f"t{i}": (rng.standard_normal((n, width)), rng.uniform(0.0, 1.0, n))
+             for i, n in enumerate(sizes)}
+    return tasks, cfg, seed
+
+
 @st.composite
 def maml_problems(draw):
     width = draw(st.integers(1, 9))
     shape = draw(st.sampled_from([(width, 1), (width, 4, 1), (width, 50, 10, 1)]))
     seed = draw(st.integers(0, 2**16))
     sizes = draw(st.lists(st.integers(2, 15), min_size=1, max_size=4))
-    rng = np.random.default_rng(seed)
-    tasks = {f"t{i}": (rng.standard_normal((n, width)), rng.uniform(0.0, 1.0, n))
-             for i, n in enumerate(sizes)}
     cfg = meta.MamlConfig(
         inner_steps=draw(st.integers(0, 5)),
         inner_lr=draw(st.sampled_from([0.0, 0.01, 0.05, 0.5])),
@@ -186,7 +192,7 @@ def maml_problems(draw):
         meta_epochs=draw(st.integers(1, 6)),
         net_shape=shape,
     )
-    return tasks, cfg, seed
+    return maml_problem(seed, sizes, cfg)
 
 
 def frozen_digest(params):
@@ -209,13 +215,28 @@ class TestMamlAgainstFrozen:
                 frozen.mlp_activations(ref, x)[-1][:, 0])
 
     @given(maml_problems())
+    # A diverging fit: the network overflows to inf and nan in the second epoch.
+    @example(maml_problem(20436, (3, 10, 3, 6), meta.MamlConfig(
+        inner_steps=4, inner_lr=0.5, outer_lr=0.001, meta_epochs=2, net_shape=(7, 4, 1))))
     @settings(max_examples=40, deadline=None)
     def test_meta_train(self, problem):
         tasks, cfg, seed = problem
         got = meta.meta_train(tasks, cfg, seed)
+        with np.errstate(all="ignore"):  # the frozen copy warns on a diverging fit
+            ref = frozen.meta_train(tasks, cfg.inner_steps, cfg.inner_lr, cfg.outer_lr,
+                                    cfg.meta_epochs, cfg.net_shape, seed)
+        assert frozen_digest(got) == frozen_digest(ref)
+
+    def test_meta_train_at_benchmark_shape(self):
+        # The benchmark's network, its four helpers' sizes and the default
+        # steps and rates, over enough epochs for the buffers to be reused.
+        tasks, cfg, seed = maml_problem(7, (20, 16, 10, 8), meta.MamlConfig(meta_epochs=25))
+        got = meta.meta_train(tasks, cfg, seed)
         ref = frozen.meta_train(tasks, cfg.inner_steps, cfg.inner_lr, cfg.outer_lr,
                                 cfg.meta_epochs, cfg.net_shape, seed)
         assert frozen_digest(got) == frozen_digest(ref)
+        x = tasks["t0"][0]
+        assert bits(meta.predict_net(got, x)) == bits(frozen.mlp_activations(ref, x)[-1][:, 0])
 
     def test_adapt_from_list_built_params(self):
         # A network built from separate arrays (no flat vector) adapts the same.
@@ -316,7 +337,11 @@ def typology_csvs(draw):
         if not rows:
             break
         i = draw(st.integers(0, len(rows) - 1))
-        j = draw(st.integers(2, width + 1))
+        # Cells of the row as it is now: an earlier "cell count" fault may
+        # have dropped its last one, or its only one.
+        cells = st.integers(2, len(rows[i]) - 1)
+        if fault in ("odd cell", "gap") and len(rows[i]) == 2:
+            continue
         if fault == "lang":
             rows[i][0] = draw(st.sampled_from(["Bad", "", " ab "]))
         elif fault == "kind":
@@ -328,10 +353,10 @@ def typology_csvs(draw):
         elif fault == "cell count":
             rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [""]
         elif fault == "odd cell":
-            for k in draw(st.lists(st.integers(2, width + 1), min_size=1, max_size=3)):
+            for k in draw(st.lists(cells, min_size=1, max_size=3)):
                 rows[i][k] = draw(ODD_CELLS)
         else:
-            rows[i][j] = draw(BLANKS)
+            rows[i][draw(cells)] = draw(BLANKS)
     lines = ["lang,kind," + ",".join(f"d{i}" for i in range(width))]
     for row in rows:
         if draw(st.integers(0, 4)) == 0:
@@ -442,6 +467,7 @@ class TestFeaturesAgainstFrozen:
     @given(typology_csvs())
     @example("lang,kind,d0,d1,d2,d3,d4,d5\naa,syntax,1.0,,, ,,abc\n")  # after long padding
     @example("lang,kind,d0,d1,d2\naa,syntax, --1 ,2.0,abc\n")  # the first of two is reported
+    @example("lang,kind,d0,d1\naa,syntax,nan\n")  # a dropped last cell, then an odd one
     @settings(max_examples=300, deadline=None)
     def test_typology_csv(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("typology") / "typology.csv"

@@ -3,7 +3,7 @@ import pytest
 
 from xferlens import meta
 from xferlens.meta import MamlConfig, adapt, meta_train, predict_net
-from xferlens.numerics import init_mlp, mlp_backward, mlp_forward, mlp_from_vector
+from xferlens.numerics import MlpWorkspace, init_mlp, mlp_backward, mlp_forward, mlp_from_vector
 
 
 def mse_and_grads(params, x, y):
@@ -14,7 +14,7 @@ def mse_and_grads(params, x, y):
     if x.shape[1] != params.layer_sizes[0]:
         raise ValueError("input width does not match first layer")
     grad = mlp_from_vector(params.layer_sizes)
-    meta._mse_grads(params, x, y, grad)
+    meta._mse_grads(params, x, y, grad, MlpWorkspace(params.layer_sizes, len(y)))
     err = mlp_forward(params, x)[:, 0] - y
     return float(np.mean(err**2)), grad.weights, grad.biases
 
@@ -73,6 +73,22 @@ class TestAdapt:
         cfg = MamlConfig(inner_steps=3, inner_lr=0.1, net_shape=(2, 5, 1))
         adapt(theta, np.ones((4, 2)), np.zeros(4), cfg)
         assert params_digest(theta) == digest
+
+    def test_result_survives_later_calls(self):
+        # meta_train reuses its buffers across adapt calls; a network adapt
+        # returns to its caller must not live in them.
+        cfg = MamlConfig(inner_steps=3, inner_lr=0.05)
+        theta = init_mlp(cfg.net_shape, seed=3)
+        tasks = ragged_tasks(34)
+        x, y = tasks["task07"]
+        first = adapt(theta, x, y, cfg)
+        digest = params_digest(first)
+        for xs, ys in tasks.values():
+            adapt(theta, xs, ys, cfg)
+        trained = meta_train(tasks, cfg, seed=1)
+        adapt(trained, x, y, cfg)
+        assert params_digest(first) == digest
+        assert params_digest(adapt(theta, x, y, cfg)) == digest
 
     def test_empty_support_rejected(self):
         theta = init_mlp((2, 1), seed=0)
@@ -195,7 +211,7 @@ def reference_mse_and_grads(params, x, y):
 
 
 def reference_adapt(theta, x, y, cfg):
-    params = theta.copy()
+    params = mlp_from_vector(theta.layer_sizes, np.array(theta.vector()))
     for _ in range(cfg.inner_steps):
         _, w_grads, b_grads = reference_mse_and_grads(params, x, y)
         for w, gw in zip(params.weights, w_grads):
