@@ -18,6 +18,7 @@ given; ``explain`` gives none, so its cmf rows are all cold-start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -349,9 +350,10 @@ def _run_folds(
     """Check, fit and score each (train, test, context) fold of ``eval_task``.
 
     A fold's held-out targets are those of its test side; ``context`` names
-    the fold in the error raised when its fit or prediction fails. Returns the
-    task's block of report.json: its folds' records with their absolute errors,
-    and ``mae``, the mean over folds of each fold's MAE.
+    the fold in the error raised when its fit or prediction fails, or when a
+    prediction is not finite. Returns the task's block of report.json: its
+    folds' records with their absolute errors, and ``mae``, the mean over
+    folds of each fold's MAE.
     """
     full_counts = {t: len(ds.task_records(t)) for t in ds.tasks}
     fold_blocks, fold_maes = [], []
@@ -360,6 +362,10 @@ def _run_folds(
         _check_fold_integrity(train, eval_task, set(held_out), full_counts)
         try:
             preds = _fit_and_predict(spec, train, test.records, eval_task, _fold_seed(spec, i))
+            # A diverged fit predicts inf or nan: a failed fold, not an error of nan.
+            for r, yhat in zip(test.records, preds):
+                if not math.isfinite(yhat):
+                    raise ValueError(f"prediction {yhat} for target {r.target!r} is not finite")
         except Exception as err:
             raise RuntimeError(
                 f"model {spec.kind!r} failed on task {eval_task!r}{context}: {err}"

@@ -15,12 +15,28 @@ multi-task only)]`` holds the network's own flat vector, so (un)packing copies
 nothing; ``_Problem`` holds the per-fit constants; solves call scipy's LAPACK
 directly, through :func:`numerics.lapack`, which imports scipy on the first
 solve so that commands without a GP never load it.
+
+A fit makes hundreds of likelihood evaluations on matrices of 7 to 50 rows,
+where numpy's per-call dispatch and allocation outweigh the arithmetic. So
+``fit_gp`` allocates once per fit what every evaluation reuses: two
+:class:`_Likelihood` points, the current one and the candidate, each with its
+parameter vector, the network's views into it, an
+:class:`~xferlens.numerics.MlpWorkspace` and the kernel's arrays, and one
+:class:`_GradWork` with the gradient vector, its network views and the
+gradient's arrays. The line search writes each candidate into the candidate
+point, and an accepted step swaps the two points, so the current point
+survives while candidates are scored. The fit runs in one ``np.errstate``
+scope. ``_likelihood`` and ``_gradient`` called without that scratch allocate
+their own and open their own scope; both run the same body, and the bits are
+those of fresh arrays. Only the Cholesky factor and alpha are new at each
+evaluation (LAPACK returns them), and the points are the fit's own, so the
+state it returns holds their arrays without copying them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -30,6 +46,7 @@ from .data import TaskId
 # here), gp.cholesky and gp.cho_solve, so all stay module attributes.
 from .numerics import (
     MlpParams,
+    MlpWorkspace,
     cho_solve,
     cholesky,
     init_mlp,
@@ -46,10 +63,20 @@ DEFAULT_HIDDEN = (50, 10)
 #: Lower bound on each task's noise variance during the fit, as a log.
 _LOG_NOISE_FLOOR = math.log(1e-8)
 
+#: A candidate's network or noise can overflow and its ls underflow to 0, and
+#: a gradient near a singular K can overflow; the finiteness checks reject such
+#: a point, so numpy need not warn. One scope per fit or public call: a scope
+#: costs about 2 us, a sizeable part of an evaluation at m~7.
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+
 
 @dataclass
 class GpState:
-    """Fitted GP: hyperparameters plus the training-set caches used at prediction."""
+    """Fitted GP: hyperparameters plus the training-set caches used at prediction.
+
+    ``predict_gp`` reads constants computed here once, so the arrays are not
+    to be changed after the fit.
+    """
 
     mlp: MlpParams
     log_lengthscale: float
@@ -68,6 +95,18 @@ class GpState:
     mll_trace: tuple[float, ...]
     mll_evals: int  # likelihood evaluations made by the fit, rejected candidates included
     stopped_early: bool  # True when no step improved the likelihood before the last epoch
+    # Per task: sv, 2 ls^2, K_task's row over the training rows, the prior
+    # variance sv K_task[t, t], the task's mean and chol^T.
+    _by_task: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sv = math.exp(self.log_signal_variance)
+        two_ls_sq = 2.0 * math.exp(self.log_lengthscale) ** 2
+        self._by_task = {
+            task: (sv, two_ls_sq, self.task_cov[ti, self.train_task_idx],
+                   sv * float(self.task_cov[ti, ti]), float(self.task_means[ti]), self.chol.T)
+            for ti, task in enumerate(self.tasks)
+        }
 
 
 def _latent(mlp: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -90,120 +129,175 @@ class _Problem:
     multi_task: bool
     n_mlp: int  # length of the network part of the parameter vector
     n_params: int  # length of the whole parameter vector
-    eye: np.ndarray  # m x m identity, the right-hand side for K^-1
-    task_masks: list[np.ndarray]  # task_idx == t, per task
+    eye: np.ndarray  # m x m identity: the right-hand side for K^-1, and the noise diagonal
+    task_rows: list[slice]  # each task's rows, which are contiguous
     onehot: np.ndarray  # m x T task indicators
-    pairs: tuple[np.ndarray, np.ndarray]  # np.ix_(task_idx, task_idx)
+    pair_idx: np.ndarray | None  # K_task's flat index for each pair of rows (multi-task)
+    log_2pi: float  # 0.5 m log(2 pi), the mll's constant term
 
     def noise_slice(self) -> slice:
         start = self.n_mlp + 2
         return slice(start, start + self.n_tasks)
 
 
-def _unpack(prob: _Problem, vec: np.ndarray):
-    """Views into ``vec``: network, log scales (floats), log noise, task root."""
-    n, t = prob.n_mlp, prob.n_tasks
-    if vec.size != prob.n_params:
-        raise ValueError("parameter vector has the wrong length")
-    mlp = mlp_from_vector(prob.layer_sizes, vec[:n])
-    a_root = vec[n + 2 + t :].reshape(t, t) if prob.multi_task else np.eye(t)
-    return mlp, float(vec[n]), float(vec[n + 1]), vec[n + 2 : n + 2 + t], a_root
-
-
-@dataclass
 class _Likelihood:
     """The marginal log-likelihood at one parameter vector, with the
-    intermediates its gradient and the fitted state are built from."""
+    intermediates its gradient and the fitted state are built from.
 
-    mll: float
-    vec: np.ndarray
-    mlp: MlpParams  # views into vec
-    acts: list[np.ndarray]  # network activations; acts[-1] is g_lin
-    latent: np.ndarray  # g = relu(g_lin)
-    sq: np.ndarray  # pairwise squared latent distances
-    k_rbf: np.ndarray
-    k_nf: np.ndarray  # noise-free covariance
-    noise: np.ndarray  # per-row noise variance
-    task_cov: np.ndarray
-    chol: np.ndarray
-    alpha: np.ndarray
-    jitter: float
+    Built around ``vec``: ``mlp``, ``log_noise`` and (multi-task) ``a_root``
+    are views into it, and the arrays are allocated here for
+    :func:`_likelihood` to fill. ``acts`` (``acts[-1]`` is g_lin), ``latent``
+    (g = relu(g_lin)), ``sq`` (pairwise squared latent distances),
+    ``k_rbf``, ``k_nf`` (the noise-free covariance), ``noise`` (per row) and
+    ``task_cov`` are overwritten by the next evaluation of this point;
+    ``chol`` and ``alpha`` are replaced by new arrays. ``k`` is scratch that
+    holds no result: 2 g g^T, then K_task at each pair of rows, then K, and
+    afterwards a product in :func:`_gradient`.
+    """
+
+    def __init__(self, prob: _Problem, vec: np.ndarray):
+        n, t, m = prob.n_mlp, prob.n_tasks, len(prob.y)
+        if vec.shape != (prob.n_params,):
+            raise ValueError("parameter vector has the wrong length")
+        self.vec = vec
+        self.mlp = mlp_from_vector(prob.layer_sizes, vec[:n])
+        self.log_noise = vec[n + 2 : n + 2 + t]
+        self.ws = MlpWorkspace(prob.layer_sizes, m)
+        self.latent = np.empty((m, prob.layer_sizes[-1]))
+        self.latent_sq = np.empty_like(self.latent)
+        self.sq_norms = np.empty(m)
+        self.sq = np.empty((m, m))
+        self.sq_diag = self.sq.reshape(-1)[:: m + 1]
+        self.k_rbf = np.empty((m, m))
+        self.noise = np.empty(m)
+        self.k = np.empty((m, m))
+        self.finite = np.empty((m, m), dtype=bool)
+        if prob.multi_task:
+            self.a_root = vec[n + 2 + t :].reshape(t, t)
+            self.task_cov = np.empty((t, t))
+            self.k_nf = np.empty((m, m))
+        else:
+            # One task: A = I, so K_task is 1 and k_rbf * 1.0 is k_rbf bit for bit.
+            self.a_root = np.eye(1)
+            self.task_cov = np.ones((1, 1))
+            self.k_nf = self.k_rbf
+        self.mll = math.nan
+        self.ls = math.nan
+        self.acts: list[np.ndarray] = []
+        self.chol = self.alpha = None
+        self.jitter = 0.0
 
 
-def _likelihood(prob: _Problem, vec: np.ndarray) -> _Likelihood:
-    """Kernel, Cholesky factor, alpha and mll; no gradient work.
+def _likelihood(prob: _Problem, vec: np.ndarray, work: _Likelihood | None = None) -> _Likelihood:
+    """Kernel, Cholesky factor, alpha and mll at ``vec``; no gradient work.
 
     Raises ``numpy.linalg.LinAlgError`` when the covariance cannot be factored
     or is not finite (an overflowing hyperparameter), and when the mll is not
     finite, so that the line search treats such a point as a failed step.
+
+    ``work`` is private to :func:`fit_gp`: a point built around ``vec``,
+    which this call fills and returns, inside the fit's errstate scope.
+    Without it the result is a new point with arrays of its own.
     """
-    mlp, log_ls, log_sv, log_noise, a_root = _unpack(prob, vec)
+    if work is None:
+        with np.errstate(**_QUIET):
+            return _likelihood(prob, vec, _Likelihood(prob, vec))
+    lik = work
+    n = prob.n_mlp
     try:
-        ls = math.exp(log_ls)
-        sv = math.exp(log_sv)
+        ls = math.exp(vec[n])
+        sv = math.exp(vec[n + 1])
         two_ls_sq = 2.0 * ls**2
     except OverflowError:
         raise np.linalg.LinAlgError("kernel hyperparameters overflow") from None
-    y = prob.y
-    # A candidate's network or noise can overflow and its ls underflow to 0;
-    # the finiteness check below rejects such a point, so numpy need not warn.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        acts = mlp_activations(mlp, prob.x)
-        g = np.maximum(acts[-1], 0.0)
-        sq_norms = (g**2).sum(axis=1)
-        sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * np.dot(g, g.T)
-        np.fill_diagonal(sq, 0.0)
-        np.maximum(sq, 0.0, out=sq)
-        k_rbf = sv * np.exp(-sq / two_ls_sq)
-        q_task = np.dot(a_root, a_root.T)
-        # With one task q is all ones, and k_rbf * 1.0 is k_rbf bit for bit.
-        k_nf = k_rbf * q_task[prob.pairs] if prob.multi_task else k_rbf
-        noise = np.exp(log_noise)[prob.task_idx]
-        k = k_nf + np.diag(noise)
-    if not np.isfinite(k).all():
+    acts = mlp_activations(lik.mlp, prob.x, lik.ws)
+    g = np.maximum(acts[-1], 0.0, out=lik.latent)
+    np.add.reduce(np.multiply(g, g, out=lik.latent_sq), axis=1, out=lik.sq_norms)
+    # (|g_i|^2 + |g_j|^2) - 2 g_i.g_j, in that order, is exactly symmetric.
+    gg2 = np.dot(g, g.T, out=lik.k)
+    gg2 *= 2.0
+    sq = np.add(lik.sq_norms[:, None], lik.sq_norms, out=lik.sq)
+    sq -= gg2
+    lik.sq_diag[...] = 0.0
+    np.maximum(sq, 0.0, out=sq)
+    k_rbf = np.divide(sq, -two_ls_sq, out=lik.k_rbf)
+    np.exp(k_rbf, out=k_rbf)
+    k_rbf *= sv
+    if prob.multi_task:
+        np.dot(lik.a_root, lik.a_root.T, out=lik.task_cov)
+        np.multiply(k_rbf, lik.task_cov.take(prob.pair_idx, out=lik.k), out=lik.k_nf)
+    np.exp(lik.log_noise).take(prob.task_idx, out=lik.noise)
+    k = np.multiply(prob.eye, lik.noise, out=lik.k)
+    k += lik.k_nf
+    if not np.isfinite(k, out=lik.finite).all():
         raise np.linalg.LinAlgError("covariance is not finite")
 
     chol, jit = cholesky(k, jitter=0.0)
-    alpha = cho_solve(chol, y)
-    mll = (
-        -0.5 * float(np.dot(y, alpha))
-        - float(np.log(chol.diagonal()).sum())
-        - 0.5 * len(y) * math.log(2.0 * math.pi)
-    )
+    alpha = cho_solve(chol, prob.y)
+    mll = -0.5 * float(np.dot(prob.y, alpha)) - float(np.log(chol.diagonal()).sum()) - prob.log_2pi
     if not math.isfinite(mll):
         raise np.linalg.LinAlgError("marginal likelihood is not finite")
-    return _Likelihood(mll=mll, vec=vec, mlp=mlp, acts=acts, latent=g, sq=sq, k_rbf=k_rbf,
-                       k_nf=k_nf, noise=noise, task_cov=q_task, chol=chol, alpha=alpha, jitter=jit)
+    lik.mll, lik.ls, lik.acts, lik.chol, lik.alpha, lik.jitter = mll, ls, acts, chol, alpha, jit
+    return lik
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _gradient(prob: _Problem, lik: _Likelihood) -> np.ndarray:
+class _GradWork:
+    """Scratch for :func:`_gradient`: the gradient vector with views into it
+    like a point's, and the gradient's own arrays."""
+
+    def __init__(self, prob: _Problem):
+        n, t, m = prob.n_mlp, prob.n_tasks, len(prob.y)
+        self.grad = np.empty(prob.n_params)
+        self.mlp = mlp_from_vector(prob.layer_sizes, self.grad[:n])
+        self.log_noise = self.grad[n + 2 : n + 2 + t]
+        self.a_root = self.grad[n + 2 + t :].reshape(t, t) if prob.multi_task else None
+        self.s = np.empty((m, m))
+        self.w_in = np.empty((m, m))
+        self.noise_diag = np.empty(m)
+        self.row_sums = np.empty(m)
+        self.latent_rows = np.empty((m, prob.layer_sizes[-1]))
+        self.active = np.empty((m, prob.layer_sizes[-1]), dtype=bool)
+
+
+def _gradient(prob: _Problem, lik: _Likelihood, work: _GradWork | None = None) -> np.ndarray:
     """d mll / d vec at the point ``lik`` was evaluated, packed like ``vec``.
 
     Near a singular K it can overflow; every step along such a gradient is
     rejected as non-finite, and the fit stops early without numpy warnings.
+
+    ``work`` is private to :func:`fit_gp`: the result is then ``work.grad``,
+    which the next call overwrites. Without it the result is a new array. The
+    backward pass writes its deltas into ``lik.ws``, which holds no result.
     """
-    n, t = prob.n_mlp, prob.n_tasks
-    ls = math.exp(lik.vec[n])
-    g = lik.latent
-    grad = np.empty(prob.n_params)
+    if work is None:
+        with np.errstate(**_QUIET):
+            return _gradient(prob, lik, _GradWork(prob))
+    n = prob.n_mlp
+    ls_sq = lik.ls**2
+    grad = work.grad
 
     k_inv = cho_solve(lik.chol, prob.eye)
-    s = 0.5 * (lik.alpha[:, None] * lik.alpha - k_inv)  # d mll / d K
-    w_in = s * lik.k_nf
+    s = np.multiply(lik.alpha[:, None], lik.alpha, out=work.s)  # d mll / d K
+    s -= k_inv
+    s *= 0.5
+    w_in = np.multiply(s, lik.k_nf, out=work.w_in)
 
-    grad[n] = float((w_in * lik.sq).sum() / ls**2)
-    grad[n + 1] = float(w_in.sum())
-    noise_diag = s.diagonal() * lik.noise
-    grad[n + 2 : n + 2 + t] = [float(noise_diag[mask].sum()) for mask in prob.task_masks]
+    grad[n] = np.multiply(w_in, lik.sq, out=lik.k).sum() / ls_sq
+    grad[n + 1] = w_in.sum()
+    noise_diag = np.multiply(s.diagonal(), lik.noise, out=work.noise_diag)
+    for t, rows in enumerate(prob.task_rows):
+        work.log_noise[t] = noise_diag[rows].sum()
     if prob.multi_task:
-        m_block = np.dot(np.dot(prob.onehot.T, s * lik.k_rbf), prob.onehot)
-        grad[n + 2 + t :] = np.dot(2.0 * m_block, lik.vec[n + 2 + t :].reshape(t, t)).ravel()
+        m_block = np.dot(np.dot(prob.onehot.T, np.multiply(s, lik.k_rbf, out=lik.k)), prob.onehot)
+        np.dot(2.0 * m_block, lik.a_root, out=work.a_root)
 
-    row_sums = w_in.sum(axis=1)
-    d_g = (2.0 / ls**2) * (np.dot(w_in, g) - row_sums[:, None] * g)
-    d_g_lin = d_g * (lik.acts[-1] > 0.0)
-    mlp_backprop(lik.mlp, lik.acts, d_g_lin, mlp_from_vector(prob.layer_sizes, grad[:n]))
+    g = lik.latent
+    row_sums = np.add.reduce(w_in, axis=1, out=work.row_sums)
+    d_g = np.dot(w_in, g, out=lik.ws.deltas[-1])
+    d_g -= np.multiply(row_sums[:, None], g, out=work.latent_rows)
+    d_g *= 2.0 / ls_sq
+    d_g *= np.greater(lik.acts[-1], 0.0, out=work.active)  # now d mll / d g_lin
+    mlp_backprop(lik.mlp, lik.acts, d_g, work.mlp, lik.ws)
     return grad
 
 
@@ -217,8 +311,7 @@ def _build_problem(
         raise ValueError("no training tasks")
     if not multi_task and len(tasks) != 1:
         raise ValueError("single-task GP expects exactly one task")
-    xs, ys, idx = [], [], []
-    means = []
+    xs, ys, idx, means, task_rows = [], [], [], [], []
     for t, task in enumerate(tasks):
         x, y = data_by_task[task]
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -229,6 +322,7 @@ def _build_problem(
         means.append(mu)
         xs.append(x)
         ys.append(y - mu)
+        task_rows.append(slice(len(idx), len(idx) + len(y)))
         idx.extend([t] * len(y))
     x_all = np.vstack(xs)
     task_idx = np.array(idx, dtype=int)
@@ -239,8 +333,9 @@ def _build_problem(
         x=x_all, y=np.concatenate(ys), task_idx=task_idx, n_tasks=n_tasks,
         layer_sizes=layer_sizes, multi_task=multi_task, n_mlp=n_mlp,
         n_params=n_mlp + 2 + n_tasks + (n_tasks**2 if multi_task else 0),
-        eye=np.eye(m), task_masks=[task_idx == t for t in range(n_tasks)],
-        onehot=np.eye(n_tasks)[task_idx], pairs=np.ix_(task_idx, task_idx),
+        eye=np.eye(m), task_rows=task_rows, onehot=np.eye(n_tasks)[task_idx],
+        pair_idx=task_idx[:, None] * n_tasks + task_idx if multi_task else None,
+        log_2pi=0.5 * m * math.log(2.0 * math.pi),
     )
     return prob, tasks, np.array(means)
 
@@ -273,40 +368,44 @@ def fit_gp(
     ``stopped_early`` on the result report that line-search work.
     """
     prob, tasks, means = _build_problem(data_by_task, multi_task, hidden)
-    vec = _init_vec(prob, seed, init_noise_variance)
-    ns = prob.noise_slice()
+    lik = _Likelihood(prob, _init_vec(prob, seed, init_noise_variance))
+    cand = _Likelihood(prob, np.empty(prob.n_params))
+    grad_work = _GradWork(prob)
 
-    lik = _likelihood(prob, vec)
-    evals = 1
-    trace = [lik.mll]
-    stopped_early = False
-    for _ in range(epochs):
-        grad = _gradient(prob, lik)
-        step = lr
-        accepted = None
-        for _ in range(30):
-            cand = vec + step * grad
-            cand[ns] = np.maximum(cand[ns], _LOG_NOISE_FLOOR)
-            evals += 1
-            try:
-                cand_lik = _likelihood(prob, cand)
-            except np.linalg.LinAlgError:
+    with np.errstate(**_QUIET):
+        _likelihood(prob, lik.vec, lik)
+        evals = 1
+        trace = [lik.mll]
+        stopped_early = False
+        for _ in range(epochs):
+            grad = _gradient(prob, lik, grad_work)
+            step = lr
+            accepted = False
+            for _ in range(30):
+                np.multiply(grad, step, out=cand.vec)
+                cand.vec += lik.vec
+                np.maximum(cand.log_noise, _LOG_NOISE_FLOOR, out=cand.log_noise)
+                evals += 1
+                try:
+                    _likelihood(prob, cand.vec, cand)
+                except np.linalg.LinAlgError:
+                    step *= 0.5
+                    continue
+                if cand.mll >= lik.mll:
+                    accepted = True
+                    break
                 step *= 0.5
-                continue
-            if cand_lik.mll >= lik.mll:
-                accepted = cand_lik
+            if not accepted:
+                stopped_early = True
                 break
-            step *= 0.5
-        if accepted is None:
-            stopped_early = True
-            break
-        vec, lik = cand, accepted
-        trace.append(lik.mll)
+            lik, cand = cand, lik
+            trace.append(lik.mll)
 
-    mlp, log_ls, log_sv, log_noise, a_root = _unpack(prob, vec)
+    # Nothing reuses the accepted point's arrays once the fit returns.
+    n = prob.n_mlp
     return GpState(
-        mlp=mlp, log_lengthscale=log_ls, log_signal_variance=log_sv,
-        log_noise_variance=np.array(log_noise), task_root=np.array(a_root), tasks=tasks,
+        mlp=lik.mlp, log_lengthscale=float(lik.vec[n]), log_signal_variance=float(lik.vec[n + 1]),
+        log_noise_variance=np.array(lik.log_noise), task_root=np.array(lik.a_root), tasks=tasks,
         multi_task=multi_task, train_latent=lik.latent, train_task_idx=prob.task_idx,
         task_means=means, task_cov=lik.task_cov, chol=lik.chol, alpha=lik.alpha,
         jitter=lik.jitter, mll_trace=tuple(trace), mll_evals=evals, stopped_early=stopped_early,
@@ -314,22 +413,24 @@ def fit_gp(
 
 
 def predict_gp(state: GpState, x: np.ndarray, task: TaskId) -> tuple[float, float]:
-    """Conditional mean and (non-negative) latent variance at a query point."""
-    if task not in state.tasks:
-        raise ValueError(f"unknown task {task!r}")
-    ti = state.tasks.index(task)
+    """Conditional mean and (non-negative) latent variance at one query row."""
+    try:
+        sv, two_ls_sq, cov_row, prior_var, task_mean, chol_t = state._by_task[task]
+    except KeyError:
+        raise ValueError(f"unknown task {task!r}") from None
     x = np.asarray(x, dtype=float)
-    ls = math.exp(state.log_lengthscale)
-    sv = math.exp(state.log_signal_variance)
+    width = state.mlp.layer_sizes[0]
+    if x.shape != (width,):
+        raise ValueError(f"expected a vector of length {width}, got shape {x.shape}")
     # A degenerate fit (huge network weights, a tiny ls) overflows here quietly.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         g_star = _latent(state.mlp, x)
         sq = ((state.train_latent - g_star) ** 2).sum(axis=1)
-        k_star = sv * np.exp(-sq / (2.0 * ls**2)) * state.task_cov[ti, state.train_task_idx]
-    mean = float(np.dot(k_star, state.alpha)) + float(state.task_means[ti])
+        k_star = sv * np.exp(-sq / two_ls_sq) * cov_row
+    mean = float(np.dot(k_star, state.alpha)) + task_mean
     # L v = k_star as scipy's solve_triangular solves it: L.T's transposed system.
-    v, info = lapack().dtrtrs(state.chol.T, k_star, lower=0, trans=1)
+    v, info = lapack().dtrtrs(chol_t, k_star, lower=0, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-    var = sv * float(state.task_cov[ti, ti]) - float(np.dot(v, v))
+    var = prior_var - float(np.dot(v, v))
     return mean, max(var, 0.0)

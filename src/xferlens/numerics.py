@@ -41,6 +41,8 @@ import numpy as np
 MAX_JITTER = 1e-2
 # First non-zero rung of the escalation ladder when the caller asked for none.
 BASE_JITTER = 1e-6
+# The native float64 dtype, which np.asarray(a, dtype=float) would return ``a`` as.
+_FLOAT64 = np.dtype(float)
 
 
 def cholesky(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, float]:
@@ -53,7 +55,8 @@ def cholesky(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, float]:
     Raises ``numpy.linalg.LinAlgError`` if the matrix is not positive definite
     even at the maximum jitter.
     """
-    a = np.asarray(a, dtype=float)
+    if not (type(a) is np.ndarray and a.dtype is _FLOAT64):
+        a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # Exact symmetry (the GP's covariances) skips allclose, which costs more

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import lang_codes, planted_dataset
+from xferlens import evaluation
 from xferlens.cli import main
 from xferlens.data import FEATURE_NAMES, load_features_csv, save_dataset
 
@@ -300,6 +301,25 @@ class TestEvaluateCommand:
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["failures"]
         assert {r["model"]["kind"] for r in payload["results"]} == {"awt"}
+
+    def test_non_finite_prediction_is_a_failed_cell(self, five_task_paths, tmp_path, monkeypatch):
+        # A diverging maml predicts nan; strict JSON has no NaN, so the cell fails.
+        diverging = {**evaluation._DEFAULT_HYPERPARAMS["maml"], "meta_epochs": 20, "inner_lr": 2.0}
+        monkeypatch.setitem(evaluation._DEFAULT_HYPERPARAMS, "maml", diverging)
+        out = tmp_path / "out"
+        code = main(["evaluate", "--scores", str(five_task_paths["scores"]),
+                     "--features", str(five_task_paths["features"]), "--models", "awt,maml",
+                     "--protocol", "lolo", "--task", "A", "--out", str(out)])
+        assert code == 3
+
+        def no_constants(name):
+            raise AssertionError(f"report.json holds {name}")
+
+        payload = json.loads((out / "report.json").read_text(), parse_constant=no_constants)
+        assert [(f["model"], f["task"]) for f in payload["failures"]] == [("maml", "A")]
+        assert "not finite" in payload["failures"][0]["error"]
+        assert {r["model"]["kind"] for r in payload["results"]} == {"awt"}
+        assert "nan" not in (out / "records.csv").read_text()
 
     def test_multi_model_scores_exit_two(self, toy_paths, tmp_path, capsys):
         lines = toy_paths["scores"].read_text().splitlines()

@@ -93,6 +93,17 @@ class TestRunLolo:
         with pytest.raises(RuntimeError, match="maml.*task 'A'.*held-out"):
             run_lolo(ds, ModelSpec("maml"), "A")  # no helper tasks
 
+    def test_non_finite_prediction_fails_the_fold(self):
+        # A large inner learning rate makes maml diverge: every prediction is nan.
+        langs = lang_codes(6)
+        w = np.zeros(9)
+        w[1] = 0.1
+        tasks = {"A": langs[:4], "B": langs, "C": langs[1:], "D": langs[:5], "E": langs[2:]}
+        ds = planted_dataset(tasks, w, seed=1)
+        spec = ModelSpec("maml", {"meta_epochs": 20, "inner_lr": 2.0})
+        with pytest.raises(RuntimeError, match=r"maml.*task 'A', held-out 'aa'.*not finite"):
+            run_lolo(ds, spec, "A")
+
 
 class TestRunLlro:
     def test_awt_hand_check_on_four_records(self):

@@ -132,6 +132,17 @@ class TestGpAgainstFrozen:
         else:
             assert ref.mll_evals > len(ref.mll_trace)
 
+    @pytest.mark.parametrize("sizes", [(7,), (20, 16, 8, 6)], ids=["dgpr", "mdgpr"])
+    def test_fit_at_benchmark_shape(self, sizes):
+        # The benchmark's dgpr folds and mdgpr helpers, the default network and
+        # 200 epochs: the fit's two points swap through hundreds of accepted
+        # and rejected candidates.
+        rng = np.random.default_rng(7)
+        data = {f"t{i}": (rng.standard_normal((n, 9)), rng.uniform(0.0, 1.0, n))
+                for i, n in enumerate(sizes)}
+        ref = assert_same_fit(data, len(sizes) > 1, gp.DEFAULT_HIDDEN, 7, 0.01, 200, 0.01)
+        assert len(ref.mll_trace) > 100 and ref.mll_evals > len(ref.mll_trace) + 100
+
     def test_overflowing_hyperparameters_raise_in_both(self):
         data = {"t": (np.eye(3), np.array([0.1, 0.5, 0.2]))}
         prob = gp._build_problem(data, False, (3,))[0]

@@ -1,3 +1,4 @@
+import collections
 import math
 import zlib
 
@@ -8,6 +9,8 @@ from helpers import grad_check, mll_function
 import xferlens.gp as gp_module
 from xferlens.gp import (
     _build_problem,
+    _gradient,
+    _init_vec,
     _latent,
     _likelihood,
     fit_gp,
@@ -211,6 +214,16 @@ class TestPredictGp:
             predict_gp(state, np.zeros(3), "nope")
 
 
+    def test_rejects_anything_but_one_row_of_the_input_width(self):
+        rng = np.random.default_rng(12)
+        state = fit_gp({"t": (rng.standard_normal((3, 2)), rng.uniform(0, 1, 3))},
+                       multi_task=False, epochs=0, hidden=(4, 3))
+        # A 3 x 2 matrix once lined its rows up with the three training rows.
+        for bad in (np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((1, 2)), np.zeros(3), 0.5):
+            with pytest.raises(ValueError, match=r"expected a vector of length 2, got shape"):
+                predict_gp(state, bad, "t")
+        assert predict_gp(state, [0.1, 0.2], "t") == predict_gp(state, np.array([0.1, 0.2]), "t")
+
 class TestDeterminism:
     def test_same_seed_identical_state(self):
         rng = np.random.default_rng(11)
@@ -356,3 +369,81 @@ class TestLineSearchOverflow:
         with pytest.raises(ValueError, match="square"):
             fit_gp(random_tasks(0, (6,), 3), multi_task=False, epochs=3, hidden=(5,))
         assert len(calls) == 2
+
+
+def state_arrays(state):
+    """Every array a fitted state holds, by name."""
+    names = ("log_noise_variance", "task_root", "train_latent", "train_task_idx",
+             "task_means", "task_cov", "chol", "alpha")
+    return {"mlp": state.mlp.vector(), **{name: getattr(state, name) for name in names}}
+
+
+def likelihood_arrays(lik):
+    names = ("vec", "latent", "sq", "k_rbf", "k_nf", "noise", "task_cov", "chol", "alpha")
+    return {name: getattr(lik, name) for name in names}
+
+
+class TestScratchOwnership:
+    """A fit reuses its scratch for every likelihood evaluation; what it
+    returns must not share memory with another fit or evaluation."""
+
+    @pytest.mark.parametrize("sizes", [(7,), (6, 5)], ids=["dgpr", "mdgpr"])
+    def test_back_to_back_fits_leave_the_first_state_unchanged(self, sizes):
+        multi_task = len(sizes) > 1
+        first = fit_gp(random_tasks(5, sizes, 3), multi_task=multi_task, epochs=20, seed=5,
+                       hidden=(5, 3))
+        before = {name: a.tobytes() for name, a in state_arrays(first).items()}
+        queries = np.random.default_rng(5).standard_normal((4, 3))
+        predicted = [predict_gp(first, q, task) for task in first.tasks for q in queries]
+
+        second = fit_gp(random_tasks(6, sizes, 3), multi_task=multi_task, epochs=20, seed=6,
+                        hidden=(5, 3))
+        assert {name: a.tobytes() for name, a in state_arrays(first).items()} == before
+        assert [predict_gp(first, q, task) for task in first.tasks for q in queries] == predicted
+        for name, a in state_arrays(first).items():
+            for other, b in state_arrays(second).items():
+                assert not np.shares_memory(a, b), (name, other)
+
+    @pytest.mark.parametrize("sizes", [(7,), (6, 5)], ids=["dgpr", "mdgpr"])
+    def test_direct_evaluations_are_independent(self, sizes):
+        prob = _build_problem(random_tasks(8, sizes, 3), len(sizes) > 1, (5, 3))[0]
+        vec = _init_vec(prob, 8, 0.01)
+        first = _likelihood(prob, vec)
+        first_grad = _gradient(prob, first)
+        before = {name: a.tobytes() for name, a in likelihood_arrays(first).items()}
+        grad_before = first_grad.tobytes()
+
+        second = _likelihood(prob, vec + 0.1)
+        second_grad = _gradient(prob, second)
+        assert {name: a.tobytes() for name, a in likelihood_arrays(first).items()} == before
+        assert first_grad.tobytes() == grad_before
+        assert not np.shares_memory(first_grad, second_grad)
+        for name, a in likelihood_arrays(first).items():
+            for other, b in likelihood_arrays(second).items():
+                assert not np.shares_memory(a, b), (name, other)
+
+
+def test_fit_allocates_its_scratch_once(monkeypatch):
+    # A structural guard instead of a timing test: the fit builds its network
+    # views, workspaces and points a fixed number of times, however many
+    # likelihood evaluations it makes.
+    counts = collections.Counter()
+    for name in ("mlp_from_vector", "MlpWorkspace", "_Likelihood", "_GradWork"):
+        def counted(*args, _real=getattr(gp_module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, name, counted)
+
+    def allocations(data, epochs):
+        counts.clear()
+        state = fit_gp(data, multi_task=len(data) > 1, epochs=epochs, seed=2, hidden=(5, 3))
+        assert not state.stopped_early
+        return dict(counts), state.mll_evals
+
+    for sizes in ((7,), (6, 5)):
+        data = random_tasks(2, sizes, 3)
+        few, few_evals = allocations(data, 5)
+        many, many_evals = allocations(data, 50)
+        assert many_evals >= few_evals + 45
+        assert few == many
