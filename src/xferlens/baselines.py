@@ -3,10 +3,13 @@
 The boosting is deliberately plain: squared loss, exact greedy split search,
 no subsampling and no second-order terms. Each fit sorts every feature column
 once, since the features stay fixed across trees; each node then takes its
-rows' orders from its parent's and searches all features in one pass. Ties
-between equal-gain splits go to the lowest feature index, then the lowest
-threshold, so fits are deterministic; they are the trees that re-sorting at
-every node and searching one feature at a time would grow, bit for bit.
+rows' orders from its parent's and searches all features in one pass. A fit
+also keeps every row set it splits, with the sorted values and tie mask its
+search needs, so a later tree that makes the same split reuses them and
+recomputes only the residual sums. Ties between equal-gain splits go to the
+lowest feature index, then the lowest threshold, so fits are deterministic;
+they are the trees that re-sorting at every node and searching one feature at
+a time would grow, bit for bit.
 """
 
 from __future__ import annotations
@@ -70,31 +73,75 @@ class TreeEnsemble:
     n_features: int
 
 
-def _best_split(
-    x: np.ndarray, y: np.ndarray, node_y: np.ndarray, order: np.ndarray
-) -> tuple[int, float] | None:
-    """Exact greedy search over every feature at once: (feature, threshold).
+class _RowSet:
+    """A node's rows and the part of its split search that depends on x alone.
 
-    ``order`` holds the node's rows sorted by each feature, one feature per
-    row. Candidate thresholds are midpoints between consecutive distinct
-    sorted values, which keeps at least one sample on each side. The gains of
-    all features form one matrix, so a single first-max ``argmax`` over it
-    picks the lowest feature, then the lowest threshold, among equal gains.
+    ``fit_gbt`` keeps one tree of these per fit, grown lazily from the root
+    row set: a child is made the first time a round picks the split that
+    makes it, its search data is built the first time it is searched, and
+    every later round that picks the same split reuses both. ``children`` maps
+    a split's flat argmax index to (feature, threshold, left, right).
+    """
+
+    __slots__ = ("rows", "order", "xs", "ties", "k", "m_k", "children")
+
+    def __init__(self, rows: np.ndarray, order: np.ndarray):
+        self.rows = rows
+        self.order = order  # the rows sorted by each feature, one feature per row
+        self.xs = None
+        self.children: dict = {}
+
+    def build(self, x: np.ndarray) -> None:
+        """Sorted values, the no-cut mask between equal values and left/right sizes."""
+        n, m = self.order.shape
+        self.xs = x[self.order, np.arange(n)[:, None]]
+        self.ties = self.xs[:, 1:] == self.xs[:, :-1]
+        self.k = np.arange(1.0, m)  # left sizes
+        self.m_k = m - self.k
+
+    def split(self, x: np.ndarray, i: int) -> tuple:
+        """The children of the split at flat index ``i``, made on first use.
+
+        A child's per-feature orders are the parent's with the other child's
+        rows filtered out: a stable sort of a subset is the presorted order
+        restricted to it, so tied values keep their order.
+        """
+        child = self.children.get(i)
+        if child is None:
+            n, m = self.order.shape
+            j, c = divmod(i, m - 1)
+            threshold = float(self.xs[j, c] / 2.0 + self.xs[j, c + 1] / 2.0)  # a sum of two could overflow
+            mask = x[self.rows, j] <= threshold  # the comparison predict_gbt makes
+            sel = x[self.order, j] <= threshold
+            child = self.children[i] = (
+                j,
+                threshold,
+                _RowSet(self.rows[mask], self.order[sel].reshape(n, -1)),
+                _RowSet(self.rows[~mask], self.order[~sel].reshape(n, -1)),
+            )
+        return child
+
+
+def _best_split(node: _RowSet, y: np.ndarray, node_y: np.ndarray) -> int | None:
+    """Exact greedy search over every feature at once: a flat index into the gains.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values, which keeps at least one sample on each side. The gains of all
+    features form one matrix, so a single first-max ``argmax`` over it picks
+    the lowest feature, then the lowest threshold, among equal gains.
     Returns None when no split reduces the squared error by more than 1e-12.
     """
-    n, m = order.shape
+    m = node_y.size
     sse_parent = float(((node_y - node_y.sum() / m) ** 2).sum())
-    xs = x[order, np.arange(n)[:, None]]
-    ys = y[order]
+    ys = y[node.order]
     csum = ys.cumsum(axis=1)
     csq = (ys**2).cumsum(axis=1)
     left_sum = csum[:, :-1]
     left_sq = csq[:, :-1]
-    k = np.arange(1.0, m)  # left sizes
-    sse_left = left_sq - left_sum**2 / k
-    sse_right = (csq[:, -1:] - left_sq) - (csum[:, -1:] - left_sum) ** 2 / (m - k)
+    sse_left = left_sq - left_sum**2 / node.k
+    sse_right = (csq[:, -1:] - left_sq) - (csum[:, -1:] - left_sum) ** 2 / node.m_k
     gains = sse_parent - sse_left - sse_right
-    gains[xs[:, 1:] == xs[:, :-1]] = -np.inf  # no cut between equal values
+    gains[node.ties] = -np.inf  # no cut between equal values
     flat = gains.ravel()
     i = int(flat.argmax())
     if np.isnan(flat[i]):  # as per-feature argmax did, an overflowed feature is skipped whole
@@ -102,46 +149,36 @@ def _best_split(
         i = int(flat.argmax())
     if not flat[i] > 1e-12:
         return None
-    j, c = divmod(i, m - 1)
-    return j, float(xs[j, c] / 2.0 + xs[j, c + 1] / 2.0)  # a sum of two could overflow
+    return i
 
 
 def _grow(
-    x: np.ndarray,
-    y: np.ndarray,
-    rows: np.ndarray,
-    order: np.ndarray,
-    depth: int,
-    max_depth: int,
-    pred: np.ndarray,
+    node: _RowSet, x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, pred: np.ndarray
 ) -> Union[TreeNode, Leaf]:
-    """Grow the subtree over ``rows`` (ascending) and write its leaves into ``pred``.
-
-    A child's per-feature orders are the parent's with the other child's rows
-    filtered out: a stable sort of a subset is the presorted order restricted
-    to it, so tied values keep their order.
-    """
+    """Grow the subtree over ``node``'s rows and write its leaves into ``pred``."""
+    rows = node.rows
+    if rows.size == 1:  # a leaf without numpy calls; sum() starts from 0.0, so -0.0 sums to 0.0
+        r = int(rows[0])
+        value = 0.0 + float(y[r])
+        pred[r] = value
+        return Leaf(value)
     node_y = y[rows]
-    split = None
-    if depth < max_depth and rows.size >= 2:
-        split = _best_split(x, y, node_y, order)
-    if split is None:
+    i = None
+    if depth < max_depth:
+        if node.xs is None:
+            node.build(x)
+        i = _best_split(node, y, node_y)
+    if i is None:
         value = float(node_y.sum() / rows.size)  # the bits of mean(), without its overhead
         pred[rows] = value
         return Leaf(value)
-    j, threshold = split
-    mask = x[rows, j] <= threshold  # the comparison _eval_tree makes
-    sel = x[order, j] <= threshold
-    n = order.shape[0]
-    left = _grow(x, y, rows[mask], order[sel].reshape(n, -1), depth + 1, max_depth, pred)
-    right = _grow(x, y, rows[~mask], order[~sel].reshape(n, -1), depth + 1, max_depth, pred)
-    return TreeNode(feature=j, threshold=threshold, left=left, right=right)
-
-
-def _eval_tree(node: Union[TreeNode, Leaf], x: list[float]) -> float:
-    while isinstance(node, TreeNode):
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.value
+    j, threshold, left, right = node.split(x, i)
+    return TreeNode(
+        feature=j,
+        threshold=threshold,
+        left=_grow(left, x, y, depth + 1, max_depth, pred),
+        right=_grow(right, x, y, depth + 1, max_depth, pred),
+    )
 
 
 def fit_gbt(
@@ -152,6 +189,11 @@ def fit_gbt(
     learning_rate: float = 0.1,
 ) -> TreeEnsemble:
     """Squared-loss boosting on residuals, with no stochastic subsampling."""
+    for name, value in (("n_estimators", n_estimators), ("max_depth", max_depth)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    if not 0 < learning_rate < np.inf:  # false for nan too
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -162,12 +204,12 @@ def fit_gbt(
         raise ValueError("non-finite inputs")
     base = float(y.mean())
     residual = y - base
-    rows = np.arange(x.shape[0])
-    order = np.argsort(x.T, axis=1, kind="stable")  # x is the same for every tree
+    # x is the same for every tree, so one row-set tree serves the whole fit.
+    root = _RowSet(np.arange(x.shape[0]), np.argsort(x.T, axis=1, kind="stable"))
     pred = np.empty(x.shape[0])
     trees: list[Union[TreeNode, Leaf]] = []
     for _ in range(n_estimators):
-        trees.append(_grow(x, residual, rows, order, 0, max_depth, pred))
+        trees.append(_grow(root, x, residual, 0, max_depth, pred))
         residual = residual - learning_rate * pred
     return TreeEnsemble(trees, learning_rate, base, x.shape[1])
 
@@ -177,7 +219,10 @@ def predict_gbt(m: TreeEnsemble, x: np.ndarray) -> float:
     if x.shape != (m.n_features,):
         raise ValueError(f"expected a vector of length {m.n_features}, got shape {x.shape}")
     row = x.tolist()  # Python floats: a node's comparison skips numpy's scalar dispatch
+    rate = m.learning_rate
     total = m.base_score
-    for tree in m.trees:
-        total += m.learning_rate * _eval_tree(tree, row)
+    for node in m.trees:
+        while type(node) is TreeNode:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        total += rate * node.value
     return float(total)

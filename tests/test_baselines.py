@@ -1,3 +1,4 @@
+import collections
 import struct
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import simple_dataset
+from xferlens import baselines
 from xferlens.baselines import (
     Leaf,
     TreeEnsemble,
@@ -356,3 +358,82 @@ class TestGbt:
             want = reference_fit(x, y, 1, 1, 1.0)
         assert isinstance(want.trees[0], TreeNode) and want.trees[0].feature == 0
         assert_same_ensemble(got, want)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_estimators", -3), ("n_estimators", 2.5), ("n_estimators", True), ("max_depth", -1),
+        ("max_depth", 1.0), ("learning_rate", float("nan")), ("learning_rate", -1.0),
+        ("learning_rate", 0.0), ("learning_rate", float("inf")),
+    ])
+    def test_rejects_bad_hyperparameters(self, name, value):
+        x = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match=name):
+            fit_gbt(x, np.arange(4.0), **{name: value})
+
+    def test_zero_rounds_and_depth_stay_valid(self):
+        x = np.arange(8.0).reshape(4, 2)
+        assert fit_gbt(x, np.arange(4.0), n_estimators=0).trees == []
+        model = fit_gbt(x, np.arange(4.0), n_estimators=np.int64(2), max_depth=0, learning_rate=1)
+        assert [type(t) for t in model.trees] == [Leaf, Leaf]
+
+    def test_negative_zero_residual_leaf_matches_reference(self):
+        # The mean is 0.0, so the last row's residual is -0.0; the mean of a
+        # one-row leaf holding it is 0.0, since numpy's sum starts from 0.0.
+        x = np.array([[0.0], [1.0], [2.0]])
+        y = np.array([0.1, -0.1, -0.0])
+        got = fit_gbt(x, y, n_estimators=3, max_depth=10, learning_rate=0.1)
+        assert_same_ensemble(got, reference_fit(x, y, 3, 10, 0.1))
+
+
+def benchmark_shaped(m, seed):
+    """An m x 9 problem like a fold of the benchmark's table, with two rows repeated."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(m, 9))
+    x[-2:] = x[:2]
+    return x, rng.uniform(0.0, 1.0, size=m)
+
+
+def searched_row_sets(model, x, max_depth):
+    """The distinct row sets a fit searches, each named by its path from the root.
+
+    Every split node is searched, and so is every leaf above ``max_depth``
+    that holds two or more training rows.
+    """
+    searched = set()
+    for tree in model.trees:
+        leaf_rows = collections.Counter()
+        for row in x:
+            node, path = tree, ()
+            while isinstance(node, TreeNode):
+                searched.add(path)
+                left = row[node.feature] <= node.threshold
+                node, path = (node.left if left else node.right), path + ((node.feature, node.threshold, left),)
+            leaf_rows[path] += 1
+        searched.update(p for p, n in leaf_rows.items() if n >= 2 and len(p) < max_depth)
+    return searched
+
+
+class TestGbtRowSetReuse:
+    @pytest.mark.parametrize("m", [7, 20])
+    def test_matches_reference_fit_at_benchmark_shape(self, m):
+        x, y = benchmark_shaped(m, seed=m)
+        got = fit_gbt(x, y, n_estimators=100, max_depth=10, learning_rate=0.1)
+        assert_same_ensemble(got, reference_fit(x, y, 100, 10, 0.1))
+
+    def test_back_to_back_fits_equal_fresh_fits(self):
+        x1, y1 = benchmark_shaped(7, seed=1)
+        x2, y2 = benchmark_shaped(7, seed=2)
+        for x, y in ((x1, y1), (x2, y2), (x1, y2), (x1, y1)):
+            got = fit_gbt(x, y, n_estimators=30, max_depth=10, learning_rate=0.1)
+            assert_same_ensemble(got, reference_fit(x, y, 30, 10, 0.1))
+
+    @pytest.mark.parametrize("n_estimators", [5, 100])
+    def test_each_row_set_is_built_once_per_fit(self, monkeypatch, n_estimators):
+        builds = []
+        real = baselines._RowSet.build
+        monkeypatch.setattr(baselines._RowSet, "build", lambda node, x: builds.append(1) or real(node, x))
+        x, y = benchmark_shaped(7, seed=3)
+        model = fit_gbt(x, y, n_estimators=n_estimators, max_depth=10, learning_rate=0.1)
+        distinct = searched_row_sets(model, x, 10)
+        assert len(builds) == len(distinct)
+        if n_estimators == 100:  # later rounds split the row sets of earlier ones again
+            assert len(builds) < n_estimators

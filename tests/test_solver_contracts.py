@@ -12,20 +12,21 @@ import numpy as np
 import pytest
 
 from helpers import lang_codes, planted_dataset
-from xferlens import cli, factorization, features, gp, meta
+from xferlens import baselines, cli, factorization, features, gp, meta
 from xferlens.data import save_dataset
 from xferlens.evaluation import ModelSpec, fit_predictors
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # bench/tracing.py replaces these module attributes by counting wrappers and
-# derives gp.mll_evals, gp.cho_solve_s, meta.adapt_calls,
+# derives baselines.gbt_trees, gp.mll_evals, gp.cho_solve_s, meta.adapt_calls,
 # factorization.cmf_sweeps, features.load_s, features.overlap_s,
 # features.wmrr_calls and the per-row prediction invariants from their
 # calls. Tier-1 runs no traced pass, so a refactor that calls them by another
 # name (or not at all) would pass here and break the benchmark's invariants
 # silently.
-COUNTED = ((gp, "cholesky"), (gp, "cho_solve"), (gp, "predict_gp"),
+COUNTED = ((baselines, "fit_gbt"), (baselines, "predict_gbt"),
+           (gp, "cholesky"), (gp, "cho_solve"), (gp, "predict_gp"),
            (meta, "adapt"), (meta, "predict_net"),
            (factorization, "_objective"), (factorization, "predict_cmf"),
            (factorization, "predict_cold_start"),
@@ -75,6 +76,11 @@ class TestTracerCounts:
     def test_mdgpr(self, calls):
         rows = fit_and_predict("mdgpr", {"epochs": 5})
         assert dict(calls) == {"gp.cholesky": 1 + 5 + 3, "gp.cho_solve": 9 + 5, "gp.predict_gp": rows}
+
+    def test_gbt(self, calls):
+        # One fit per task and one predict_gbt call per predicted row.
+        rows = fit_and_predict("gbt", {"n_estimators": 5})
+        assert dict(calls) == {"baselines.fit_gbt": 1, "baselines.predict_gbt": rows}
 
     def test_maml(self, calls):
         fit_and_predict("maml", {"meta_epochs": 3}, meta_tasks=["B", "C", "D"])
