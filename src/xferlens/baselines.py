@@ -20,6 +20,12 @@ from typing import Union
 import numpy as np
 
 from .data import Dataset, LangId, TaskId
+from .numerics import require_finite, require_int
+
+# The ufunc reductions ndarray.sum and ndarray.any reach through a Python
+# wrapper: the same loops, so the same bits, at a fraction of a search's cost.
+_sum = np.add.reduce
+_any = np.logical_or.reduce
 
 
 def predict_awt(train: Dataset, task: TaskId, pivot: LangId, target: LangId) -> float:
@@ -132,7 +138,7 @@ def _best_split(node: _RowSet, y: np.ndarray, node_y: np.ndarray) -> int | None:
     Returns None when no split reduces the squared error by more than 1e-12.
     """
     m = node_y.size
-    sse_parent = float(((node_y - node_y.sum() / m) ** 2).sum())
+    sse_parent = float(_sum((node_y - _sum(node_y) / m) ** 2))
     ys = y[node.order]
     csum = ys.cumsum(axis=1)
     csq = (ys**2).cumsum(axis=1)
@@ -141,11 +147,12 @@ def _best_split(node: _RowSet, y: np.ndarray, node_y: np.ndarray) -> int | None:
     sse_left = left_sq - left_sum**2 / node.k
     sse_right = (csq[:, -1:] - left_sq) - (csum[:, -1:] - left_sum) ** 2 / node.m_k
     gains = sse_parent - sse_left - sse_right
-    gains[node.ties] = -np.inf  # no cut between equal values
+    np.putmask(gains, node.ties, -np.inf)  # no cut between equal values
     flat = gains.ravel()
     i = int(flat.argmax())
-    if np.isnan(flat[i]):  # as per-feature argmax did, an overflowed feature is skipped whole
-        gains[np.isnan(gains).any(axis=1)] = -np.inf
+    v = flat[i]
+    if v != v:  # NaN: as per-feature argmax did, an overflowed feature is skipped whole
+        gains[_any(np.isnan(gains), 1)] = -np.inf
         i = int(flat.argmax())
     if not flat[i] > 1e-12:
         return None
@@ -169,7 +176,7 @@ def _grow(
             node.build(x)
         i = _best_split(node, y, node_y)
     if i is None:
-        value = float(node_y.sum() / rows.size)  # the bits of mean(), without its overhead
+        value = float(_sum(node_y) / rows.size)  # the bits of mean(), without its overhead
         pred[rows] = value
         return Leaf(value)
     j, threshold, left, right = node.split(x, i)
@@ -189,11 +196,9 @@ def fit_gbt(
     learning_rate: float = 0.1,
 ) -> TreeEnsemble:
     """Squared-loss boosting on residuals, with no stochastic subsampling."""
-    for name, value in (("n_estimators", n_estimators), ("max_depth", max_depth)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-    if not 0 < learning_rate < np.inf:  # false for nan too
-        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
+    require_int("n_estimators", n_estimators, 0)
+    require_int("max_depth", max_depth, 0)
+    require_finite("learning_rate", learning_rate, 0.0, strict=True)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:

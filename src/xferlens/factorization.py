@@ -6,6 +6,12 @@ factors L, so pairs never scored in Y still receive a usable latent vector.
 Y is dense, with a 0/1 mask of its observed cells, so each ALS block update is
 one batched closed-form ridge solve (a d x d system per task, per pair, or for
 the feature factors), which makes the full objective non-increasing at every step.
+
+Every solve (the ALS blocks and the cold-start fold-in) goes through
+:func:`xferlens.numerics.solve`, ``np.linalg.solve``'s LAPACK gufunc without
+its wrapper, and the objective sums with ``np.add.reduce``, the reduction
+``np.sum`` wraps: the wrappers cost more than a 5 x 5 solve, and the bits are
+the same.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import LangId, TaskId
+from .numerics import require_int, solve
+
+_sum = np.add.reduce
 
 Pair = tuple[LangId, LangId]
 
@@ -53,11 +62,10 @@ def _objective(
     reg: float,
     alpha: float,
 ) -> float:
-    fit = float(np.sum(w * (y - t_rows @ l_rows.T) ** 2))
-    side = alpha * float(np.sum((x - l_rows @ f_rows.T) ** 2)) if alpha > 0 else 0.0
-    ridge = reg * (
-        float(np.sum(t_rows**2)) + float(np.sum(l_rows**2)) + float(np.sum(f_rows**2))
-    )
+    fit = float(_sum(w * (y - t_rows @ l_rows.T) ** 2, None))
+    side = alpha * float(_sum((x - l_rows @ f_rows.T) ** 2, None)) if alpha > 0 else 0.0
+    ridge = reg * (float(_sum(t_rows**2, None)) + float(_sum(l_rows**2, None))
+                   + float(_sum(f_rows**2, None)))
     return fit + side + ridge
 
 
@@ -77,7 +85,10 @@ def fit_cmf(
     ``observations`` are (task, pair, value) triples over the rows of
     ``pairs``, at most one per cell; ``x`` is the |pairs| x n feature matrix
     (no missing values). Missing Y cells are absent from the observation list.
+    ``sweeps`` must be an integer >= 0 and ``restarts`` one >= 1.
     """
+    require_int("sweeps", sweeps, 0)
+    require_int("restarts", restarts, 1)
     obs_list = list(observations)
     if not obs_list:
         raise ValueError("empty observations")
@@ -110,7 +121,7 @@ def fit_cmf(
         y[cell], w[cell] = val, 1.0
 
     eye = np.eye(d)
-    best: CmfModel | None = None
+    best = None
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         t_rows = rng.uniform(-0.1, 0.1, size=(len(tasks), d))
@@ -120,17 +131,17 @@ def fit_cmf(
         for _ in range(sweeps):
             # Task block; y is 0 off the mask, so y @ L sums observed cells only.
             a = np.einsum("tp,pi,pj->tij", w, l_rows, l_rows) + reg * eye
-            t_rows = np.linalg.solve(a, (y @ l_rows)[..., None])[..., 0]
+            t_rows = solve(a, (y @ l_rows)[..., None])[..., 0]
             trace.append(_objective(t_rows, l_rows, f_rows, y, w, x, reg, alpha))
             # Pair block (shared between both decompositions).
             a = np.einsum("tp,ti,tj->pij", w, t_rows, t_rows) + alpha * (f_rows.T @ f_rows) + reg * eye
             b = y.T @ t_rows + alpha * (x @ f_rows)
-            l_rows = np.linalg.solve(a, b[..., None])[..., 0]
+            l_rows = solve(a, b[..., None])[..., 0]
             trace.append(_objective(t_rows, l_rows, f_rows, y, w, x, reg, alpha))
             # Feature block; with alpha = 0 (and reg = 0) its system is singular.
             if alpha > 0:
                 a = alpha * (l_rows.T @ l_rows) + reg * eye
-                f_rows = np.linalg.solve(a, alpha * (l_rows.T @ x)).T
+                f_rows = solve(a, alpha * (l_rows.T @ x)).T
             else:
                 f_rows = np.zeros_like(f_rows)
             trace.append(_objective(t_rows, l_rows, f_rows, y, w, x, reg, alpha))
@@ -139,7 +150,6 @@ def fit_cmf(
         )
         if best is None or trace[-1] < best.objective_trace[-1]:
             best = model
-    assert best is not None
     return best
 
 
@@ -164,7 +174,7 @@ def fold_in_pair(m: CmfModel, x_new: np.ndarray) -> np.ndarray:
     x_new = np.asarray(x_new, dtype=float)
     if x_new.shape != (m.feature_factors.shape[0],):
         raise ValueError("feature vector has the wrong dimensionality")
-    return np.linalg.solve(m.fold_in_system, m.alpha * (m.feature_factors.T @ x_new))
+    return solve(m.fold_in_system, m.alpha * (m.feature_factors.T @ x_new))
 
 
 def predict_cold_start(m: CmfModel, task: TaskId, x_new: np.ndarray) -> float:

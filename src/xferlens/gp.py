@@ -14,7 +14,10 @@ The fit's vector ``[W0, b0, ..., log_ls, log_sv, log_noise (T), A (T x T,
 multi-task only)]`` holds the network's own flat vector, so (un)packing copies
 nothing; ``_Problem`` holds the per-fit constants; solves call scipy's LAPACK
 directly, through :func:`numerics.lapack`, which imports scipy on the first
-solve so that commands without a GP never load it.
+solve so that commands without a GP never load it. The factor is numpy's:
+``gp.cholesky`` is :func:`numerics.cholesky_quiet`, the jitter ladder on
+numpy's own LAPACK gufunc with no errstate scope of its own, since every call
+here runs inside one of ``_QUIET``.
 
 A fit makes hundreds of likelihood evaluations on matrices of 7 to 50 rows,
 where numpy's per-call dispatch and allocation outweigh the arithmetic. So
@@ -30,7 +33,10 @@ scope. ``_likelihood`` and ``_gradient`` called without that scratch allocate
 their own and open their own scope; both run the same body, and the bits are
 those of fresh arrays. Only the Cholesky factor and alpha are new at each
 evaluation (LAPACK returns them), and the points are the fit's own, so the
-state it returns holds their arrays without copying them.
+state it returns holds their arrays without copying them. Sums and
+all-of tests call ``np.add.reduce`` and ``np.logical_and.reduce``, the ufunc
+reductions that ``ndarray.sum`` and ``ndarray.all`` reach through a Python
+wrapper: the same loops, so the same bits.
 """
 
 from __future__ import annotations
@@ -48,14 +54,16 @@ from .numerics import (
     MlpParams,
     MlpWorkspace,
     cho_solve,
-    cholesky,
     init_mlp,
     lapack,
     mlp_activations,
     mlp_backprop,
     mlp_forward,
     mlp_from_vector,
+    require_finite,
+    require_int,
 )
+from .numerics import cholesky_quiet as cholesky
 from .numerics import mlp_backward  # noqa: F401
 
 DEFAULT_HIDDEN = (50, 10)
@@ -66,8 +74,13 @@ _LOG_NOISE_FLOOR = math.log(1e-8)
 #: A candidate's network or noise can overflow and its ls underflow to 0, and
 #: a gradient near a singular K can overflow; the finiteness checks reject such
 #: a point, so numpy need not warn. One scope per fit or public call: a scope
-#: costs about 2 us, a sizeable part of an evaluation at m~7.
-_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+#: costs about 2 us, a sizeable part of an evaluation at m~7. It is also the
+#: scope ``cholesky`` needs: np.linalg's own, with a failed factor's "invalid"
+#: ignored.
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore", "under": "ignore"}
+
+_sum = np.add.reduce
+_all = np.logical_and.reduce
 
 
 @dataclass
@@ -229,12 +242,12 @@ def _likelihood(prob: _Problem, vec: np.ndarray, work: _Likelihood | None = None
     np.exp(lik.log_noise).take(prob.task_idx, out=lik.noise)
     k = np.multiply(prob.eye, lik.noise, out=lik.k)
     k += lik.k_nf
-    if not np.isfinite(k, out=lik.finite).all():
+    if not _all(np.isfinite(k, out=lik.finite), None):
         raise np.linalg.LinAlgError("covariance is not finite")
 
-    chol, jit = cholesky(k, jitter=0.0)
+    chol, jit = cholesky(k)
     alpha = cho_solve(chol, prob.y)
-    mll = -0.5 * float(np.dot(prob.y, alpha)) - float(np.log(chol.diagonal()).sum()) - prob.log_2pi
+    mll = -0.5 * float(np.dot(prob.y, alpha)) - float(_sum(np.log(chol.diagonal()))) - prob.log_2pi
     if not math.isfinite(mll):
         raise np.linalg.LinAlgError("marginal likelihood is not finite")
     lik.mll, lik.ls, lik.acts, lik.chol, lik.alpha, lik.jitter = mll, ls, acts, chol, alpha, jit
@@ -282,17 +295,17 @@ def _gradient(prob: _Problem, lik: _Likelihood, work: _GradWork | None = None) -
     s *= 0.5
     w_in = np.multiply(s, lik.k_nf, out=work.w_in)
 
-    grad[n] = np.multiply(w_in, lik.sq, out=lik.k).sum() / ls_sq
-    grad[n + 1] = w_in.sum()
+    grad[n] = _sum(np.multiply(w_in, lik.sq, out=lik.k), None) / ls_sq
+    grad[n + 1] = _sum(w_in, None)
     noise_diag = np.multiply(s.diagonal(), lik.noise, out=work.noise_diag)
     for t, rows in enumerate(prob.task_rows):
-        work.log_noise[t] = noise_diag[rows].sum()
+        work.log_noise[t] = _sum(noise_diag[rows])
     if prob.multi_task:
         m_block = np.dot(np.dot(prob.onehot.T, np.multiply(s, lik.k_rbf, out=lik.k)), prob.onehot)
         np.dot(2.0 * m_block, lik.a_root, out=work.a_root)
 
     g = lik.latent
-    row_sums = np.add.reduce(w_in, axis=1, out=work.row_sums)
+    row_sums = _sum(w_in, 1, None, work.row_sums)
     d_g = np.dot(w_in, g, out=lik.ws.deltas[-1])
     d_g -= np.multiply(row_sums[:, None], g, out=work.latent_rows)
     d_g *= 2.0 / ls_sq
@@ -366,7 +379,12 @@ def fit_gp(
     are scored by the likelihood alone; the gradient is computed only at an
     accepted point, once, when the next epoch needs it. ``mll_evals`` and
     ``stopped_early`` on the result report that line-search work.
+
+    Raises ``ValueError`` unless ``epochs`` is an integer >= 0 and ``lr`` is
+    finite and > 0.
     """
+    require_int("epochs", epochs, 0)
+    require_finite("lr", lr, 0.0, strict=True)
     prob, tasks, means = _build_problem(data_by_task, multi_task, hidden)
     lik = _Likelihood(prob, _init_vec(prob, seed, init_noise_variance))
     cand = _Likelihood(prob, np.empty(prob.n_params))
@@ -425,7 +443,7 @@ def predict_gp(state: GpState, x: np.ndarray, task: TaskId) -> tuple[float, floa
     # A degenerate fit (huge network weights, a tiny ls) overflows here quietly.
     with np.errstate(**_QUIET):
         g_star = _latent(state.mlp, x)
-        sq = ((state.train_latent - g_star) ** 2).sum(axis=1)
+        sq = _sum((state.train_latent - g_star) ** 2, 1)
         k_star = sv * np.exp(-sq / two_ls_sq) * cov_row
     mean = float(np.dot(k_star, state.alpha)) + task_mean
     # L v = k_star as scipy's solve_triangular solves it: L.T's transposed system.

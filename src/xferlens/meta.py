@@ -43,6 +43,8 @@ from .numerics import (
     mlp_backprop,
     mlp_forward,
     mlp_from_vector,
+    require_finite,
+    require_int,
 )
 from .numerics import mlp_backward  # noqa: F401
 
@@ -56,12 +58,10 @@ class MamlConfig:
     net_shape: tuple[int, ...] = (9, 50, 10, 1)
 
     def __post_init__(self):
-        if self.inner_steps < 0:
-            raise ValueError("inner_steps must be >= 0")
-        if self.inner_lr < 0 or self.outer_lr <= 0:
-            raise ValueError("learning rates must be positive (inner_lr may be 0)")
-        if self.meta_epochs < 1:
-            raise ValueError("meta_epochs must be >= 1")
+        require_int("inner_steps", self.inner_steps, 0)
+        require_finite("inner_lr", self.inner_lr, 0.0, strict=False)
+        require_finite("outer_lr", self.outer_lr, 0.0, strict=True)
+        require_int("meta_epochs", self.meta_epochs, 1)
         if len(self.net_shape) < 2 or self.net_shape[-1] != 1:
             raise ValueError("net_shape must end in a single output unit")
 

@@ -1,5 +1,6 @@
-"""Shared numerical primitives: jittered Cholesky with direct LAPACK solves,
-and a small MLP with exact backpropagation.
+"""Shared numerical primitives: jittered Cholesky and linear solves through
+numpy's LAPACK gufuncs, direct LAPACK solves from a factor, a small MLP with
+exact backpropagation, and the hyperparameter checks the solvers share.
 
 Everything runs in float64 numpy. The MLP is a plain stack of affine layers
 with ReLU between them and a linear final layer. Its arrays can be views into
@@ -24,6 +25,20 @@ cost per call. The bias, the ReLU and the mask are applied in place. An
 number of rows, so a trainer that runs the same shapes thousands of times
 (MAML) allocates them once.
 
+:func:`cholesky` and :func:`solve` call the LAPACK gufuncs that
+``np.linalg.cholesky`` and ``np.linalg.solve`` dispatch to
+(``numpy.linalg._umath_linalg``), with the same signature, so the bits are
+numpy's. They skip the wrappers' array conversion, casting and wrapping, which
+take more than twice the gufunc's time on a 7 x 7 matrix. A gufunc reports a
+failed factorization only through the floating-point "invalid" flag and a
+result filled with NaN. :func:`solve` turns the flag into ``LinAlgError`` as
+``np.linalg.solve`` does, in an errstate scope of its own. The Cholesky ladder
+reads the NaN instead: its checks reject NaN entries and a NaN jitter, so a
+factor that LAPACK accepted starts with the square root of a positive number,
+and its first entry is NaN exactly when the factorization failed. That lets :func:`cholesky_quiet` run inside a
+caller's errstate scope (the GP fit's) with none of its own; :func:`cholesky`
+is the same ladder in its own scope.
+
 :func:`cho_solve` calls LAPACK ``dpotrs`` directly: scipy's bits without its
 per-call checks (finiteness included), which cost more than a 7 x 7 solve.
 scipy is loaded by :func:`lapack` on the first solve, not at import: importing
@@ -33,10 +48,12 @@ kinds (dgpr, mdgpr) solve systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 MAX_JITTER = 1e-2
 # First non-zero rung of the escalation ladder when the caller asked for none.
@@ -44,40 +61,96 @@ BASE_JITTER = 1e-6
 # The native float64 dtype, which np.asarray(a, dtype=float) would return ``a`` as.
 _FLOAT64 = np.dtype(float)
 
+_cholesky_lo = _umath_linalg.cholesky_lo
+_solve, _solve1 = _umath_linalg.solve, _umath_linalg.solve1
+_all = np.logical_and.reduce
+
+#: np.linalg's own scope around its gufuncs, with a failure's "invalid" flag
+#: ignored: the Cholesky ladder reads the failure from the factor.
+_LAPACK_QUIET = {"invalid": "ignore", "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+def _as_float64(a) -> np.ndarray:
+    return a if type(a) is np.ndarray and a.dtype is _FLOAT64 else np.asarray(a, dtype=float)
+
 
 def cholesky(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, float]:
     """Lower-triangular factor of ``a + jitter*I``, escalating jitter on failure.
 
     The requested jitter is tried first; every failure multiplies it by 10
     (starting from ``BASE_JITTER`` when the request was 0) until ``MAX_JITTER``.
-    Returns ``(L, jitter_used)`` so callers can report the final value.
+    Returns ``(L, jitter_used)`` so callers can report the final value. Each
+    factor has the bits ``np.linalg.cholesky`` gives.
 
-    Raises ``numpy.linalg.LinAlgError`` if the matrix is not positive definite
-    even at the maximum jitter.
+    Raises ``ValueError`` for a non-square or non-symmetric matrix (NaN
+    entries included) and for a jitter that is negative or not finite, and
+    ``numpy.linalg.LinAlgError`` if the matrix is not positive definite even
+    at the maximum jitter.
     """
-    if not (type(a) is np.ndarray and a.dtype is _FLOAT64):
-        a = np.asarray(a, dtype=float)
+    with np.errstate(**_LAPACK_QUIET):
+        return cholesky_quiet(a, jitter)
+
+
+def cholesky_quiet(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, float]:
+    """:func:`cholesky` for a caller already inside an errstate scope that
+    ignores "invalid": a failed rung would otherwise warn, or raise
+    ``FloatingPointError`` under ``invalid="raise"``."""
+    a = _as_float64(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # Exact symmetry (the GP's covariances) skips allclose, which costs more
     # than the factorization itself at m~50; NaNs still fall through to it.
-    if not ((a == a.T).all() or np.allclose(a, a.T, rtol=1e-10, atol=1e-12)):
+    if not (_all(a == a.T, None) or np.allclose(a, a.T, rtol=1e-10, atol=1e-12)):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
     current = float(jitter)
+    if not 0.0 <= current < math.inf:  # a NaN or negative rung would never reach the top
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
     # numpy's LAPACK, not scipy's dpotrf: the two link different OpenBLAS
     # builds, and the factor's last bits (and so the GP's outputs) differ.
     while True:
-        try:
-            bumped = a if current == 0.0 else a + current * np.eye(n)
-            return np.linalg.cholesky(bumped), current
-        except np.linalg.LinAlgError:
-            if current >= MAX_JITTER:
-                raise np.linalg.LinAlgError(
-                    f"matrix not positive definite at max jitter {MAX_JITTER:g}"
-                ) from None
-            current = BASE_JITTER if current == 0.0 else current * 10.0
-            current = min(current, MAX_JITTER)
+        bumped = a if current == 0.0 else a + current * np.eye(n)
+        chol = _cholesky_lo(bumped, signature="d->d")
+        if not n or chol[0, 0] == chol[0, 0]:  # a failed factor is all NaN
+            return chol, current
+        if current >= MAX_JITTER:
+            raise np.linalg.LinAlgError(f"matrix not positive definite at max jitter {MAX_JITTER:g}")
+        current = BASE_JITTER if current == 0.0 else current * 10.0
+        current = min(current, MAX_JITTER)
+
+
+def _singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for float64 arrays: the same gufunc, so the
+    same bits, and the same ``LinAlgError("Singular matrix")`` when LAPACK
+    meets an exactly singular matrix in any of a batch.
+
+    ``a`` is a square matrix or a stack of them. A 1-D ``b`` is one
+    right-hand side (``solve1``); otherwise ``b``'s last two axes are the
+    right-hand sides of each system, as in ``np.linalg.solve``.
+    """
+    a, b = _as_float64(a), _as_float64(b)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise np.linalg.LinAlgError(f"expected square matrices, got shape {a.shape}")
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return (_solve1 if b.ndim == 1 else _solve)(a, b, signature="dd->d")
+
+
+def require_int(name: str, value, low: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (a numpy one too, but not a bool) >= ``low``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_finite(name: str, value, low: float, strict: bool) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and
+    above ``low`` (> when ``strict``, else >=); NaN fails both."""
+    if not (low < value < math.inf if strict else low <= value < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {low:g}, got {value!r}")
 
 
 @lru_cache(maxsize=None)

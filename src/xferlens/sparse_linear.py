@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import TaskId
+from .numerics import require_finite, require_int
 
 
 @dataclass
@@ -109,7 +110,11 @@ def _solve(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], lam: float, tol: 
     the objective of the centered data (see ``_moments``). Row j's partial fit
     is rho_j = c[j] - G[:, j, :]·phi + z_j·phi_j with curvatures z_j = G[j, j, :].
     Returns (phi, intercepts, converged, sweeps, objective after each sweep).
+    Raises ``ValueError`` unless ``max_iter`` is an integer >= 1 and ``tol``
+    is finite and >= 0.
     """
+    require_int("max_iter", max_iter, 1)
+    require_finite("tol", tol, 0.0, strict=False)
     x_means, y_means, gram, cov, sq = _moments(xs, ys, lam)
     n, n_tasks = cov.shape
     z = np.diagonal(gram).T  # n x T

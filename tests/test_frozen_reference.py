@@ -306,6 +306,34 @@ class TestCmfAgainstFrozen:
                 assert factorization.predict_cold_start(new, task, row) == pytest.approx(
                     factorization.predict_cold_start(ref, task, row), rel=0, abs=1e-6)
 
+    @pytest.mark.parametrize("sizes", [(20, 16, 10, 8), (20, 16, 10, 8, 6)], ids=["4-tasks", "5-tasks"])
+    def test_fit_and_cold_start_at_benchmark_shape(self, sizes):
+        # The benchmark's llro-multitask cmf fits: the other four tasks' pairs
+        # (and the held-out task's train side), nine features, the default
+        # rank (capped by the task count), reg, alpha, sweeps and restarts.
+        # Against the dense form before numerics.solve, bit for bit.
+        rng = np.random.default_rng(11)
+        pairs = [("en", f"p{i:02d}") for i in range(24)]
+        obs = [(f"t{t}", pairs[p], float(rng.uniform()))
+               for t, n in enumerate(sizes) for p in sorted(rng.choice(24, n, replace=False))]
+        x = rng.standard_normal((24, 9))
+        args = (obs, pairs, x, min(5, len(sizes)), 0.1, 0.5, 50, 3, 3)
+        ref, new = frozen_cmf.fit_cmf_dense(*args), factorization.fit_cmf(*args)
+        assert new.objective_trace == ref.objective_trace
+        for field in ("task_factors", "pair_factors", "feature_factors", "fold_in_system"):
+            assert bits(getattr(new, field)) == bits(getattr(ref, field)), field
+        cold = rng.standard_normal((6, 9))
+        for row in cold:
+            assert bits(factorization.fold_in_pair(new, row)) == bits(frozen_cmf.fold_in_pair_dense(ref, row))
+        for task in ref.task_index:
+            for row in cold:
+                want = float(ref.task_factors[ref.task_index[task]] @ frozen_cmf.fold_in_pair_dense(ref, row))
+                assert factorization.predict_cold_start(new, task, row) == want
+            for pair in pairs[:5]:
+                assert factorization.predict_cmf(new, task, pair) == factorization.predict_cmf(ref, task, pair)
+        # The per-observation form agrees to rounding.
+        assert new.objective_trace[-1] == pytest.approx(frozen_cmf.fit_cmf(*args).objective_trace[-1], rel=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # Feature loaders and table

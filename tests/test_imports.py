@@ -8,6 +8,11 @@ scipy is imported by ``numerics.lapack`` on a GP's first solve, never at module
 level: ``scipy.linalg`` takes about half of every command's start-up, and only
 dgpr and mdgpr use it. The static check finds a module-level scipy import with
 ``ast``; the runtime checks run each command in a fresh interpreter.
+
+Only ``numerics`` calls numpy's LAPACK gufuncs, behind its ``cholesky`` and
+``solve``: the static check fails on an ``np.linalg.cholesky`` or
+``np.linalg.solve`` call, or an import of either, anywhere else in the
+package, so the wrappers' per-call overhead cannot come back unnoticed.
 """
 
 import ast
@@ -97,6 +102,55 @@ def test_import_time_imports_sees_nested_statements():
     )
     assert sorted(node.lineno for node in import_time_imports(tree)) == [1, 3, 5]
 
+
+WRAPPED = {"cholesky", "solve"}
+
+
+def linalg_wrapper_uses(tree: ast.Module):
+    """Line numbers of each use of ``np.linalg.cholesky`` or ``np.linalg.solve``:
+    an attribute of anything named ``linalg`` (or bound to ``numpy.linalg``),
+    or a name imported from ``numpy.linalg``."""
+    linalg_names = {"linalg"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            linalg_names.update(a.asname for a in node.names if a.name == "numpy.linalg" and a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            linalg_names.update(a.asname or a.name for a in node.names if a.name == "linalg")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(a.name in WRAPPED for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in WRAPPED:
+            owner = node.value
+            name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if name in linalg_names:
+                yield node.lineno
+
+
+def test_linalg_wrappers_only_in_numerics():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "numerics":
+            found += [f"{path.name}:{line}"
+                      for line in linalg_wrapper_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_linalg_wrapper_uses_sees_every_spelling():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "np.linalg.solve(a, b)\n"
+        "f = numpy.linalg.cholesky\n"
+        "from numpy.linalg import cholesky\n"
+        "from numpy import linalg as la\n"
+        "la.solve(a, b)\n"
+        "import numpy.linalg as nl\n"
+        "nl.cholesky(a)\n"
+        "np.linalg.norm(a)\n"
+        "numerics.solve(a, b)\n"
+        "from numpy.linalg import LinAlgError\n"
+    )
+    assert sorted(linalg_wrapper_uses(tree)) == [2, 3, 4, 6, 8]
 
 # Runs in a fresh interpreter; exits naming the first step that loaded scipy.
 WITHOUT_SCIPY = """

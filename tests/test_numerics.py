@@ -1,15 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import frozen_gp_meta
 from helpers import grad_check
 from xferlens.numerics import (
     MlpParams,
     cholesky,
+    cholesky_quiet,
     init_mlp,
     mlp_activations,
     mlp_backprop,
     mlp_backward,
     mlp_forward,
+    solve,
 )
 
 
@@ -61,6 +68,128 @@ class TestCholesky:
         l, jit = cholesky(a)
         assert jit == 0.0
         np.testing.assert_allclose(l @ l.T, a, atol=1e-12)
+
+
+def outcome(fn, *args):
+    """What a call gives: its exception's exact type, or each result's shape
+    and bytes (NaN payloads included) and any float next to them."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    parts = result if isinstance(result, tuple) else (result,)
+    return tuple((p.shape, p.dtype, p.tobytes()) if isinstance(p, np.ndarray) else p for p in parts)
+
+
+def symmetric(n, seed, kind):
+    """An n x n exactly symmetric matrix: positive definite, positive
+    semi-definite of rank n // 2 (singular, so the jitter ladder climbs),
+    indefinite, or positive definite with a NaN or an infinite pair of entries."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n if kind != "psd-singular" else n // 2))
+    a = g @ g.T + (n if kind in ("spd", "nan", "inf") else 0.0) * np.eye(n)
+    if kind == "indefinite":
+        a -= (np.abs(a).max() + 1.0) * np.eye(n)
+    a = (a + a.T) / 2.0
+    i, j = rng.integers(n), rng.integers(n)
+    if kind == "nan":
+        a[i, j] = a[j, i] = np.nan
+    elif kind == "inf":
+        a[i, j] = a[j, i] = np.inf
+    return a
+
+
+KINDS = ("spd", "psd-singular", "indefinite", "nan", "inf")
+
+
+class TestCholeskyAgainstNumpy:
+    """The gufunc ladder against the ladder on ``np.linalg.cholesky`` it
+    replaced (``frozen_gp_meta.cholesky``): the same factor bits and jitter,
+    or the same exception type. Run under the default errstate, where a
+    leaked "invalid" warning from the package is an error."""
+
+    @given(st.integers(1, 60), st.integers(0, 2**16), st.sampled_from(KINDS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_ladder(self, n, seed, kind):
+        a = symmetric(n, seed, kind)
+        want = outcome(frozen_gp_meta.cholesky, a)
+        assert outcome(cholesky, a) == want
+        with np.errstate(invalid="ignore"):
+            assert outcome(cholesky_quiet, a) == want
+        if kind == "spd":
+            assert want == outcome(lambda m: (np.linalg.cholesky(m), 0.0), a)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-6, 1e-3, 1e-2])
+    def test_ladder_from_a_requested_jitter(self, jitter):
+        a = symmetric(9, 3, "psd-singular")
+        got = outcome(cholesky, a, jitter)
+        assert got == outcome(frozen_gp_meta.cholesky, a, jitter)
+        assert got[1] >= max(jitter, 1e-6)
+
+    def test_independent_of_the_callers_errstate(self):
+        a = symmetric(9, 3, "psd-singular")
+        want = outcome(cholesky, a)
+        assert want[1] > 0.0
+        with np.errstate(all="raise"):
+            assert outcome(cholesky, a) == want
+            assert outcome(cholesky, symmetric(4, 1, "indefinite")) is np.linalg.LinAlgError
+
+    @pytest.mark.parametrize("jitter", [math.nan, -1e-6, math.inf])
+    def test_rejects_jitter_outside_the_ladder(self, jitter):
+        # A NaN or negative rung never reaches MAX_JITTER, so it would never stop.
+        with pytest.raises(ValueError, match="jitter"):
+            cholesky(np.eye(2), jitter)
+
+    def test_empty_matrix(self):
+        assert outcome(cholesky, np.zeros((0, 0))) == outcome(frozen_gp_meta.cholesky, np.zeros((0, 0)))
+
+
+def systems(n, seed, rhs, singular):
+    rng = np.random.default_rng(seed)
+    batch = (3,) if rhs == "batched" else ()
+    a = rng.standard_normal(batch + (n, n)) + n * np.eye(n)
+    b = rng.standard_normal({"vector": (n,), "matrix": (n, 4), "batched": (3, n, 1)}[rhs])
+    if singular:  # a zero column gives LU an exactly zero pivot
+        (a[-1] if batch else a)[:, rng.integers(n)] = 0.0
+    return a, b
+
+
+class TestSolveAgainstNumpy:
+    @given(st.integers(1, 60), st.integers(0, 2**16),
+           st.sampled_from(["vector", "matrix", "batched"]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy(self, n, seed, rhs, singular):
+        a, b = systems(n, seed, rhs, singular)
+        want = outcome(np.linalg.solve, a, b)
+        assert (want is np.linalg.LinAlgError) == singular
+        assert outcome(solve, a, b) == want
+
+    @pytest.mark.parametrize("rhs", ["vector", "batched"])
+    def test_singular_raises_under_any_errstate(self, rhs):
+        a, b = systems(5, 0, rhs, True)
+        for scope in ({"all": "ignore"}, {"all": "raise"}, {"invalid": "warn"}):
+            with np.errstate(**scope):
+                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                    solve(a, b)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entries_solve_as_numpy_does(self, value):
+        # LAPACK meets no exact zero pivot, so numpy returns the NaNs and raises nothing.
+        a, b = systems(4, 1, "vector", False)
+        a[1, 2] = value
+        want = outcome(np.linalg.solve, a, b)
+        assert isinstance(want, tuple) and np.isnan(np.frombuffer(want[0][2])).any()
+        assert outcome(solve, a, b) == want
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones(3), np.ones(3)),  # not a matrix
+        (np.ones((2, 3)), np.ones(2)),  # not square
+        (np.eye(3), np.ones(2)),  # right-hand side of the wrong length
+        (np.eye(3), np.ones((2, 2))),
+    ])
+    def test_shape_errors_match_numpy(self, a, b):
+        want = outcome(np.linalg.solve, a, b)
+        assert isinstance(want, type) and outcome(solve, a, b) is want
 
 
 class TestMlpForward:
