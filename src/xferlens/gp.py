@@ -23,15 +23,15 @@ A fit makes hundreds of likelihood evaluations on matrices of 7 to 50 rows,
 where numpy's per-call dispatch and allocation outweigh the arithmetic. So
 ``fit_gp`` allocates once per fit what every evaluation reuses: two
 :class:`_Likelihood` points, the current one and the candidate, each with its
-parameter vector, the network's views into it, an
-:class:`~xferlens.numerics.MlpWorkspace` and the kernel's arrays, and one
-:class:`_GradWork` with the gradient vector, its network views and the
-gradient's arrays. The line search writes each candidate into the candidate
-point, and an accepted step swaps the two points, so the current point
-survives while candidates are scored. The fit runs in one ``np.errstate``
-scope. ``_likelihood`` and ``_gradient`` called without that scratch allocate
-their own and open their own scope; both run the same body, and the bits are
-those of fresh arrays. Only the Cholesky factor and alpha are new at each
+parameter and gradient vectors, the network's views into them, an
+:class:`~xferlens.numerics.MlpKernel` bound to them and the training rows, and
+the kernel's arrays; and one :class:`_GradWork` with the gradient's scratch.
+The line search writes each candidate into the candidate point, and an
+accepted step swaps the two points, so the current point survives while
+candidates are scored. The fit runs in one ``np.errstate`` scope.
+``_likelihood`` and ``_gradient`` called without that scratch allocate their
+own and open their own scope; both run the same body, and the bits are those
+of fresh arrays. Only the Cholesky factor and alpha are new at each
 evaluation (LAPACK returns them), and the points are the fit's own, so the
 state it returns holds their arrays without copying them. Sums and
 all-of tests call ``np.add.reduce`` and ``np.logical_and.reduce``, the ufunc
@@ -51,13 +51,12 @@ from .data import TaskId
 # bench/tracing.py counts calls through gp.mlp_forward, gp.mlp_backward (unused
 # here), gp.cholesky and gp.cho_solve, so all stay module attributes.
 from .numerics import (
+    MlpKernel,
     MlpParams,
-    MlpWorkspace,
+    batch_rows,
     cho_solve,
     init_mlp,
     lapack,
-    mlp_activations,
-    mlp_backprop,
     mlp_forward,
     mlp_from_vector,
     require_finite,
@@ -159,10 +158,13 @@ class _Likelihood:
 
     Built around ``vec``: ``mlp``, ``log_noise`` and (multi-task) ``a_root``
     are views into it, and the arrays are allocated here for
-    :func:`_likelihood` to fill. ``acts`` (``acts[-1]`` is g_lin), ``latent``
-    (g = relu(g_lin)), ``sq`` (pairwise squared latent distances),
-    ``k_rbf``, ``k_nf`` (the noise-free covariance), ``noise`` (per row) and
-    ``task_cov`` are overwritten by the next evaluation of this point;
+    :func:`_likelihood` to fill. ``grad`` is the point's gradient vector,
+    which :func:`_gradient` fills; ``kernel`` runs the network on the
+    training rows at ``mlp`` and writes its gradients into ``grad``.
+    ``kernel.out`` (g_lin), ``latent`` (g = relu(g_lin)), ``sq`` (pairwise
+    squared latent distances), ``k_rbf``, ``k_nf`` (the noise-free
+    covariance), ``noise`` (per row) and ``task_cov`` are overwritten by the
+    next evaluation of this point;
     ``chol`` and ``alpha`` are replaced by new arrays. ``k`` is scratch that
     holds no result: 2 g g^T, then K_task at each pair of rows, then K, and
     afterwards a product in :func:`_gradient`.
@@ -175,7 +177,8 @@ class _Likelihood:
         self.vec = vec
         self.mlp = mlp_from_vector(prob.layer_sizes, vec[:n])
         self.log_noise = vec[n + 2 : n + 2 + t]
-        self.ws = MlpWorkspace(prob.layer_sizes, m)
+        self.grad = np.empty(prob.n_params)
+        self.kernel = MlpKernel(self.mlp, mlp_from_vector(prob.layer_sizes, self.grad[:n]), prob.x)
         self.latent = np.empty((m, prob.layer_sizes[-1]))
         self.latent_sq = np.empty_like(self.latent)
         self.sq_norms = np.empty(m)
@@ -196,7 +199,6 @@ class _Likelihood:
             self.k_nf = self.k_rbf
         self.mll = math.nan
         self.ls = math.nan
-        self.acts: list[np.ndarray] = []
         self.chol = self.alpha = None
         self.jitter = 0.0
 
@@ -223,8 +225,7 @@ def _likelihood(prob: _Problem, vec: np.ndarray, work: _Likelihood | None = None
         two_ls_sq = 2.0 * ls**2
     except OverflowError:
         raise np.linalg.LinAlgError("kernel hyperparameters overflow") from None
-    acts = mlp_activations(lik.mlp, prob.x, lik.ws)
-    g = np.maximum(acts[-1], 0.0, out=lik.latent)
+    g = np.maximum(lik.kernel.forward(), 0.0, out=lik.latent)
     np.add.reduce(np.multiply(g, g, out=lik.latent_sq), axis=1, out=lik.sq_norms)
     # (|g_i|^2 + |g_j|^2) - 2 g_i.g_j, in that order, is exactly symmetric.
     gg2 = np.dot(g, g.T, out=lik.k)
@@ -250,20 +251,15 @@ def _likelihood(prob: _Problem, vec: np.ndarray, work: _Likelihood | None = None
     mll = -0.5 * float(np.dot(prob.y, alpha)) - float(_sum(np.log(chol.diagonal()))) - prob.log_2pi
     if not math.isfinite(mll):
         raise np.linalg.LinAlgError("marginal likelihood is not finite")
-    lik.mll, lik.ls, lik.acts, lik.chol, lik.alpha, lik.jitter = mll, ls, acts, chol, alpha, jit
+    lik.mll, lik.ls, lik.chol, lik.alpha, lik.jitter = mll, ls, chol, alpha, jit
     return lik
 
 
 class _GradWork:
-    """Scratch for :func:`_gradient`: the gradient vector with views into it
-    like a point's, and the gradient's own arrays."""
+    """Scratch for :func:`_gradient`: the arrays that hold no result."""
 
     def __init__(self, prob: _Problem):
-        n, t, m = prob.n_mlp, prob.n_tasks, len(prob.y)
-        self.grad = np.empty(prob.n_params)
-        self.mlp = mlp_from_vector(prob.layer_sizes, self.grad[:n])
-        self.log_noise = self.grad[n + 2 : n + 2 + t]
-        self.a_root = self.grad[n + 2 + t :].reshape(t, t) if prob.multi_task else None
+        m = len(prob.y)
         self.s = np.empty((m, m))
         self.w_in = np.empty((m, m))
         self.noise_diag = np.empty(m)
@@ -278,16 +274,16 @@ def _gradient(prob: _Problem, lik: _Likelihood, work: _GradWork | None = None) -
     Near a singular K it can overflow; every step along such a gradient is
     rejected as non-finite, and the fit stops early without numpy warnings.
 
-    ``work`` is private to :func:`fit_gp`: the result is then ``work.grad``,
-    which the next call overwrites. Without it the result is a new array. The
-    backward pass writes its deltas into ``lik.ws``, which holds no result.
+    The result is ``lik.grad``, which the next gradient at this point
+    overwrites. ``work`` is private to :func:`fit_gp`, inside its errstate
+    scope; without it the call allocates its own and opens its own scope.
     """
     if work is None:
         with np.errstate(**_QUIET):
             return _gradient(prob, lik, _GradWork(prob))
     n = prob.n_mlp
     ls_sq = lik.ls**2
-    grad = work.grad
+    grad = lik.grad
 
     k_inv = cho_solve(lik.chol, prob.eye)
     s = np.multiply(lik.alpha[:, None], lik.alpha, out=work.s)  # d mll / d K
@@ -299,18 +295,19 @@ def _gradient(prob: _Problem, lik: _Likelihood, work: _GradWork | None = None) -
     grad[n + 1] = _sum(w_in, None)
     noise_diag = np.multiply(s.diagonal(), lik.noise, out=work.noise_diag)
     for t, rows in enumerate(prob.task_rows):
-        work.log_noise[t] = _sum(noise_diag[rows])
+        grad[n + 2 + t] = _sum(noise_diag[rows])
     if prob.multi_task:
         m_block = np.dot(np.dot(prob.onehot.T, np.multiply(s, lik.k_rbf, out=lik.k)), prob.onehot)
-        np.dot(2.0 * m_block, lik.a_root, out=work.a_root)
+        a_grad = grad[n + 2 + prob.n_tasks :].reshape(lik.a_root.shape)
+        np.dot(2.0 * m_block, lik.a_root, out=a_grad)
 
     g = lik.latent
     row_sums = _sum(w_in, 1, None, work.row_sums)
-    d_g = np.dot(w_in, g, out=lik.ws.deltas[-1])
+    d_g = np.dot(w_in, g, out=lik.kernel.upstream)
     d_g -= np.multiply(row_sums[:, None], g, out=work.latent_rows)
     d_g *= 2.0 / ls_sq
-    d_g *= np.greater(lik.acts[-1], 0.0, out=work.active)  # now d mll / d g_lin
-    mlp_backprop(lik.mlp, lik.acts, d_g, work.mlp, lik.ws)
+    d_g *= np.greater(lik.kernel.out, 0.0, out=work.active)  # now d mll / d g_lin
+    lik.kernel.backward()
     return grad
 
 
@@ -326,9 +323,7 @@ def _build_problem(
         raise ValueError("single-task GP expects exactly one task")
     xs, ys, idx, means, task_rows = [], [], [], [], []
     for t, task in enumerate(tasks):
-        x, y = data_by_task[task]
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float)
+        x, y = batch_rows(f"task {task!r}", *data_by_task[task])
         if len(y) < 2:
             raise ValueError(f"task {task!r} needs at least 2 training points")
         mu = float(y.mean())
@@ -381,7 +376,8 @@ def fit_gp(
     ``stopped_early`` on the result report that line-search work.
 
     Raises ``ValueError`` unless ``epochs`` is an integer >= 0 and ``lr`` is
-    finite and > 0.
+    finite and > 0, and naming a task whose feature rows and targets do not
+    line up.
     """
     require_int("epochs", epochs, 0)
     require_finite("lr", lr, 0.0, strict=True)

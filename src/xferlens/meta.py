@@ -7,22 +7,20 @@ half, and accumulates the query-loss gradient evaluated at the adapted
 parameters. The outer update applies the task-averaged gradient to the
 initialization.
 
-Every inner step and query gradient is one call into the single-pass kernel
-of :mod:`xferlens.numerics` (one forward pass whose activations the backward
-pass reuses), on arrays checked once per ``adapt`` call rather than once per
-step. The parameters and their gradients each live in one flat vector
-(:func:`xferlens.numerics.mlp_from_vector`): ``adapt`` copies the
-initialization once, an inner step is ``flat -= inner_lr * grad``, and the
-query-gradient accumulation and the outer step are one vector operation each.
-
 A fit makes thousands of ``adapt`` calls on arrays of ten rows or fewer,
 where each numpy call's dispatch outweighs its arithmetic. So ``meta_train``
-allocates once per fit what those calls reuse: one set of adapted parameters,
-gradient and step, and per helper task an :class:`~xferlens.numerics.MlpWorkspace`
-for its support rows and one for its query rows. It still calls ``adapt`` once
-per (epoch, helper), through the module attribute, and the bits are those of
-fresh arrays. An ``adapt`` called from outside gets its own arrays, so the
-network it returns is never overwritten.
+checks its inputs once and binds, per helper task, one
+:class:`~xferlens.numerics.MlpKernel` for its support rows and one for its
+query rows, each over buffers that every epoch refills with ``take``. All of
+them share one parameter vector (the adapted network) and one gradient
+vector (:func:`xferlens.numerics.mlp_from_vector`). ``adapt`` is still called
+once per (epoch, helper), through the module attribute, and runs its inner
+steps on the support kernel: an inner step is one
+:meth:`~xferlens.numerics.MlpKernel.mse_backward` and
+``flat -= inner_lr * grad``. The query-gradient accumulation and the outer
+step are one vector operation each. The bits are those of fresh arrays. An
+``adapt`` called from outside checks its inputs and binds its own kernel, so
+the network it returns is never overwritten.
 """
 
 from __future__ import annotations
@@ -36,11 +34,10 @@ from .data import TaskId
 # mlp_backward is unused here but stays a module attribute: bench/tracing.py
 # counts calls through meta.mlp_forward and meta.mlp_backward.
 from .numerics import (
+    MlpKernel,
     MlpParams,
-    MlpWorkspace,
+    batch_rows,
     init_mlp,
-    mlp_activations,
-    mlp_backprop,
     mlp_forward,
     mlp_from_vector,
     require_finite,
@@ -66,37 +63,10 @@ class MamlConfig:
             raise ValueError("net_shape must end in a single output unit")
 
 
-@dataclass
-class _Work:
-    """Scratch for ``adapt``: the adapted parameters, their gradient, the
-    inner step, and the network's arrays for the support rows."""
-
-    params: MlpParams
-    grad: MlpParams
-    step: np.ndarray
-    rows: MlpWorkspace
-
-    @classmethod
-    def new(cls, layer_sizes: tuple[int, ...], rows: int) -> "_Work":
-        params, grad = mlp_from_vector(layer_sizes), mlp_from_vector(layer_sizes)
-        return cls(params, grad, np.empty_like(params.flat), MlpWorkspace(layer_sizes, rows))
-
-
 #: A diverging fit (a large inner_lr) overflows to inf and nan without
 #: warnings, as the GP's does. One scope per public call, not per product: a
 #: scope costs about 2 us, more than a product on these arrays.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
-
-
-def _mse_grads(
-    params: MlpParams, x: np.ndarray, y: np.ndarray, grad: MlpParams, ws: MlpWorkspace
-) -> None:
-    """Exact MSE gradients on checked 2-D ``x`` and 1-D ``y``, written into
-    ``grad``; ``ws`` holds the network's arrays for ``len(y)`` rows."""
-    acts = mlp_activations(params, x, ws)
-    upstream = np.subtract(acts[-1], y[:, None], out=ws.deltas[-1])
-    upstream *= 2.0 / len(y)
-    mlp_backprop(params, acts, upstream, grad, ws)
 
 
 def adapt(
@@ -104,37 +74,36 @@ def adapt(
     support_x: np.ndarray,
     support_y: np.ndarray,
     cfg: MamlConfig,
-    work: _Work | None = None,
+    kernel: MlpKernel | None = None,
 ) -> MlpParams:
     """K full-batch gradient steps on the support MSE; ``theta`` is not mutated.
 
-    ``work`` is private to :func:`meta_train`: its scratch for these rows, on
-    inputs it has checked, inside its errstate scope. The result then lives in
-    ``work.params`` and the next call with the same ``work`` overwrites it;
-    without ``work`` the result is a new network.
+    ``kernel`` is private to :func:`meta_train`: a kernel bound to the
+    support rows ``support_x``, with ``support_y`` as a column, inside its
+    errstate scope. The result then lives in the kernel's parameters, which
+    the next call on them overwrites; without ``kernel`` the result is a new
+    network.
     """
-    if work is not None:
-        return _adapt(theta, support_x, support_y, cfg, work)
-    support_x = np.atleast_2d(np.asarray(support_x, dtype=float))
-    support_y = np.asarray(support_y, dtype=float)
-    if len(support_y) == 0:
+    if kernel is not None:
+        return _adapt(theta, support_y, cfg, kernel)
+    x, y = batch_rows("support set", support_x, support_y)
+    if len(y) == 0:
         raise ValueError("empty support set")
-    if support_x.shape[1] != theta.layer_sizes[0]:
+    if x.shape[1] != theta.layer_sizes[0]:
         raise ValueError("input width does not match first layer")
-    work = _Work.new(theta.layer_sizes, len(support_y))
+    sizes = theta.layer_sizes
+    kernel = MlpKernel(mlp_from_vector(sizes), mlp_from_vector(sizes), x)
     with np.errstate(**_QUIET):
-        return _adapt(theta, support_x, support_y, cfg, work)
+        return _adapt(theta, y[:, None], cfg, kernel)
 
 
-def _adapt(
-    theta: MlpParams, x: np.ndarray, y: np.ndarray, cfg: MamlConfig, work: _Work
-) -> MlpParams:
-    params = work.params
-    np.copyto(params.flat, theta.vector())
+def _adapt(theta: MlpParams, y: np.ndarray, cfg: MamlConfig, kernel: MlpKernel) -> MlpParams:
+    params, grad = kernel.params.flat, kernel.grad.flat
+    np.copyto(params, theta.vector())
     for _ in range(cfg.inner_steps):
-        _mse_grads(params, x, y, work.grad, work.rows)
-        params.flat -= np.multiply(work.grad.flat, cfg.inner_lr, out=work.step)
-    return params
+        kernel.mse_backward(y)
+        params -= np.multiply(grad, cfg.inner_lr, grad)
+    return kernel.params
 
 
 def meta_train(
@@ -146,39 +115,45 @@ def meta_train(
 
     First-order approximation: the query gradient is taken with respect to the
     adapted parameters and applied to the initialization directly.
+
+    Raises ``ValueError`` naming a task whose feature rows and scores do not
+    line up, or that has fewer than two rows.
     """
     if not helper_tasks:
         raise ValueError("need at least one helper task")
     theta = init_mlp(cfg.net_shape, seed)
-    # The adapted parameters, their gradient and the step are shared by every
-    # helper; the row arrays are per helper, for its support and query halves.
     params, grad = mlp_from_vector(cfg.net_shape), mlp_from_vector(cfg.net_shape)
-    step = np.empty_like(theta.flat)
     helpers = []
     for task in sorted(helper_tasks):
-        x, y = helper_tasks[task]
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float)
+        x, y = batch_rows(f"task {task!r}", *helper_tasks[task])
         if len(y) < 2:
             raise ValueError(f"task {task!r} too small to split into support/query")
         if x.shape[1] != cfg.net_shape[0]:
             raise ValueError("feature width does not match the network input size")
         half = len(y) // 2
-        support = _Work(params, grad, step, MlpWorkspace(cfg.net_shape, half))
-        helpers.append((x, y, half, support, MlpWorkspace(cfg.net_shape, len(y) - half)))
+        support, query = (MlpKernel(params, grad, np.empty((rows, x.shape[1])))
+                          for rows in (half, len(y) - half))
+        helpers.append((x, y[:, None], half, support, np.empty((half, 1)),
+                        query, np.empty((len(y) - half, 1))))
 
     accum = np.empty_like(theta.flat)
     with np.errstate(**_QUIET):
         for epoch in range(cfg.meta_epochs):
             rng = np.random.default_rng([seed, epoch])
             accum.fill(0.0)
-            for x, y, half, support, query in helpers:
+            for x, y, half, support, support_y, query, query_y in helpers:
                 perm = rng.permutation(len(y))
                 sup, qry = perm[:half], perm[half:]
-                adapted = adapt(theta, x[sup], y[sup], cfg, support)
-                _mse_grads(adapted, x[qry], y[qry], grad, query)
+                # "clip" never clips a permutation's indices; "raise" would
+                # copy through a temporary before writing into the buffer.
+                x.take(sup, 0, support.x, "clip")
+                y.take(sup, 0, support_y, "clip")
+                adapt(theta, support.x, support_y, cfg, support)
+                x.take(qry, 0, query.x, "clip")
+                y.take(qry, 0, query_y, "clip")
+                query.mse_backward(query_y)
                 accum += grad.flat
-            theta.flat -= np.multiply(accum, cfg.outer_lr / len(helpers), out=step)
+            theta.flat -= np.multiply(accum, cfg.outer_lr / len(helpers), accum)
     return theta
 
 

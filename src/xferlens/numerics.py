@@ -5,25 +5,17 @@ exact backpropagation, and the hyperparameter checks the solvers share.
 Everything runs in float64 numpy. The MLP is a plain stack of affine layers
 with ReLU between them and a linear final layer. Its arrays can be views into
 one vector ``[W0, b0, W1, b1, ...]`` (:func:`mlp_from_vector`), which a
-trainer updates in one operation and :func:`mlp_backprop` writes into.
-
-The MLP kernel is single-pass: :func:`mlp_activations` runs the forward pass
-once and keeps every layer's activations, and :func:`mlp_backprop` runs the
-backward pass from them, so a trainer that needs both the network output (to
-form its loss gradient) and the parameter gradients never recomputes the
-forward pass. Both take a 2-D float batch and validate nothing; the GP and
-MAML trainers check their inputs once and then call them in their inner loops.
-:func:`mlp_forward` and :func:`mlp_backward` are the checked entry points for
-everything else.
-
-The kernel's arrays have tens of rows at most, so numpy's per-call dispatch
-costs more than the arithmetic. Its products are ``np.dot``, not ``@``: on
-2-D float64 both make the same BLAS call and give the same bits, but ``@``
-first goes through the generalized-ufunc machinery, about twice ``np.dot``'s
-cost per call. The bias, the ReLU and the mask are applied in place. An
-:class:`MlpWorkspace` holds the layer outputs, masks and deltas for a fixed
-number of rows, so a trainer that runs the same shapes thousands of times
-(MAML) allocates them once.
+trainer updates in one operation. :func:`mlp_forward` and
+:func:`mlp_backward` are the checked entries, and allocate their arrays. A
+trainer that runs the same shapes thousands of times (MAML's inner steps, the
+GP's likelihood evaluations) binds an :class:`MlpKernel` once per fit
+instead: one forward pass whose arrays the backward pass reuses, on row
+buffers of its own, with no checks. Its arrays have tens of rows at most, so
+numpy's per-call dispatch costs more than the arithmetic: its products are
+``np.dot`` (the BLAS call ``@`` makes, so the same bits, without the
+generalized-ufunc machinery), and every call writes into a bound array
+(``out`` passed positionally where numpy allows it) and takes 0-d constants
+rather than Python floats.
 
 :func:`cholesky` and :func:`solve` call the LAPACK gufuncs that
 ``np.linalg.cholesky`` and ``np.linalg.solve`` dispatch to
@@ -153,6 +145,17 @@ def require_finite(name: str, value, low: float, strict: bool) -> None:
         raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {low:g}, got {value!r}")
 
 
+def batch_rows(what: str, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a 2-D float batch (a vector is one row) and ``y`` as a float
+    vector of one target per row; ``ValueError`` naming ``what`` and both
+    shapes when they do not match."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+        raise ValueError(f"{what}: features of shape {x.shape} do not match targets of shape {y.shape}")
+    return x, y
+
+
 @lru_cache(maxsize=None)
 def lapack():
     """The ``scipy.linalg.lapack`` module, imported on the first call.
@@ -238,66 +241,71 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-class MlpWorkspace:
-    """Scratch arrays for the network on a fixed number of rows, reused call
-    after call: each layer's output, each hidden layer's ReLU mask, and the
-    gradient at each layer's pre-activation (``deltas[-1]`` is the upstream
-    slot, which the caller fills)."""
+class MlpKernel:
+    """The network's forward and backward passes on one batch of rows, bound
+    once to their arrays: ``params`` and ``grad``, usually views into flat
+    vectors that the caller updates in place, and the batch ``x``, which the
+    caller may refill in place. A pass checks nothing.
 
-    def __init__(self, layer_sizes: tuple[int, ...], rows: int):
-        self.outs = [np.empty((rows, s)) for s in layer_sizes[1:]]
-        self.deltas = [np.empty((rows, s)) for s in layer_sizes[1:]]
-        self.masks = [np.empty((rows, s), dtype=bool) for s in layer_sizes[1:-1]]
-
-
-def mlp_activations(
-    p: MlpParams, x: np.ndarray, ws: MlpWorkspace | None = None
-) -> list[np.ndarray]:
-    """Unchecked forward pass over a 2-D batch, keeping every activation.
-
-    Returns ``[x, h_1, ..., h_{L-1}, out]``: the input of each affine layer
-    (ReLU outputs for the hidden layers) followed by the linear output. With
-    ``ws`` they are written into ``ws.outs``, which the next pass overwrites.
+    ``out`` is the network's output and ``upstream`` d(objective)/d(out),
+    which the caller fills before :meth:`backward`; ``deltas[i]`` is the
+    gradient at layer ``i``'s pre-activation (``deltas[-1]`` is ``upstream``).
     """
-    acts = [x]
-    last = len(p.weights) - 1
-    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        h = np.dot(acts[-1], w, out=None if ws is None else ws.outs[i])
-        h += b
-        if i < last:
-            np.maximum(h, 0.0, out=h)
-        acts.append(h)
-    return acts
 
+    def __init__(self, params: MlpParams, grad: MlpParams, x: np.ndarray):
+        rows, sizes = len(x), params.layer_sizes[1:]
+        outs = [np.empty((rows, s)) for s in sizes]
+        masks = [np.empty((rows, s), dtype=bool) for s in sizes[:-1]]
+        self.deltas = [np.empty((rows, s)) for s in sizes]
+        self.params, self.grad, self.x = params, grad, x
+        self.out, self.upstream = outs[-1], self.deltas[-1]
+        self.zero = np.zeros(())
+        self.mse_scale = np.array(2.0 / max(rows, 1))  # d(mean squared error)/d(out) per error
+        ins = [x, *outs[:-1]]
+        layers = list(zip(ins, params.weights, params.biases, outs))
+        self._hidden, self._last = layers[:-1], layers[-1]
+        # Each layer's transposed input and delta give its gradients; from
+        # the last layer down, a layer passes its delta through its
+        # transposed weights and the ReLU mask of its input.
+        grads = list(zip([h.T for h in ins], self.deltas, grad.weights, grad.biases))
+        self._down = [(*grads[i], params.weights[i].T, self.deltas[i - 1], ins[i], masks[i - 1])
+                      for i in range(len(sizes) - 1, 0, -1)]
+        self._first = grads[0]
 
-def mlp_backprop(
-    p: MlpParams,
-    acts: list[np.ndarray],
-    upstream: np.ndarray,
-    grad: MlpParams | None = None,
-    ws: MlpWorkspace | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Unchecked backward pass from :func:`mlp_activations` output.
+    def forward(self) -> np.ndarray:
+        """``out`` at the current parameters and rows."""
+        zero = self.zero
+        for h, w, b, out in self._hidden:
+            np.dot(h, w, out)
+            np.add(out, b, out)
+            np.maximum(out, zero, out=out)
+        h, w, b, out = self._last
+        np.dot(h, w, out)
+        np.add(out, b, out)
+        return out
 
-    ``upstream`` is d(objective)/d(output), one row per input; it is only
-    read. Writes the parameter gradients into ``grad``'s arrays (a new
-    flat-backed one when None) and returns ``(weight_grads, bias_grads,
-    delta)`` where ``delta`` is the gradient at the first layer's
-    pre-activation; the input gradient is ``delta @ p.weights[0].T``, left to
-    the callers that need it. With ``ws`` the deltas and masks are written
-    into its arrays.
-    """
-    grad = mlp_from_vector(p.layer_sizes) if grad is None else grad
-    delta = upstream
-    for i in range(len(p.weights) - 1, -1, -1):
-        np.dot(acts[i].T, delta, out=grad.weights[i])
-        np.add.reduce(delta, axis=0, out=grad.biases[i])
-        if i > 0:
+    def backward(self) -> None:
+        """Gradients of ``sum(upstream * out)`` into ``grad``, from the
+        arrays of the last forward pass."""
+        zero = self.zero
+        for h_t, delta, gw, gb, w_t, below, h, mask in self._down:
+            np.dot(h_t, delta, gw)
+            np.add.reduce(delta, 0, None, gb)
+            np.dot(delta, w_t, below)
             # A hidden unit passes gradient where its ReLU was active, i.e.
-            # where its output (the next layer's input) is positive.
-            delta = np.dot(delta, p.weights[i].T, out=None if ws is None else ws.deltas[i - 1])
-            delta *= np.greater(acts[i], 0.0, out=None if ws is None else ws.masks[i - 1])
-    return grad.weights, grad.biases, delta
+            # where its output (this layer's input) is positive.
+            np.greater(h, zero, mask)
+            np.multiply(below, mask, below)
+        h_t, delta, gw, gb = self._first
+        np.dot(h_t, delta, gw)
+        np.add.reduce(delta, 0, None, gb)
+
+    def mse_backward(self, y: np.ndarray) -> None:
+        """A forward pass, then the gradients of the mean squared error of
+        ``out`` against the targets ``y`` (rows x 1)."""
+        np.subtract(self.forward(), y, self.upstream)
+        np.multiply(self.upstream, self.mse_scale, self.upstream)
+        self.backward()
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -310,8 +318,13 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input width {h.shape[1]} does not match first layer {p.layer_sizes[0]}"
         )
-    out = mlp_activations(p, h)[-1]
-    return out[0] if single else out
+    last = len(p.weights) - 1
+    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        h = np.dot(h, w)
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+    return h[0] if single else h
 
 
 def mlp_backward(
@@ -331,6 +344,10 @@ def mlp_backward(
         raise ValueError(
             f"upstream shape {ub.shape} does not match output ({xb.shape[0]}, {p.layer_sizes[-1]})"
         )
-    weight_grads, bias_grads, delta = mlp_backprop(p, mlp_activations(p, xb), ub)
-    input_grad = np.dot(delta, p.weights[0].T)
-    return weight_grads, bias_grads, input_grad[0] if single else input_grad
+    grad = mlp_from_vector(p.layer_sizes)
+    kernel = MlpKernel(p, grad, xb)
+    kernel.forward()
+    np.copyto(kernel.upstream, ub)
+    kernel.backward()
+    input_grad = np.dot(kernel.deltas[0], p.weights[0].T)
+    return grad.weights, grad.biases, input_grad[0] if single else input_grad

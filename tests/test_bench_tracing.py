@@ -1,9 +1,13 @@
 """The benchmark's tracer (bench/tracing.py) wraps package attributes by
 name; installing it must find every one of them."""
 
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +35,22 @@ def test_bench_smoke_passes():
         [sys.executable, "bench/smoke.py"], cwd=ROOT, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["llro-multitask", "lolo-singletask"])
+def test_traced_pass_is_correct(tmp_path, workload):
+    # One short traced pass of a workload that runs the GP and MAML kernels:
+    # "correct" holds every traced invariant (the counts the tracer derives
+    # from calls included) and each cell's MAE against bench/reference.json.
+    # A copy of the checkout, so that the generated inputs stay in tmp_path.
+    for name in ("bench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".bench_work"))
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stdout

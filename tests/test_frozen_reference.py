@@ -39,7 +39,7 @@ def gp_problems(draw):
     else:
         sizes = [draw(st.integers(2, 60))]
     width = draw(st.integers(1, 9))
-    hidden = draw(st.sampled_from([(3,), (5, 3), (50, 10)]))
+    hidden = draw(st.sampled_from([(3,), (5, 3), (50, 10), (6, 4, 3)]))
     seed = draw(st.integers(0, 2**16))
     duplicate = draw(st.booleans())
     rng = np.random.default_rng(seed)
@@ -193,7 +193,8 @@ def maml_problem(seed, sizes, cfg):
 @st.composite
 def maml_problems(draw):
     width = draw(st.integers(1, 9))
-    shape = draw(st.sampled_from([(width, 1), (width, 4, 1), (width, 50, 10, 1)]))
+    shape = draw(st.sampled_from(
+        [(width, 1), (width, 4, 1), (width, 50, 10, 1), (width, 8, 6, 3, 1)]))
     seed = draw(st.integers(0, 2**16))
     sizes = draw(st.lists(st.integers(2, 15), min_size=1, max_size=4))
     cfg = meta.MamlConfig(

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import zlib
 
 import numpy as np
@@ -151,6 +152,17 @@ class TestFitGp:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             fit_gp({"t": (np.zeros((1, 2)), np.zeros(1))}, multi_task=False)
+
+    @pytest.mark.parametrize("multi_task", [False, True])
+    @pytest.mark.parametrize("x_rows, y_shape", [(10, (6,)), (4, (6,)), (6, (6, 1))])
+    def test_mismatched_rows_rejected(self, x_rows, y_shape, multi_task):
+        rng = np.random.default_rng(4)
+        data = {"b": (rng.standard_normal((x_rows, 2)), rng.standard_normal(y_shape))}
+        if multi_task:
+            data["a"] = (rng.standard_normal((5, 2)), rng.standard_normal(5))
+        message = f"task 'b': features of shape ({x_rows}, 2) do not match targets of shape {y_shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_gp(data, multi_task=multi_task, epochs=2)
 
     def test_single_task_flag_enforced(self):
         rng = np.random.default_rng(0)
@@ -425,10 +437,10 @@ class TestScratchOwnership:
 
 def test_fit_allocates_its_scratch_once(monkeypatch):
     # A structural guard instead of a timing test: the fit builds its network
-    # views, workspaces and points a fixed number of times, however many
+    # views, kernels and points a fixed number of times, however many
     # likelihood evaluations it makes.
     counts = collections.Counter()
-    for name in ("mlp_from_vector", "MlpWorkspace", "_Likelihood", "_GradWork"):
+    for name in ("mlp_from_vector", "MlpKernel", "_Likelihood", "_GradWork"):
         def counted(*args, _real=getattr(gp_module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)

@@ -1,22 +1,33 @@
+import re
+
 import numpy as np
 import pytest
 
 from xferlens import meta
 from xferlens.meta import MamlConfig, adapt, meta_train, predict_net
-from xferlens.numerics import MlpWorkspace, init_mlp, mlp_backward, mlp_forward, mlp_from_vector
+from xferlens.numerics import MlpKernel, init_mlp, mlp_backward, mlp_forward, mlp_from_vector
 
 
 def mse_and_grads(params, x, y):
     """Oracle: mean squared error and its exact parameter gradients, the
-    gradients through the single-pass kernel ``adapt`` and ``meta_train`` use."""
+    gradients through the bound kernel ``adapt`` and ``meta_train`` use."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if x.shape[1] != params.layer_sizes[0]:
         raise ValueError("input width does not match first layer")
     grad = mlp_from_vector(params.layer_sizes)
-    meta._mse_grads(params, x, y, grad, MlpWorkspace(params.layer_sizes, len(y)))
+    MlpKernel(params, grad, x).mse_backward(y[:, None])
     err = mlp_forward(params, x)[:, 0] - y
     return float(np.mean(err**2)), grad.weights, grad.biases
+
+
+#: (feature rows, target shape) pairs that do not line up: more rows than
+#: targets, fewer, and a 2-D target array.
+MISMATCHED = [(10, (6,)), (4, (6,)), (6, (6, 1))]
+
+
+def mismatch_message(what, x_rows, y_shape):
+    return re.escape(f"{what}: features of shape ({x_rows}, 2) do not match targets of shape {y_shape}")
 
 
 def params_digest(params):
@@ -89,6 +100,13 @@ class TestAdapt:
         adapt(trained, x, y, cfg)
         assert params_digest(first) == digest
         assert params_digest(adapt(theta, x, y, cfg)) == digest
+
+    @pytest.mark.parametrize("x_rows, y_shape", MISMATCHED)
+    def test_mismatched_rows_rejected(self, x_rows, y_shape):
+        theta = init_mlp((2, 3, 1), seed=0)
+        cfg = MamlConfig(net_shape=(2, 3, 1))
+        with pytest.raises(ValueError, match=mismatch_message("support set", x_rows, y_shape)):
+            adapt(theta, np.zeros((x_rows, 2)), np.zeros(y_shape), cfg)
 
     def test_empty_support_rejected(self):
         theta = init_mlp((2, 1), seed=0)
@@ -196,6 +214,15 @@ class TestMetaTrain:
             rand_mse = float(np.mean((predict_net(rand_adapted, x[qry]) - y[qry]) ** 2))
             wins += meta_mse < rand_mse
         assert wins >= 4
+
+    @pytest.mark.parametrize("x_rows, y_shape", MISMATCHED)
+    def test_mismatched_rows_rejected(self, x_rows, y_shape):
+        rng = np.random.default_rng(3)
+        tasks = {"a": (rng.standard_normal((6, 2)), rng.uniform(size=6)),
+                 "b": (rng.standard_normal((x_rows, 2)), rng.uniform(size=y_shape))}
+        cfg = MamlConfig(meta_epochs=2, net_shape=(2, 3, 1))
+        with pytest.raises(ValueError, match=mismatch_message("task 'b'", x_rows, y_shape)):
+            meta_train(tasks, cfg)
 
     def test_too_small_task_rejected(self):
         cfg = MamlConfig(net_shape=(1, 1))

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 import frozen_gp_meta
 from helpers import grad_check
 from xferlens.numerics import (
+    MlpKernel,
     MlpParams,
     cholesky,
     cholesky_quiet,
     init_mlp,
-    mlp_activations,
-    mlp_backprop,
     mlp_backward,
     mlp_forward,
+    mlp_from_vector,
     solve,
 )
 
@@ -324,14 +324,23 @@ class TestSinglePassKernel:
     def test_bitwise_equal_to_two_pass_reference(self, rows, sizes):
         rng = np.random.default_rng(rows * 100 + len(sizes))
         p = init_mlp(sizes, seed=rows)
-        x = rng.standard_normal((rows, sizes[0]))
-        upstream = rng.standard_normal((rows, sizes[-1]))
-        ref_w, ref_b, ref_dx = reference_backward(p, x, upstream)
-        acts = mlp_activations(p, x)
-        assert acts[-1].tobytes() == mlp_forward(p, x).tobytes()
-        w, b, delta = mlp_backprop(p, acts, upstream)
-        assert [g.tobytes() for g in w + b] == [g.tobytes() for g in ref_w + ref_b]
-        assert (delta @ p.weights[0].T).tobytes() == ref_dx.tobytes()
+        grad = mlp_from_vector(sizes)
+        kernel = MlpKernel(p, grad, np.empty((rows, sizes[0])))
+        # The second pass runs on new rows and parameters, written in place
+        # into the arrays the kernel is bound to.
+        for step in range(2):
+            if step:
+                p.flat += rng.standard_normal(p.flat.size)
+            x = rng.standard_normal((rows, sizes[0]))
+            upstream = rng.standard_normal((rows, sizes[-1]))
+            kernel.x[...] = x
+            ref_w, ref_b, ref_dx = reference_backward(p, x, upstream)
+            assert kernel.forward().tobytes() == mlp_forward(p, x).tobytes()
+            kernel.upstream[...] = upstream
+            kernel.backward()
+            assert [g.tobytes() for g in grad.weights + grad.biases] == [
+                g.tobytes() for g in ref_w + ref_b]
+            assert (kernel.deltas[0] @ p.weights[0].T).tobytes() == ref_dx.tobytes()
         w, b, dx = mlp_backward(p, x, upstream)
         assert [g.tobytes() for g in w + b] == [g.tobytes() for g in ref_w + ref_b]
         assert dx.tobytes() == ref_dx.tobytes()

@@ -22,9 +22,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # derives baselines.gbt_trees, gp.mll_evals, gp.cho_solve_s, meta.adapt_calls,
 # factorization.cmf_sweeps, features.load_s, features.overlap_s,
 # features.wmrr_calls and the per-row prediction invariants from their
-# calls. Tier-1 runs no traced pass, so a refactor that calls them by another
-# name (or not at all) would pass here and break the benchmark's invariants
-# silently.
+# calls. Tier-1 runs a real traced pass only of llro-multitask and
+# lolo-singletask (test_bench_tracing.py), so these tests pin the counts of
+# every counted call, including those that only the other workloads make: a
+# refactor that calls them by another name (or not at all) would otherwise
+# break the benchmark's invariants silently.
 COUNTED = ((baselines, "fit_gbt"), (baselines, "predict_gbt"),
            (gp, "cholesky"), (gp, "cho_solve"), (gp, "predict_gp"),
            (meta, "adapt"), (meta, "predict_net"),
