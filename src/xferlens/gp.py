@@ -11,32 +11,15 @@ Targets are centered per task before fitting and the means re-added at
 prediction time, so the GP prior mean is zero.
 
 The fit's vector ``[W0, b0, ..., log_ls, log_sv, log_noise (T), A (T x T,
-multi-task only)]`` holds the network's own flat vector, so (un)packing copies
-nothing; ``_Problem`` holds the per-fit constants; solves call scipy's LAPACK
-directly, through :func:`numerics.lapack`, which imports scipy on the first
-solve so that commands without a GP never load it. The factor is numpy's:
-``gp.cholesky`` is :func:`numerics.cholesky_quiet`, the jitter ladder on
-numpy's own LAPACK gufunc with no errstate scope of its own, since every call
-here runs inside one of ``_QUIET``.
-
-A fit makes hundreds of likelihood evaluations on matrices of 7 to 50 rows,
-where numpy's per-call dispatch and allocation outweigh the arithmetic. So
-``fit_gp`` allocates once per fit what every evaluation reuses: two
-:class:`_Likelihood` points, the current one and the candidate, each with its
-parameter and gradient vectors, the network's views into them, an
-:class:`~xferlens.numerics.MlpKernel` bound to them and the training rows, and
-the kernel's arrays; and one :class:`_GradWork` with the gradient's scratch.
-The line search writes each candidate into the candidate point, and an
-accepted step swaps the two points, so the current point survives while
-candidates are scored. The fit runs in one ``np.errstate`` scope.
-``_likelihood`` and ``_gradient`` called without that scratch allocate their
-own and open their own scope; both run the same body, and the bits are those
-of fresh arrays. Only the Cholesky factor and alpha are new at each
-evaluation (LAPACK returns them), and the points are the fit's own, so the
-state it returns holds their arrays without copying them. Sums and
-all-of tests call ``np.add.reduce`` and ``np.logical_and.reduce``, the ufunc
-reductions that ``ndarray.sum`` and ``ndarray.all`` reach through a Python
-wrapper: the same loops, so the same bits.
+multi-task only)]`` holds the network's flat vector. The factor comes from
+numpy's LAPACK gufunc (``gp.cholesky`` is :func:`numerics.cholesky_quiet`),
+the solves from the same LAPACK (``gp.cho_solve`` runs a bound
+:class:`numerics.Solve`). ``fit_gp`` runs in one ``np.errstate`` scope and
+owns its scratch: two :class:`_Likelihood` points, the current one and the
+candidate, swapped on an accepted step, and one :class:`_GradWork`. The
+fitted state keeps the accepted point's arrays. ``_likelihood`` and
+``_gradient`` called without scratch allocate their own and open their own
+scope, with the same bits.
 """
 
 from __future__ import annotations
@@ -53,10 +36,9 @@ from .data import TaskId
 from .numerics import (
     MlpKernel,
     MlpParams,
+    Solve,
     batch_rows,
-    cho_solve,
     init_mlp,
-    lapack,
     mlp_forward,
     mlp_from_vector,
     require_finite,
@@ -65,6 +47,8 @@ from .numerics import (
 from .numerics import cholesky_quiet as cholesky
 from .numerics import mlp_backward  # noqa: F401
 
+cho_solve = Solve.__call__  # one solve from a point's factor
+
 DEFAULT_HIDDEN = (50, 10)
 
 #: Lower bound on each task's noise variance during the fit, as a log.
@@ -72,10 +56,8 @@ _LOG_NOISE_FLOOR = math.log(1e-8)
 
 #: A candidate's network or noise can overflow and its ls underflow to 0, and
 #: a gradient near a singular K can overflow; the finiteness checks reject such
-#: a point, so numpy need not warn. One scope per fit or public call: a scope
-#: costs about 2 us, a sizeable part of an evaluation at m~7. It is also the
-#: scope ``cholesky`` needs: np.linalg's own, with a failed factor's "invalid"
-#: ignored.
+#: a point, so numpy need not warn. One scope per fit or public call; it is
+#: also the one ``cholesky`` needs, with a failed factor's "invalid" ignored.
 _QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore", "under": "ignore"}
 
 _sum = np.add.reduce
@@ -84,11 +66,9 @@ _all = np.logical_and.reduce
 
 @dataclass
 class GpState:
-    """Fitted GP: hyperparameters plus the training-set caches used at prediction.
-
-    ``predict_gp`` reads constants computed here once, so the arrays are not
-    to be changed after the fit.
-    """
+    """Fitted GP: hyperparameters plus the training-set caches used at
+    prediction. ``predict_gp`` reads constants computed here once, so the
+    arrays are not to be changed after the fit."""
 
     mlp: MlpParams
     log_lengthscale: float
@@ -108,17 +88,21 @@ class GpState:
     mll_evals: int  # likelihood evaluations made by the fit, rejected candidates included
     stopped_early: bool  # True when no step improved the likelihood before the last epoch
     # Per task: sv, 2 ls^2, K_task's row over the training rows, the prior
-    # variance sv K_task[t, t], the task's mean and chol^T.
+    # variance sv K_task[t, t] and the task's mean.
     _by_task: dict = field(init=False, repr=False, compare=False)
+    # Idle solves L v = k_star for predict_gp: a call takes one or binds a new
+    # one, so each call in flight solves in its own.
+    _solves: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sv = math.exp(self.log_signal_variance)
         two_ls_sq = 2.0 * math.exp(self.log_lengthscale) ** 2
         self._by_task = {
             task: (sv, two_ls_sq, self.task_cov[ti, self.train_task_idx],
-                   sv * float(self.task_cov[ti, ti]), float(self.task_means[ti]), self.chol.T)
+                   sv * float(self.task_cov[ti, ti]), float(self.task_means[ti]))
             for ti, task in enumerate(self.tasks)
         }
+        self._solves = []
 
 
 def _latent(mlp: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -156,18 +140,15 @@ class _Likelihood:
     """The marginal log-likelihood at one parameter vector, with the
     intermediates its gradient and the fitted state are built from.
 
-    Built around ``vec``: ``mlp``, ``log_noise`` and (multi-task) ``a_root``
-    are views into it, and the arrays are allocated here for
-    :func:`_likelihood` to fill. ``grad`` is the point's gradient vector,
-    which :func:`_gradient` fills; ``kernel`` runs the network on the
-    training rows at ``mlp`` and writes its gradients into ``grad``.
+    ``mlp``, ``log_noise`` and (multi-task) ``a_root`` are views into
+    ``vec``. ``grad`` is the point's gradient vector, into which ``kernel``
+    (the network on the training rows) writes. The other arrays are
+    allocated here and overwritten by the next evaluation of this point:
     ``kernel.out`` (g_lin), ``latent`` (g = relu(g_lin)), ``sq`` (pairwise
     squared latent distances), ``k_rbf``, ``k_nf`` (the noise-free
-    covariance), ``noise`` (per row) and ``task_cov`` are overwritten by the
-    next evaluation of this point;
-    ``chol`` and ``alpha`` are replaced by new arrays. ``k`` is scratch that
-    holds no result: 2 g g^T, then K_task at each pair of rows, then K, and
-    afterwards a product in :func:`_gradient`.
+    covariance), ``noise`` (per row), ``task_cov``, ``chol``, ``alpha``, and
+    ``k``, scratch that holds no result. ``alpha_solve`` and ``inv_solve``
+    are bound to ``chol``; they solve into ``alpha`` and into K^-1.
     """
 
     def __init__(self, prob: _Problem, vec: np.ndarray):
@@ -197,9 +178,11 @@ class _Likelihood:
             self.a_root = np.eye(1)
             self.task_cov = np.ones((1, 1))
             self.k_nf = self.k_rbf
+        self.chol, self.alpha = np.empty((m, m)), np.empty(m)
+        self.alpha_solve = Solve(self.chol, self.alpha)
+        self.inv_solve = Solve(self.chol, np.empty((m, m), order="F"))
         self.mll = math.nan
         self.ls = math.nan
-        self.chol = self.alpha = None
         self.jitter = 0.0
 
 
@@ -247,11 +230,13 @@ def _likelihood(prob: _Problem, vec: np.ndarray, work: _Likelihood | None = None
         raise np.linalg.LinAlgError("covariance is not finite")
 
     chol, jit = cholesky(k)
-    alpha = cho_solve(chol, prob.y)
+    np.copyto(lik.chol, chol)
+    np.copyto(lik.alpha, prob.y)
+    alpha = cho_solve(lik.alpha_solve)
     mll = -0.5 * float(np.dot(prob.y, alpha)) - float(_sum(np.log(chol.diagonal()))) - prob.log_2pi
     if not math.isfinite(mll):
         raise np.linalg.LinAlgError("marginal likelihood is not finite")
-    lik.mll, lik.ls, lik.chol, lik.alpha, lik.jitter = mll, ls, chol, alpha, jit
+    lik.mll, lik.ls, lik.jitter = mll, ls, jit
     return lik
 
 
@@ -285,7 +270,8 @@ def _gradient(prob: _Problem, lik: _Likelihood, work: _GradWork | None = None) -
     ls_sq = lik.ls**2
     grad = lik.grad
 
-    k_inv = cho_solve(lik.chol, prob.eye)
+    np.copyto(lik.inv_solve.x, prob.eye)
+    k_inv = cho_solve(lik.inv_solve)
     s = np.multiply(lik.alpha[:, None], lik.alpha, out=work.s)  # d mll / d K
     s -= k_inv
     s *= 0.5
@@ -415,7 +401,6 @@ def fit_gp(
             lik, cand = cand, lik
             trace.append(lik.mll)
 
-    # Nothing reuses the accepted point's arrays once the fit returns.
     n = prob.n_mlp
     return GpState(
         mlp=lik.mlp, log_lengthscale=float(lik.vec[n]), log_signal_variance=float(lik.vec[n + 1]),
@@ -429,7 +414,7 @@ def fit_gp(
 def predict_gp(state: GpState, x: np.ndarray, task: TaskId) -> tuple[float, float]:
     """Conditional mean and (non-negative) latent variance at one query row."""
     try:
-        sv, two_ls_sq, cov_row, prior_var, task_mean, chol_t = state._by_task[task]
+        sv, two_ls_sq, cov_row, prior_var, task_mean = state._by_task[task]
     except KeyError:
         raise ValueError(f"unknown task {task!r}") from None
     x = np.asarray(x, dtype=float)
@@ -442,9 +427,12 @@ def predict_gp(state: GpState, x: np.ndarray, task: TaskId) -> tuple[float, floa
         sq = _sum((state.train_latent - g_star) ** 2, 1)
         k_star = sv * np.exp(-sq / two_ls_sq) * cov_row
     mean = float(np.dot(k_star, state.alpha)) + task_mean
-    # L v = k_star as scipy's solve_triangular solves it: L.T's transposed system.
-    v, info = lapack().dtrtrs(chol_t, k_star, lower=0, trans=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+    try:
+        solve = state._solves.pop()
+    except IndexError:
+        solve = Solve(state.chol, np.empty(len(k_star)), triangular=True)
+    np.copyto(solve.x, k_star)
+    v = solve()  # L v = k_star
     var = prior_var - float(np.dot(v, v))
+    state._solves.append(solve)
     return mean, max(var, 0.0)

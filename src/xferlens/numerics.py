@@ -1,45 +1,17 @@
-"""Shared numerical primitives: jittered Cholesky and linear solves through
-numpy's LAPACK gufuncs, direct LAPACK solves from a factor, a small MLP with
-exact backpropagation, and the hyperparameter checks the solvers share.
+"""Shared numerical primitives: jittered Cholesky factors, linear solves and
+solves from a factor on numpy's LAPACK, a small MLP with exact
+backpropagation, and the hyperparameter checks the solvers share.
 
-Everything runs in float64 numpy. The MLP is a plain stack of affine layers
-with ReLU between them and a linear final layer. Its arrays can be views into
-one vector ``[W0, b0, W1, b1, ...]`` (:func:`mlp_from_vector`), which a
-trainer updates in one operation. :func:`mlp_forward` and
-:func:`mlp_backward` are the checked entries, and allocate their arrays. A
-trainer that runs the same shapes thousands of times (MAML's inner steps, the
-GP's likelihood evaluations) binds an :class:`MlpKernel` once per fit
-instead: one forward pass whose arrays the backward pass reuses, on row
-buffers of its own, with no checks. Its arrays have tens of rows at most, so
-numpy's per-call dispatch costs more than the arithmetic: its products are
-``np.dot`` (the BLAS call ``@`` makes, so the same bits, without the
-generalized-ufunc machinery), and every call writes into a bound array
-(``out`` passed positionally where numpy allows it) and takes 0-d constants
-rather than Python floats.
-
-:func:`cholesky` and :func:`solve` call the LAPACK gufuncs that
-``np.linalg.cholesky`` and ``np.linalg.solve`` dispatch to
-(``numpy.linalg._umath_linalg``), with the same signature, so the bits are
-numpy's. They skip the wrappers' array conversion, casting and wrapping, which
-take more than twice the gufunc's time on a 7 x 7 matrix. A gufunc reports a
-failed factorization only through the floating-point "invalid" flag and a
-result filled with NaN. :func:`solve` turns the flag into ``LinAlgError`` as
-``np.linalg.solve`` does, in an errstate scope of its own. The Cholesky ladder
-reads the NaN instead: its checks reject NaN entries and a NaN jitter, so a
-factor that LAPACK accepted starts with the square root of a positive number,
-and its first entry is NaN exactly when the factorization failed. That lets :func:`cholesky_quiet` run inside a
-caller's errstate scope (the GP fit's) with none of its own; :func:`cholesky`
-is the same ladder in its own scope.
-
-:func:`cho_solve` calls LAPACK ``dpotrs`` directly: scipy's bits without its
-per-call checks (finiteness included), which cost more than a 7 x 7 solve.
-scipy is loaded by :func:`lapack` on the first solve, not at import: importing
-``scipy.linalg`` takes about half of every command's start-up, and only the GP
-kinds (dgpr, mdgpr) solve systems.
+All of it runs in float64 on the one LAPACK numpy links. :func:`cholesky` and
+:func:`solve` give ``np.linalg``'s bits, :class:`Solve` those of scipy's
+``dpotrs``/``dtrtrs`` wrappers. An :class:`MlpKernel` or a :class:`Solve` is
+bound once to arrays its caller owns and refills in place; a call checks
+nothing. :func:`cholesky_quiet` opens no errstate scope (the GP fit has one).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -98,8 +70,6 @@ def cholesky_quiet(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, floa
     current = float(jitter)
     if not 0.0 <= current < math.inf:  # a NaN or negative rung would never reach the top
         raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
-    # numpy's LAPACK, not scipy's dpotrf: the two link different OpenBLAS
-    # builds, and the factor's last bits (and so the GP's outputs) differ.
     while True:
         bumped = a if current == 0.0 else a + current * np.eye(n)
         chol = _cholesky_lo(bumped, signature="d->d")
@@ -156,26 +126,67 @@ def batch_rows(what: str, x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+#: The names a LAPACK routine's symbol may have in numpy's library: numpy >= 2
+#: wheels prefix ``scipy_``; an ILP64 build (64-bit integers) ends in ``_64_``.
+_SYMBOLS = ("scipy_{}_64_", "{}_64_") if _umath_linalg._ilp64 else ("scipy_{}_", "{}_")
+#: gfortran passes the length of each character argument after the others.
+_CHAR_LEN = ctypes.c_size_t(1)
+
+
 @lru_cache(maxsize=None)
-def lapack():
-    """The ``scipy.linalg.lapack`` module, imported on the first call.
+def lapack() -> tuple:
+    """``(dpotrs, dtrtrs, int)``: the routines of the LAPACK numpy has loaded
+    (``dlsym`` on ``_umath_linalg`` searches what it links) and the ctypes
+    type of its integers; ``LinAlgError`` names a routine it lacks."""
+    lib, routines = ctypes.CDLL(_umath_linalg.__file__), []
+    for name in ("dpotrs", "dtrtrs"):
+        symbols = [pattern.format(name) for pattern in _SYMBOLS]
+        found = [getattr(lib, s) for s in symbols if hasattr(lib, s)]
+        if not found:
+            raise np.linalg.LinAlgError(f"numpy's LAPACK has no {name} (looked for {', '.join(symbols)})")
+        found[0].restype = None
+        routines.append(found[0])
+    return (*routines, ctypes.c_int64 if _umath_linalg._ilp64 else ctypes.c_int32)
 
-    Cached, so a solve pays a call (a fraction of a microsecond), not an import
-    statement's lookup. The solves need scipy's routines: ``np.linalg.solve``
-    factors by LU and numpy links another OpenBLAS build, so either would
-    change their last bits.
-    """
-    from scipy.linalg import lapack as module
 
-    return module
+class Solve:
+    """LAPACK's ``L L^T x = b`` (``dpotrs``) or, with ``triangular``, ``L x =
+    b`` (``dtrtrs``) for a lower Cholesky factor ``L``, its arguments bound
+    once to ``chol`` (``L``, C-contiguous float64) and ``x`` (``b``, a vector
+    or an m x k matrix, F-contiguous writable float64), each copied unless it
+    is one, which the caller may refill in place. A call overwrites ``x`` with
+    the solution and returns it, or raises ``LinAlgError`` for a failure
+    LAPACK reports (a zero on ``L``'s diagonal, in ``dtrtrs``)."""
 
+    __slots__ = ("chol", "x", "_info", "_routine", "_args")
 
-def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L L^T x = b`` for the lower factor ``L`` from :func:`cholesky`."""
-    x, info = lapack().dpotrs(chol, b, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs: illegal value in argument {-info}")
-    return x
+    def __init__(self, chol, x, triangular: bool = False):
+        chol = np.ascontiguousarray(chol, dtype=float)
+        if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.flags.f_contiguous
+                and x.flags.writeable):
+            x = np.array(x, dtype=float, order="F")
+        m = len(chol)
+        if chol.shape != (m, m) or x.ndim not in (1, 2) or len(x) != m or not x.size:
+            raise ValueError(f"cannot solve from a factor of shape {chol.shape} "
+                             f"for a right-hand side of shape {x.shape}")
+        potrs, trtrs, integer = lapack()
+        self.chol, self.x, self._info = chol, x, integer()
+        # Every argument is a ctypes object or bytes, so the routines need no
+        # argtypes, which would cost more than a 7 x 7 solve.
+        n, k, info = map(ctypes.byref, (integer(m), integer(x.size // m), self._info))
+        a, b = (ctypes.c_void_p(v.ctypes.data) for v in (chol, x))
+        # Read column by column, the C-ordered L is the upper factor U = L^T:
+        # L L^T = U^T U, and L x = b is U^T x = b.
+        if triangular:
+            self._routine, self._args = trtrs, (b"U", b"T", b"N", n, k, a, n, b, n, info, *[_CHAR_LEN] * 3)
+        else:
+            self._routine, self._args = potrs, (b"U", n, k, a, n, b, n, info, _CHAR_LEN)
+
+    def __call__(self) -> np.ndarray:
+        self._routine(*self._args)
+        if self._info.value:
+            raise np.linalg.LinAlgError(f"{self._routine.__name__} failed with info {self._info.value}")
+        return self.x
 
 
 @dataclass

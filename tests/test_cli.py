@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import lang_codes, planted_dataset
-from xferlens import evaluation
+from xferlens import evaluation, numerics
 from xferlens.cli import main
 from xferlens.data import FEATURE_NAMES, load_features_csv, save_dataset
 
@@ -320,6 +320,24 @@ class TestEvaluateCommand:
         assert "not finite" in payload["failures"][0]["error"]
         assert {r["model"]["kind"] for r in payload["results"]} == {"awt"}
         assert "nan" not in (out / "records.csv").read_text()
+
+    def test_missing_lapack_routine_fails_only_the_gp_cells(self, toy_paths, tmp_path, monkeypatch):
+        numerics.lapack.cache_clear()
+        monkeypatch.setattr(numerics, "_SYMBOLS", ("no_such_{}_",))
+        out = tmp_path / "out"
+        try:
+            code = main(["evaluate", "--scores", str(toy_paths["scores"]),
+                         "--features", str(toy_paths["features"]), "--models", "lasso,dgpr",
+                         "--protocol", "lolo", "--out", str(out)])
+        finally:
+            numerics.lapack.cache_clear()
+        assert code == 3
+        payload = json.loads((out / "report.json").read_text())
+        assert [(f["model"], f["task"]) for f in payload["failures"]] == [("dgpr", "A"), ("dgpr", "B")]
+        assert all("has no dpotrs" in f["error"] for f in payload["failures"])
+        assert {r["model"]["kind"] for r in payload["results"]} == {"lasso"}
+        rows = list(csv.DictReader((out / "records.csv").read_text().splitlines()[1:]))
+        assert rows and {row["model"] for row in rows} == {"lasso"}
 
     def test_multi_model_scores_exit_two(self, toy_paths, tmp_path, capsys):
         lines = toy_paths["scores"].read_text().splitlines()

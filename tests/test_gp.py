@@ -1,7 +1,10 @@
 import collections
+import dataclasses
 import math
 import re
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -236,6 +239,36 @@ class TestPredictGp:
                 predict_gp(state, bad, "t")
         assert predict_gp(state, [0.1, 0.2], "t") == predict_gp(state, np.array([0.1, 0.2]), "t")
 
+    def test_concurrent_calls_match_serial_ones(self):
+        # Calls in flight at once each take their own solve from the state's pool.
+        state = small_state()
+        queries = np.random.default_rng(3).standard_normal((150, 3))
+
+        def predict_all():
+            return [predict_gp(state, q, task) for task in state.tasks for q in queries]
+
+        want = predict_all()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [f.result(timeout=120) for f in [pool.submit(predict_all) for _ in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g == want for g in got)
+        assert 1 <= len(state._solves) <= 8
+
+    def test_zero_on_the_factors_diagonal_raises(self):
+        # LAPACK's dtrtrs reports it (info > 0) rather than dividing by zero.
+        state = small_state()
+        chol = state.chol.copy()
+        chol[2, 2] = 0.0
+        broken = dataclasses.replace(state, chol=chol)
+        for task in state.tasks:
+            with pytest.raises(np.linalg.LinAlgError, match="dtrtrs.* info 3"):
+                predict_gp(broken, np.zeros(3), task)
+            assert predict_gp(state, np.zeros(3), task)[1] >= 0.0
+
 class TestDeterminism:
     def test_same_seed_identical_state(self):
         rng = np.random.default_rng(11)
@@ -440,7 +473,7 @@ def test_fit_allocates_its_scratch_once(monkeypatch):
     # views, kernels and points a fixed number of times, however many
     # likelihood evaluations it makes.
     counts = collections.Counter()
-    for name in ("mlp_from_vector", "MlpKernel", "_Likelihood", "_GradWork"):
+    for name in ("mlp_from_vector", "MlpKernel", "Solve", "_Likelihood", "_GradWork"):
         def counted(*args, _real=getattr(gp_module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 import frozen_gp_meta
 from helpers import grad_check
+from xferlens import numerics
 from xferlens.numerics import (
     MlpKernel,
     MlpParams,
+    Solve,
     cholesky,
     cholesky_quiet,
     init_mlp,
@@ -190,6 +193,100 @@ class TestSolveAgainstNumpy:
     def test_shape_errors_match_numpy(self, a, b):
         want = outcome(np.linalg.solve, a, b)
         assert isinstance(want, type) and outcome(solve, a, b) is want
+
+
+def laid_out(a, layout):
+    """``a``'s values in a C-ordered, an F-ordered or a strided array (every
+    other element of a larger one along each axis)."""
+    if layout == "strided":
+        out = np.full(tuple(2 * d for d in a.shape), np.nan)[(slice(None, None, 2),) * a.ndim]
+        out[...] = a
+        return out
+    return np.array(a, order=layout)
+
+
+def factor_and_rhs(m, seed, rhs):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, m + 2))
+    chol, _ = cholesky(g @ g.T)
+    return chol, rng.standard_normal(m if rhs == "vector" else (m, m))
+
+
+def scipy_solves(chol, b):
+    """(dpotrs, dtrtrs) as the GP called them through scipy's wrappers."""
+    (cho, info_cho), (tri, info_tri) = (lapack.dpotrs(chol, b, lower=1),
+                                        lapack.dtrtrs(chol.T, b, lower=0, trans=1))
+    assert info_cho == info_tri == 0
+    return cho, tri
+
+
+LAYOUTS = ("C", "F", "strided")
+
+
+class TestSolveAgainstScipy:
+    """numpy's LAPACK called through ``Solve`` gives the bits of scipy's
+    wrappers, for every layout of the factor and the right-hand side. A
+    layout the solve cannot use in place is copied, and the caller's array
+    is left as it was."""
+
+    @given(st.integers(1, 60), st.integers(0, 2**16), st.sampled_from(["vector", "matrix"]),
+           st.sampled_from(LAYOUTS), st.sampled_from(LAYOUTS))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal(self, m, seed, rhs, chol_layout, b_layout):
+        chol, b = factor_and_rhs(m, seed, rhs)
+        given_chol = laid_out(chol, chol_layout)
+        for triangular, want in zip((False, True), scipy_solves(chol, b)):
+            given_b = laid_out(b, b_layout)
+            solve = Solve(given_chol, given_b, triangular)
+            assert (solve.chol is given_chol) == given_chol.flags.c_contiguous
+            assert (solve.x is given_b) == given_b.flags.f_contiguous
+            got = solve()
+            assert got is solve.x
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+            if got is not given_b:
+                assert given_b.tobytes() == laid_out(b, b_layout).tobytes()
+        assert given_chol.tobytes() == laid_out(chol, chol_layout).tobytes()
+
+    def test_bound_solves_read_the_refilled_arrays(self):
+        m = 9
+        chol = np.empty((m, m))
+        bound = {(rhs, triangular): Solve(chol, np.empty((m, m) if rhs == "matrix" else m, order="F"),
+                                          triangular)
+                 for rhs in ("vector", "matrix") for triangular in (False, True)}
+        for seed in range(3):
+            for (rhs, triangular), solve in bound.items():
+                factor, b = factor_and_rhs(m, seed, rhs)
+                np.copyto(chol, factor)
+                np.copyto(solve.x, b)
+                want = scipy_solves(factor, b)[triangular]
+                assert solve() is solve.x
+                assert solve.x.tobytes() == want.tobytes()
+
+    def test_zero_on_the_diagonal_fails_the_triangular_solve(self):
+        chol, b = factor_and_rhs(5, 0, "vector")
+        chol[3, 3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="dtrtrs.* info 4"):
+            Solve(chol, b, triangular=True)()
+
+    @pytest.mark.parametrize("chol, b", [
+        (np.zeros((0, 0)), np.zeros(0)),  # empty
+        (np.eye(3)[:2], np.ones(2)),  # not square
+        (np.eye(3), np.ones(2)),  # right-hand side of the wrong length
+        (np.eye(3), np.ones((3, 0))),  # no right-hand side
+        (np.eye(3), np.ones((3, 1, 1))),
+    ])
+    def test_shape_errors(self, chol, b):
+        with pytest.raises(ValueError, match="cannot solve"):
+            Solve(chol, b)
+
+    def test_lookup_names_a_missing_routine(self, monkeypatch):
+        numerics.lapack.cache_clear()
+        monkeypatch.setattr(numerics, "_SYMBOLS", ("no_such_{}_",))
+        try:
+            with pytest.raises(np.linalg.LinAlgError, match="has no dpotrs.*no_such_dpotrs_"):
+                Solve(np.eye(2), np.ones(2))
+        finally:
+            numerics.lapack.cache_clear()
 
 
 class TestMlpForward:

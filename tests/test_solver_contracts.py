@@ -126,7 +126,8 @@ class TestTracerCounts:
                                "features.subword_overlap": pairs, "features.wmrr": pairs}
 
 
-# scipy, and the OpenBLAS it bundles, loads on dgpr's first solve, mid-run.
+# Every kind runs on numpy's one OpenBLAS, the GP's solves included, which
+# reads OPENBLAS_NUM_THREADS when numpy loads it at start-up.
 def test_gp_and_maml_outputs_independent_of_blas_threads(tmp_path):
     paths = save_dataset(five_tasks(), tmp_path / "data5")
     outputs = []
