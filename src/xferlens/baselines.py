@@ -1,12 +1,9 @@
 """Averaging baselines and a from-scratch gradient-boosted tree regressor.
 
 The boosting is deliberately plain: squared loss, exact greedy split search,
-no subsampling and no second-order terms. Each fit sorts every feature column
-once, since the features stay fixed across trees; each node then takes its
-rows' orders from its parent's and searches all features in one pass. A fit
-also keeps every row set it splits, with the sorted values and tie mask its
-search needs, so a later tree that makes the same split reuses them and
-recomputes only the residual sums. Ties between equal-gain splits go to the
+no subsampling and no second-order terms. A fit sorts every feature column
+once and owns every row set it splits, with its search data, for each later
+tree that makes the same split. Ties between equal-gain splits go to the
 lowest feature index, then the lowest threshold, so fits are deterministic;
 they are the trees that re-sorting at every node and searching one feature at
 a time would grow, bit for bit.
@@ -22,8 +19,7 @@ import numpy as np
 from .data import Dataset, LangId, TaskId
 from .numerics import require_finite, require_int
 
-# The ufunc reductions ndarray.sum and ndarray.any reach through a Python
-# wrapper: the same loops, so the same bits, at a fraction of a search's cost.
+# The reductions behind ndarray.sum and ndarray.any: the same bits.
 _sum = np.add.reduce
 _any = np.logical_or.reduce
 
@@ -164,7 +160,7 @@ def _grow(
 ) -> Union[TreeNode, Leaf]:
     """Grow the subtree over ``node``'s rows and write its leaves into ``pred``."""
     rows = node.rows
-    if rows.size == 1:  # a leaf without numpy calls; sum() starts from 0.0, so -0.0 sums to 0.0
+    if rows.size == 1:  # sum() starts from 0.0, so -0.0 sums to 0.0
         r = int(rows[0])
         value = 0.0 + float(y[r])
         pred[r] = value
@@ -176,7 +172,7 @@ def _grow(
             node.build(x)
         i = _best_split(node, y, node_y)
     if i is None:
-        value = float(_sum(node_y) / rows.size)  # the bits of mean(), without its overhead
+        value = float(_sum(node_y) / rows.size)  # the bits of mean()
         pred[rows] = value
         return Leaf(value)
     j, threshold, left, right = node.split(x, i)
@@ -223,7 +219,7 @@ def predict_gbt(m: TreeEnsemble, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n_features,):
         raise ValueError(f"expected a vector of length {m.n_features}, got shape {x.shape}")
-    row = x.tolist()  # Python floats: a node's comparison skips numpy's scalar dispatch
+    row = x.tolist()  # Python floats: the same comparisons, without numpy scalars
     rate = m.learning_rate
     total = m.base_score
     for node in m.trees:

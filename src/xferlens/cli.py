@@ -3,8 +3,9 @@ report rendering as reproducible runs.
 
 Every output file embeds the config hash and seed; the hash covers the
 options and the contents of the input files, not their paths. Reruns with
-identical inputs are byte-identical. Exit codes: 0 success, 2 input error, 3 partial
-model failure, 4 invalid method combination.
+identical inputs are byte-identical, under any ``OPENBLAS_NUM_THREADS``:
+:func:`main` runs numpy's OpenBLAS on one thread. Exit codes: 0 success,
+2 input error, 3 partial model failure, 4 invalid method combination.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, explain, sparse_linear
+from . import evaluation, explain, numerics, sparse_linear
 # fit_gbt, predict_gbt, fit_scaler and standardize are unused here but stay
 # module attributes: bench/tracing.py installs its wrappers through them.
 from .baselines import fit_gbt, predict_gbt  # noqa: F401
@@ -560,6 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    numerics.single_thread_blas()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -8,10 +8,8 @@ one batched closed-form ridge solve (a d x d system per task, per pair, or for
 the feature factors), which makes the full objective non-increasing at every step.
 
 Every solve (the ALS blocks and the cold-start fold-in) goes through
-:func:`xferlens.numerics.solve`, ``np.linalg.solve``'s LAPACK gufunc without
-its wrapper, and the objective sums with ``np.add.reduce``, the reduction
-``np.sum`` wraps: the wrappers cost more than a 5 x 5 solve, and the bits are
-the same.
+:func:`xferlens.numerics.solve` and the objective sums with ``np.add.reduce``,
+with the bits of ``np.linalg.solve`` and ``np.sum``.
 """
 
 from __future__ import annotations
@@ -166,8 +164,7 @@ def fold_in_pair(m: CmfModel, x_new: np.ndarray) -> np.ndarray:
 
     Solves min_l alpha ||x_new - F l||^2 + reg ||l||^2 in closed form. Requires
     the model to have been trained with alpha > 0 so F carries information.
-    The d x d system matrix does not depend on ``x_new``: it is built with the
-    model and reused for every row.
+    The model owns the d x d system matrix, the same for every row.
     """
     if m.fold_in_system is None:
         raise ValueError("feature factors are degenerate (model was fit with alpha = 0)")

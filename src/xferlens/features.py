@@ -309,24 +309,19 @@ class FeatureResources:
 
 def build_feature_table(
     resources: FeatureResources,
-    pairs: Iterable[tuple[LangId, LangId]] | None = None,
     pivots: Iterable[LangId] | None = None,
 ) -> dict[tuple[LangId, LangId], FeatureVector]:
-    """One FeatureVector per directed (pivot, target) pair.
-
-    With no explicit ``pairs``, all ordered pairs over the resource languages
-    are produced (optionally restricted to the given pivots). A pivot that no
-    resource names, and a pair with no computable feature at all, are errors.
+    """One FeatureVector per directed (pivot, target) pair: all ordered pairs
+    over the resource languages, optionally restricted to the given pivots.
+    A pivot that no resource names, and a pair with no computable feature at
+    all, are errors.
     """
     langs = resources.languages()
-    if pairs is None:
-        pivot_set = sorted(set(pivots)) if pivots is not None else langs
-        unknown = sorted(set(pivot_set) - set(langs))
-        if unknown:
-            raise ValueError(f"no resource has pivot {', '.join(map(repr, unknown))}")
-        pairs = [(p, t) for p in pivot_set for t in langs if p != t]
-    else:
-        pairs = list(pairs)
+    pivot_set = sorted(set(pivots)) if pivots is not None else langs
+    unknown = sorted(set(pivot_set) - set(langs))
+    if unknown:
+        raise ValueError(f"no resource has pivot {', '.join(map(repr, unknown))}")
+    pairs = [(p, t) for p in pivot_set for t in langs if p != t]
 
     geo_vectors = [
         resources.typology[(lang, "geography")]

@@ -16,10 +16,8 @@ numpy's LAPACK gufunc (``gp.cholesky`` is :func:`numerics.cholesky_quiet`),
 the solves from the same LAPACK (``gp.cho_solve`` runs a bound
 :class:`numerics.Solve`). ``fit_gp`` runs in one ``np.errstate`` scope and
 owns its scratch: two :class:`_Likelihood` points, the current one and the
-candidate, swapped on an accepted step, and one :class:`_GradWork`. The
-fitted state keeps the accepted point's arrays. ``_likelihood`` and
-``_gradient`` called without scratch allocate their own and open their own
-scope, with the same bits.
+candidate, swapped on an accepted step. The fitted state keeps the accepted
+point's arrays.
 """
 
 from __future__ import annotations
@@ -131,10 +129,6 @@ class _Problem:
     pair_idx: np.ndarray | None  # K_task's flat index for each pair of rows (multi-task)
     log_2pi: float  # 0.5 m log(2 pi), the mll's constant term
 
-    def noise_slice(self) -> slice:
-        start = self.n_mlp + 2
-        return slice(start, start + self.n_tasks)
-
 
 class _Likelihood:
     """The marginal log-likelihood at one parameter vector, with the
@@ -146,9 +140,10 @@ class _Likelihood:
     allocated here and overwritten by the next evaluation of this point:
     ``kernel.out`` (g_lin), ``latent`` (g = relu(g_lin)), ``sq`` (pairwise
     squared latent distances), ``k_rbf``, ``k_nf`` (the noise-free
-    covariance), ``noise`` (per row), ``task_cov``, ``chol``, ``alpha``, and
-    ``k``, scratch that holds no result. ``alpha_solve`` and ``inv_solve``
-    are bound to ``chol``; they solve into ``alpha`` and into K^-1.
+    covariance), ``noise`` (per row), ``task_cov``, ``chol`` and ``alpha``.
+    ``k``, and ``s`` to ``active`` for the gradient, are scratch that holds
+    no result. ``alpha_solve`` and ``inv_solve`` are bound to ``chol``; they
+    solve into ``alpha`` and into K^-1.
     """
 
     def __init__(self, prob: _Problem, vec: np.ndarray):
@@ -169,6 +164,10 @@ class _Likelihood:
         self.noise = np.empty(m)
         self.k = np.empty((m, m))
         self.finite = np.empty((m, m), dtype=bool)
+        self.s, self.w_in = np.empty((m, m)), np.empty((m, m))
+        self.noise_diag, self.row_sums = np.empty(m), np.empty(m)
+        self.latent_rows = np.empty_like(self.latent)
+        self.active = np.empty(self.latent.shape, dtype=bool)
         if prob.multi_task:
             self.a_root = vec[n + 2 + t :].reshape(t, t)
             self.task_cov = np.empty((t, t))
@@ -186,22 +185,16 @@ class _Likelihood:
         self.jitter = 0.0
 
 
-def _likelihood(prob: _Problem, vec: np.ndarray, work: _Likelihood | None = None) -> _Likelihood:
-    """Kernel, Cholesky factor, alpha and mll at ``vec``; no gradient work.
+def _likelihood(prob: _Problem, lik: _Likelihood) -> _Likelihood:
+    """Kernel, Cholesky factor, alpha and mll at ``lik.vec``, written into
+    ``lik`` and returned; no gradient work. The caller owns ``lik`` and the
+    errstate scope (``fit_gp``'s).
 
     Raises ``numpy.linalg.LinAlgError`` when the covariance cannot be factored
     or is not finite (an overflowing hyperparameter), and when the mll is not
     finite, so that the line search treats such a point as a failed step.
-
-    ``work`` is private to :func:`fit_gp`: a point built around ``vec``,
-    which this call fills and returns, inside the fit's errstate scope.
-    Without it the result is a new point with arrays of its own.
     """
-    if work is None:
-        with np.errstate(**_QUIET):
-            return _likelihood(prob, vec, _Likelihood(prob, vec))
-    lik = work
-    n = prob.n_mlp
+    vec, n = lik.vec, prob.n_mlp
     try:
         ls = math.exp(vec[n])
         sv = math.exp(vec[n + 1])
@@ -240,46 +233,30 @@ def _likelihood(prob: _Problem, vec: np.ndarray, work: _Likelihood | None = None
     return lik
 
 
-class _GradWork:
-    """Scratch for :func:`_gradient`: the arrays that hold no result."""
-
-    def __init__(self, prob: _Problem):
-        m = len(prob.y)
-        self.s = np.empty((m, m))
-        self.w_in = np.empty((m, m))
-        self.noise_diag = np.empty(m)
-        self.row_sums = np.empty(m)
-        self.latent_rows = np.empty((m, prob.layer_sizes[-1]))
-        self.active = np.empty((m, prob.layer_sizes[-1]), dtype=bool)
-
-
-def _gradient(prob: _Problem, lik: _Likelihood, work: _GradWork | None = None) -> np.ndarray:
-    """d mll / d vec at the point ``lik`` was evaluated, packed like ``vec``.
+def _gradient(prob: _Problem, lik: _Likelihood) -> np.ndarray:
+    """d mll / d vec at the point ``lik`` was evaluated, packed like ``vec``,
+    inside the caller's errstate scope.
 
     Near a singular K it can overflow; every step along such a gradient is
     rejected as non-finite, and the fit stops early without numpy warnings.
 
     The result is ``lik.grad``, which the next gradient at this point
-    overwrites. ``work`` is private to :func:`fit_gp`, inside its errstate
-    scope; without it the call allocates its own and opens its own scope.
+    overwrites.
     """
-    if work is None:
-        with np.errstate(**_QUIET):
-            return _gradient(prob, lik, _GradWork(prob))
     n = prob.n_mlp
     ls_sq = lik.ls**2
     grad = lik.grad
 
     np.copyto(lik.inv_solve.x, prob.eye)
     k_inv = cho_solve(lik.inv_solve)
-    s = np.multiply(lik.alpha[:, None], lik.alpha, out=work.s)  # d mll / d K
+    s = np.multiply(lik.alpha[:, None], lik.alpha, out=lik.s)  # d mll / d K
     s -= k_inv
     s *= 0.5
-    w_in = np.multiply(s, lik.k_nf, out=work.w_in)
+    w_in = np.multiply(s, lik.k_nf, out=lik.w_in)
 
     grad[n] = _sum(np.multiply(w_in, lik.sq, out=lik.k), None) / ls_sq
     grad[n + 1] = _sum(w_in, None)
-    noise_diag = np.multiply(s.diagonal(), lik.noise, out=work.noise_diag)
+    noise_diag = np.multiply(s.diagonal(), lik.noise, out=lik.noise_diag)
     for t, rows in enumerate(prob.task_rows):
         grad[n + 2 + t] = _sum(noise_diag[rows])
     if prob.multi_task:
@@ -288,11 +265,11 @@ def _gradient(prob: _Problem, lik: _Likelihood, work: _GradWork | None = None) -
         np.dot(2.0 * m_block, lik.a_root, out=a_grad)
 
     g = lik.latent
-    row_sums = _sum(w_in, 1, None, work.row_sums)
+    row_sums = _sum(w_in, 1, None, lik.row_sums)
     d_g = np.dot(w_in, g, out=lik.kernel.upstream)
-    d_g -= np.multiply(row_sums[:, None], g, out=work.latent_rows)
+    d_g -= np.multiply(row_sums[:, None], g, out=lik.latent_rows)
     d_g *= 2.0 / ls_sq
-    d_g *= np.greater(lik.kernel.out, 0.0, out=work.active)  # now d mll / d g_lin
+    d_g *= np.greater(lik.kernel.out, 0.0, out=lik.active)  # now d mll / d g_lin
     lik.kernel.backward()
     return grad
 
@@ -370,15 +347,14 @@ def fit_gp(
     prob, tasks, means = _build_problem(data_by_task, multi_task, hidden)
     lik = _Likelihood(prob, _init_vec(prob, seed, init_noise_variance))
     cand = _Likelihood(prob, np.empty(prob.n_params))
-    grad_work = _GradWork(prob)
 
     with np.errstate(**_QUIET):
-        _likelihood(prob, lik.vec, lik)
+        _likelihood(prob, lik)
         evals = 1
         trace = [lik.mll]
         stopped_early = False
         for _ in range(epochs):
-            grad = _gradient(prob, lik, grad_work)
+            grad = _gradient(prob, lik)
             step = lr
             accepted = False
             for _ in range(30):
@@ -387,7 +363,7 @@ def fit_gp(
                 np.maximum(cand.log_noise, _LOG_NOISE_FLOOR, out=cand.log_noise)
                 evals += 1
                 try:
-                    _likelihood(prob, cand.vec, cand)
+                    _likelihood(prob, cand)
                 except np.linalg.LinAlgError:
                     step *= 0.5
                     continue

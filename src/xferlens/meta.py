@@ -7,20 +7,14 @@ half, and accumulates the query-loss gradient evaluated at the adapted
 parameters. The outer update applies the task-averaged gradient to the
 initialization.
 
-A fit makes thousands of ``adapt`` calls on arrays of ten rows or fewer,
-where each numpy call's dispatch outweighs its arithmetic. So ``meta_train``
-checks its inputs once and binds, per helper task, one
-:class:`~xferlens.numerics.MlpKernel` for its support rows and one for its
-query rows, each over buffers that every epoch refills with ``take``. All of
-them share one parameter vector (the adapted network) and one gradient
-vector (:func:`xferlens.numerics.mlp_from_vector`). ``adapt`` is still called
-once per (epoch, helper), through the module attribute, and runs its inner
-steps on the support kernel: an inner step is one
-:meth:`~xferlens.numerics.MlpKernel.mse_backward` and
-``flat -= inner_lr * grad``. The query-gradient accumulation and the outer
-step are one vector operation each. The bits are those of fresh arrays. An
-``adapt`` called from outside checks its inputs and binds its own kernel, so
-the network it returns is never overwritten.
+``meta_train`` checks its inputs once, runs in one errstate scope and owns
+its scratch: per helper task, one :class:`~xferlens.numerics.MlpKernel` for
+its support rows and one for its query rows, over buffers that every epoch
+refills, all sharing one parameter vector (the adapted network) and one
+gradient vector. It calls ``adapt`` once per (epoch, helper), through the
+module attribute, on the support kernel. The bits are those of fresh arrays.
+An ``adapt`` called from outside checks its inputs and binds its own kernel,
+so the network it returns is never overwritten.
 """
 
 from __future__ import annotations
@@ -64,8 +58,7 @@ class MamlConfig:
 
 
 #: A diverging fit (a large inner_lr) overflows to inf and nan without
-#: warnings, as the GP's does. One scope per public call, not per product: a
-#: scope costs about 2 us, more than a product on these arrays.
+#: warnings, as the GP's does. One scope per public call.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
@@ -99,7 +92,7 @@ def adapt(
 
 def _adapt(theta: MlpParams, y: np.ndarray, cfg: MamlConfig, kernel: MlpKernel) -> MlpParams:
     params, grad = kernel.params.flat, kernel.grad.flat
-    np.copyto(params, theta.vector())
+    np.copyto(params, theta.flat)
     for _ in range(cfg.inner_steps):
         kernel.mse_backward(y)
         params -= np.multiply(grad, cfg.inner_lr, grad)
@@ -144,8 +137,7 @@ def meta_train(
             for x, y, half, support, support_y, query, query_y in helpers:
                 perm = rng.permutation(len(y))
                 sup, qry = perm[:half], perm[half:]
-                # "clip" never clips a permutation's indices; "raise" would
-                # copy through a temporary before writing into the buffer.
+                # "clip" never clips a permutation's indices.
                 x.take(sup, 0, support.x, "clip")
                 y.take(sup, 0, support_y, "clip")
                 adapt(theta, support.x, support_y, cfg, support)

@@ -1,6 +1,7 @@
 """Shared numerical primitives: jittered Cholesky factors, linear solves and
-solves from a factor on numpy's LAPACK, a small MLP with exact
-backpropagation, and the hyperparameter checks the solvers share.
+solves from a factor on numpy's LAPACK, a switch of numpy's OpenBLAS to one
+thread, a small MLP with exact backpropagation, and the hyperparameter
+checks the solvers share.
 
 All of it runs in float64 on the one LAPACK numpy links. :func:`cholesky` and
 :func:`solve` give ``np.linalg``'s bits, :class:`Solve` those of scipy's
@@ -133,12 +134,40 @@ _SYMBOLS = ("scipy_{}_64_", "{}_64_") if _umath_linalg._ilp64 else ("scipy_{}_",
 _CHAR_LEN = ctypes.c_size_t(1)
 
 
+#: ``openblas_set_num_threads`` as numpy's OpenBLAS may spell it, prefixed or
+#: not, ILP64 or LP64.
+_THREAD_SYMBOLS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                   "scipy_openblas_set_num_threads", "openblas_set_num_threads")
+
+
+@lru_cache(maxsize=None)
+def _library() -> ctypes.CDLL:
+    """The library numpy's LAPACK and BLAS are found in: ``dlsym`` on
+    ``_umath_linalg`` searches what it links."""
+    return ctypes.CDLL(_umath_linalg.__file__)
+
+
+@lru_cache(maxsize=None)
+def single_thread_blas() -> bool:
+    """Run numpy's OpenBLAS on one thread in this process from now on; False,
+    changing nothing, when it has no routine for that. From 128 rows on, a
+    threaded ``dpotrf`` gives other bits than one thread, so the GP's
+    outputs would depend on ``OPENBLAS_NUM_THREADS``."""
+    lib = _library()
+    for name in _THREAD_SYMBOLS:
+        if hasattr(lib, name):
+            routine = getattr(lib, name)
+            routine.argtypes, routine.restype = [ctypes.c_int], None
+            routine(1)
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def lapack() -> tuple:
-    """``(dpotrs, dtrtrs, int)``: the routines of the LAPACK numpy has loaded
-    (``dlsym`` on ``_umath_linalg`` searches what it links) and the ctypes
-    type of its integers; ``LinAlgError`` names a routine it lacks."""
-    lib, routines = ctypes.CDLL(_umath_linalg.__file__), []
+    """``(dpotrs, dtrtrs, int)``: the routines of numpy's LAPACK and the
+    ctypes type of its integers; ``LinAlgError`` names a routine it lacks."""
+    lib, routines = _library(), []
     for name in ("dpotrs", "dtrtrs"):
         symbols = [pattern.format(name) for pattern in _SYMBOLS]
         found = [getattr(lib, s) for s in symbols if hasattr(lib, s)]
@@ -194,20 +223,15 @@ class MlpParams:
     """Weights and biases of a feed-forward ReLU network.
 
     ``weights[i]`` has shape ``(layer_sizes[i], layer_sizes[i+1])`` so the
-    forward pass is ``h @ W + b``. The final layer is linear. ``flat`` is set
-    when the arrays are views into one vector (:func:`mlp_from_vector`).
+    forward pass is ``h @ W + b``. The final layer is linear. The arrays are
+    views into the one vector ``flat``, ``[W0, b0, W1, b1, ...]``; build it
+    with :func:`mlp_from_vector`.
     """
 
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False)
-
-    def vector(self) -> np.ndarray:
-        """``[W0, b0, W1, b1, ...]``: ``flat`` itself when set, else a new array."""
-        if self.flat is not None:
-            return self.flat
-        return np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair])
+    flat: np.ndarray = field(repr=False)
 
 
 @lru_cache(maxsize=None)

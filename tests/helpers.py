@@ -17,6 +17,7 @@ from xferlens.data import (
     LanguageMeta,
     PerformanceRecord,
 )
+from xferlens.numerics import MlpParams, mlp_from_vector
 
 # Generator ranges per feature, respecting the domain invariants.
 _FEATURE_RANGES = {
@@ -145,10 +146,37 @@ def mll_function(
     vec0 = gp._init_vec(prob, seed, init_noise_variance)
 
     def f(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        lik = gp._likelihood(prob, vec)
-        return lik.mll, gp._gradient(prob, lik)
+        lik = likelihood(prob, vec)
+        return lik.mll, gradient(prob, lik)
 
     return f, vec0
+
+
+def likelihood(prob: gp._Problem, vec: np.ndarray) -> gp._Likelihood:
+    """``gp._likelihood`` at a copy of ``vec``, in a new point of its own and
+    inside the fit's errstate scope, as ``gp.fit_gp`` evaluates it."""
+    lik = gp._Likelihood(prob, np.array(vec, dtype=float))
+    with np.errstate(**gp._QUIET):
+        return gp._likelihood(prob, lik)
+
+
+def gradient(prob: gp._Problem, lik: gp._Likelihood) -> np.ndarray:
+    """``gp._gradient`` at the point ``likelihood`` returned, inside the
+    fit's errstate scope; the result is ``lik.grad``."""
+    with np.errstate(**gp._QUIET):
+        return gp._gradient(prob, lik)
+
+
+def noise_slice(prob: gp._Problem) -> slice:
+    """The per-task log noise variances in the GP's parameter vector."""
+    start = prob.n_mlp + 2
+    return slice(start, start + prob.n_tasks)
+
+
+def mlp_params(weights: list[np.ndarray], biases: list[np.ndarray]) -> MlpParams:
+    """A network with copies of the given layers, in one flat vector."""
+    sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
+    return mlp_from_vector(sizes, np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair]))
 
 
 def simple_dataset() -> Dataset:

@@ -339,6 +339,24 @@ class TestEvaluateCommand:
         rows = list(csv.DictReader((out / "records.csv").read_text().splitlines()[1:]))
         assert rows and {row["model"] for row in rows} == {"lasso"}
 
+    def test_blas_without_thread_control_changes_no_output(self, toy_paths, tmp_path, monkeypatch):
+        # An OpenBLAS with no set_num_threads routine keeps its own threads,
+        # and every command still runs.
+        records = []
+        try:
+            for name, symbols in (("pinned", numerics._THREAD_SYMBOLS), ("unpinned", ("no_such_",))):
+                numerics.single_thread_blas.cache_clear()
+                monkeypatch.setattr(numerics, "_THREAD_SYMBOLS", symbols)
+                code = main(["evaluate", "--scores", str(toy_paths["scores"]),
+                             "--features", str(toy_paths["features"]), "--models", "lasso,dgpr",
+                             "--protocol", "lolo", "--out", str(tmp_path / name)])
+                assert code == 0
+                records.append((tmp_path / name / "records.csv").read_bytes())
+            assert numerics.single_thread_blas() is False
+        finally:
+            numerics.single_thread_blas.cache_clear()
+        assert records[0] == records[1]
+
     def test_multi_model_scores_exit_two(self, toy_paths, tmp_path, capsys):
         lines = toy_paths["scores"].read_text().splitlines()
         lines[2] = lines[2].replace("toy-model", "other-model", 1)

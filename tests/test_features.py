@@ -450,9 +450,13 @@ class TestBuildFeatureTable:
         assert load_features_csv(path) == table
 
     def test_no_resources_pair_errors(self):
-        res = self.full_resources()
-        with pytest.raises(ValueError, match="no resources"):
-            build_feature_table(res, pairs=[("zz", "zy")])
+        # Each language has typology of a kind the other lacks: no feature
+        # of the pair can be computed.
+        res = FeatureResources()
+        res.typology[("aa", "syntax")] = TypologyVector("aa", "syntax", (1.0,))
+        res.typology[("ab", "phonology")] = TypologyVector("ab", "phonology", (1.0,))
+        with pytest.raises(ValueError, match=r"no resources at all for pair \(aa, ab\)"):
+            build_feature_table(res, pivots=["aa"])
 
     def test_pivot_restriction(self):
         table = build_feature_table(self.full_resources(), pivots=["aa"])

@@ -19,6 +19,7 @@ import frozen_cmf
 import frozen_features
 import frozen_gp_meta as frozen
 import frozen_loaders
+from helpers import gradient, likelihood, mlp_params, noise_slice
 from xferlens import data, factorization, features, gp, meta
 from xferlens.data import FEATURE_NAMES, DataError, LanguageMeta
 from xferlens.numerics import init_mlp
@@ -61,7 +62,7 @@ def perturbed_vectors(prob, seed):
     out = [vec0]
     for scale in (0.1, 1.0):
         out.append(vec0 + scale * rng.standard_normal(vec0.size))
-    ns = prob.noise_slice()
+    ns = noise_slice(prob)
     tiny = vec0.copy()
     tiny[ns] = -60.0
     out.append(tiny)
@@ -91,11 +92,11 @@ class TestGpAgainstFrozen:
                 ref = frozen.likelihood(ref_prob, vec)
             except np.linalg.LinAlgError:
                 with pytest.raises(np.linalg.LinAlgError):
-                    gp._likelihood(prob, vec)
+                    likelihood(prob, vec)
                 continue
-            new = gp._likelihood(prob, vec)
+            new = likelihood(prob, vec)
             assert_same_likelihood(new, ref)
-            assert bits(gp._gradient(prob, new)) == bits(frozen.gradient(ref_prob, ref))
+            assert bits(gradient(prob, new)) == bits(frozen.gradient(ref_prob, ref))
 
     @given(
         gp_problems(),
@@ -149,7 +150,7 @@ class TestGpAgainstFrozen:
         ref_prob = frozen.build_problem(data, False, (3,))[0]
         vec = gp._init_vec(prob, 0, 0.01)
         vec[prob.n_mlp] = 1000.0
-        for fn, p in ((gp._likelihood, prob), (frozen.likelihood, ref_prob)):
+        for fn, p in ((likelihood, prob), (frozen.likelihood, ref_prob)):
             with pytest.raises(np.linalg.LinAlgError, match="overflow"):
                 fn(p, vec)
 
@@ -163,7 +164,7 @@ def assert_same_fit(data, multi_task, hidden, seed, lr, epochs, init_noise):
     assert state.mll_evals == ref.mll_evals
     assert state.stopped_early == ref.stopped_early
     assert state.jitter == ref.lik.jitter
-    vec = np.concatenate([state.mlp.vector(), [state.log_lengthscale, state.log_signal_variance],
+    vec = np.concatenate([state.mlp.flat, [state.log_lengthscale, state.log_signal_variance],
                           state.log_noise_variance,
                           state.task_root.ravel() if multi_task else []])
     assert bits(vec) == bits(ref.vec)
@@ -251,11 +252,11 @@ class TestMamlAgainstFrozen:
         assert bits(meta.predict_net(got, x)) == bits(frozen.mlp_activations(ref, x)[-1][:, 0])
 
     def test_adapt_from_list_built_params(self):
-        # A network built from separate arrays (no flat vector) adapts the same.
+        # A network copied from the frozen copy's separate arrays into one
+        # flat vector adapts the same.
         cfg = meta.MamlConfig(inner_steps=3, inner_lr=0.05, net_shape=(2, 4, 1))
         ref_theta = frozen.init_mlp(cfg.net_shape, 7)
-        theta = meta.MlpParams(cfg.net_shape, [w.copy() for w in ref_theta.weights],
-                               [b.copy() for b in ref_theta.biases])
+        theta = mlp_params(ref_theta.weights, ref_theta.biases)
         x = np.random.default_rng(7).standard_normal((5, 2))
         y = np.linspace(0.0, 1.0, 5)
         got = meta.adapt(theta, x, y, cfg)

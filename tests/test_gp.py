@@ -9,14 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import grad_check, mll_function
+from helpers import grad_check, gradient, likelihood, mll_function, noise_slice
 import xferlens.gp as gp_module
 from xferlens.gp import (
     _build_problem,
-    _gradient,
     _init_vec,
     _latent,
-    _likelihood,
     fit_gp,
     predict_gp,
 )
@@ -287,7 +285,7 @@ def reference_fit(data, multi_task, lr, epochs, seed, hidden):
     """The line search as it ran before likelihood-only scoring: every
     candidate pays for ``mll_function``'s value and gradient."""
     f, vec = mll_function(data, multi_task, seed=seed, hidden=hidden)
-    ns = _build_problem(data, multi_task, hidden)[0].noise_slice()
+    ns = noise_slice(_build_problem(data, multi_task, hidden)[0])
     floor = math.log(1e-8)
     mll, grad = f(vec)
     evals, halvings, trace = 1, 0, [mll]
@@ -343,7 +341,7 @@ def assert_fit_matches_reference(data, lr, epochs, seed):
     assert state.mll_evals == evals
     assert state.stopped_early == stopped
     assert state_vector(state).tobytes() == vec.tobytes()
-    ref = _likelihood(_build_problem(data, multi_task, hidden)[0], vec)
+    ref = likelihood(_build_problem(data, multi_task, hidden)[0], vec)
     assert state.chol.tobytes() == ref.chol.tobytes()
     assert state.alpha.tobytes() == ref.alpha.tobytes()
     return halvings > 0, stopped
@@ -420,7 +418,7 @@ def state_arrays(state):
     """Every array a fitted state holds, by name."""
     names = ("log_noise_variance", "task_root", "train_latent", "train_task_idx",
              "task_means", "task_cov", "chol", "alpha")
-    return {"mlp": state.mlp.vector(), **{name: getattr(state, name) for name in names}}
+    return {"mlp": state.mlp.flat, **{name: getattr(state, name) for name in names}}
 
 
 def likelihood_arrays(lik):
@@ -451,15 +449,17 @@ class TestScratchOwnership:
 
     @pytest.mark.parametrize("sizes", [(7,), (6, 5)], ids=["dgpr", "mdgpr"])
     def test_direct_evaluations_are_independent(self, sizes):
+        # Two points, like the fit's current one and its candidate, own
+        # disjoint arrays: evaluating one leaves the other as it was.
         prob = _build_problem(random_tasks(8, sizes, 3), len(sizes) > 1, (5, 3))[0]
         vec = _init_vec(prob, 8, 0.01)
-        first = _likelihood(prob, vec)
-        first_grad = _gradient(prob, first)
+        first = likelihood(prob, vec)
+        first_grad = gradient(prob, first)
         before = {name: a.tobytes() for name, a in likelihood_arrays(first).items()}
         grad_before = first_grad.tobytes()
 
-        second = _likelihood(prob, vec + 0.1)
-        second_grad = _gradient(prob, second)
+        second = likelihood(prob, vec + 0.1)
+        second_grad = gradient(prob, second)
         assert {name: a.tobytes() for name, a in likelihood_arrays(first).items()} == before
         assert first_grad.tobytes() == grad_before
         assert not np.shares_memory(first_grad, second_grad)
@@ -473,7 +473,7 @@ def test_fit_allocates_its_scratch_once(monkeypatch):
     # views, kernels and points a fixed number of times, however many
     # likelihood evaluations it makes.
     counts = collections.Counter()
-    for name in ("mlp_from_vector", "MlpKernel", "Solve", "_Likelihood", "_GradWork"):
+    for name in ("mlp_from_vector", "MlpKernel", "Solve", "_Likelihood"):
         def counted(*args, _real=getattr(gp_module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)

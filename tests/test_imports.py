@@ -14,6 +14,8 @@ Only ``numerics`` calls numpy's LAPACK gufuncs, behind its ``cholesky`` and
 ``solve``: the static check fails on an ``np.linalg.cholesky`` or
 ``np.linalg.solve`` call, or an import of either, anywhere else in the
 package, so the wrappers' per-call overhead cannot come back unnoticed.
+Likewise only ``numerics`` imports ``ctypes``: it alone calls into numpy's
+LAPACK and OpenBLAS directly.
 """
 
 import ast
@@ -70,9 +72,9 @@ def test_every_import_used_or_traced():
     assert marked == TRACED
 
 
-def scipy_imports(tree: ast.Module):
-    """Line numbers of each statement that imports scipy or a module of it,
-    wherever it is: at module level, in a class or in a function body."""
+def imports_of(tree: ast.Module, package: str):
+    """Line numbers of each statement that imports ``package`` or a module of
+    it, wherever it is: at module level, in a class or in a function body."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
@@ -80,7 +82,7 @@ def scipy_imports(tree: ast.Module):
             modules = [node.module]
         else:
             continue
-        if any(m.split(".")[0] == "scipy" for m in modules):
+        if any(m.split(".")[0] == package for m in modules):
             yield node.lineno
 
 
@@ -88,8 +90,18 @@ def test_no_scipy_import_in_src():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += [f"{path.name}:{line}"
-                  for line in scipy_imports(ast.parse(path.read_text(encoding="utf-8")))]
+                  for line in imports_of(ast.parse(path.read_text(encoding="utf-8")), "scipy")]
     assert found == []
+
+
+def test_only_numerics_imports_ctypes():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "numerics":
+            found += [f"{path.name}:{line}"
+                      for line in imports_of(ast.parse(path.read_text(encoding="utf-8")), "ctypes")]
+    assert found == []
+    assert list(imports_of(ast.parse((SRC / "numerics.py").read_text(encoding="utf-8")), "ctypes"))
 
 
 def test_scipy_imports_sees_every_statement():
@@ -101,7 +113,7 @@ def test_scipy_imports_sees_every_statement():
         "async def g():\n    import os, scipy\n"
         "import numpy\nfrom . import scipy_like\nfrom .scipy import x\n"
     )
-    assert sorted(scipy_imports(tree)) == [1, 3, 5, 7, 9]
+    assert sorted(imports_of(tree, "scipy")) == [1, 3, 5, 7, 9]
 
 
 WRAPPED = {"cholesky", "solve"}

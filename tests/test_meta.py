@@ -238,7 +238,7 @@ def reference_mse_and_grads(params, x, y):
 
 
 def reference_adapt(theta, x, y, cfg):
-    params = mlp_from_vector(theta.layer_sizes, np.array(theta.vector()))
+    params = mlp_from_vector(theta.layer_sizes, theta.flat.copy())
     for _ in range(cfg.inner_steps):
         _, w_grads, b_grads = reference_mse_and_grads(params, x, y)
         for w, gw in zip(params.weights, w_grads):

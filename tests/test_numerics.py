@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 import frozen_gp_meta
-from helpers import grad_check
+from helpers import grad_check, mlp_params
 from xferlens import numerics
 from xferlens.numerics import (
     MlpKernel,
-    MlpParams,
     Solve,
     cholesky,
     cholesky_quiet,
@@ -291,11 +290,11 @@ class TestSolveAgainstScipy:
 
 class TestMlpForward:
     def test_zero_params_zero_output(self):
-        p = MlpParams((2, 3, 2), [np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(3), np.zeros(2)])
+        p = mlp_params([np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(3), np.zeros(2)])
         np.testing.assert_array_equal(mlp_forward(p, np.array([1.0, -2.0])), np.zeros(2))
 
     def test_identity_single_layer(self):
-        p = MlpParams((3, 3), [np.eye(3)], [np.zeros(3)])
+        p = mlp_params([np.eye(3)], [np.zeros(3)])
         x = np.array([0.5, -1.5, 2.0])
         np.testing.assert_array_equal(mlp_forward(p, x), x)
 
@@ -304,7 +303,7 @@ class TestMlpForward:
         b1 = np.array([0.1, -0.2, 0.3])
         w2 = np.array([[1.0, -1.0], [0.0, 2.0], [3.0, 0.5]])
         b2 = np.array([-0.5, 0.25])
-        p = MlpParams((2, 3, 2), [w1, w2], [b1, b2])
+        p = mlp_params([w1, w2], [b1, b2])
         x = np.array([2.0, -1.0])
         # Hidden pre-activations, element by element:
         h0 = 2.0 * 1.0 + (-1.0) * 0.5 + 0.1        # 1.6
@@ -333,7 +332,7 @@ class TestMlpForward:
 class TestMlpBackward:
     def test_single_linear_layer_input_grad(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        p = MlpParams((3, 2), [w], [np.zeros(2)])
+        p = mlp_params([w], [np.zeros(2)])
         upstream = np.array([1.0, -1.0])
         _, _, dx = mlp_backward(p, np.array([0.1, 0.2, 0.3]), upstream)
         np.testing.assert_allclose(dx, w @ upstream)
@@ -343,7 +342,7 @@ class TestMlpBackward:
         w1 = np.full((2, 3), -1.0)
         b1 = np.full(3, -5.0)
         w2 = np.ones((3, 1))
-        p = MlpParams((2, 3, 1), [w1, w2], [b1, np.zeros(1)])
+        p = mlp_params([w1, w2], [b1, np.zeros(1)])
         wg, bg, dx = mlp_backward(p, np.array([1.0, 1.0]), np.array([1.0]))
         np.testing.assert_array_equal(wg[0], np.zeros((2, 3)))
         np.testing.assert_array_equal(bg[0], np.zeros(3))
@@ -369,7 +368,7 @@ class TestMlpBackward:
             for _, b in zip(sizes[:-1], sizes[1:]):
                 bs.append(vec[pos : pos + b])
                 pos += b
-            return MlpParams(sizes, ws, bs)
+            return mlp_params(ws, bs)
 
         def f(vec):
             params = unpack(vec)

@@ -126,24 +126,45 @@ class TestTracerCounts:
                                "features.subword_overlap": pairs, "features.wmrr": pairs}
 
 
-# Every kind runs on numpy's one OpenBLAS, the GP's solves included, which
-# reads OPENBLAS_NUM_THREADS when numpy loads it at start-up.
+def evaluate_records(paths, threads, argv, out) -> bytes:
+    """records.csv of ``evaluate`` in a fresh interpreter with
+    OPENBLAS_NUM_THREADS set to ``threads``, or unset when it is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run(
+        [sys.executable, "-m", "xferlens.cli", "evaluate", "--scores", str(paths["scores"]),
+         "--features", str(paths["features"]), "--meta", str(paths["meta"]), *argv,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return (out / "records.csv").read_bytes()
+
+
+# Every kind runs on numpy's one OpenBLAS, the GP's solves included. numpy
+# loads it with OPENBLAS_NUM_THREADS threads, and cli.main then sets it to
+# one thread, so no output depends on that variable.
 def test_gp_and_maml_outputs_independent_of_blas_threads(tmp_path):
     paths = save_dataset(five_tasks(), tmp_path / "data5")
-    outputs = []
-    for threads in ("1", None):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = str(ROOT / "src")
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / f"out_{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "xferlens.cli", "evaluate",
-             "--scores", str(paths["scores"]), "--features", str(paths["features"]),
-             "--meta", str(paths["meta"]), "--models", "dgpr,mdgpr,maml,cmf,lasso,group-lasso,gbt",
-             "--protocol", "lolo", "--task", "A", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((out / "records.csv").read_bytes())
+    argv = ["--models", "dgpr,mdgpr,maml,cmf,lasso,group-lasso,gbt", "--protocol", "lolo",
+            "--task", "A"]
+    outputs = [evaluate_records(paths, threads, argv, tmp_path / f"out_{threads}")
+               for threads in ("1", None)]
+    assert outputs[0] == outputs[1]
+
+
+def test_large_gp_covariance_independent_of_blas_threads(tmp_path):
+    # mdgpr under llro on t4 fits one covariance over 153 rows. From 128 rows
+    # on, numpy's dpotrf on two threads gives other bits than on one.
+    langs = lang_codes(34)
+    weights = [0.08, 0.06, 0, 0.05, -0.04, 0.05, 0, -0.03, 0.02]
+    ds = planted_dataset({f"t{i}": langs for i in range(5)}, np.array(weights), noise=0.03,
+                         seed=1, classes={lang: (3, 5)[i % 2] for i, lang in enumerate(langs)})
+    paths = save_dataset(ds, tmp_path / "data")
+    argv = ["--models", "mdgpr", "--protocol", "llro", "--task", "t4"]
+    outputs = [evaluate_records(paths, threads, argv, tmp_path / f"out_{threads}")
+               for threads in ("1", "2")]
+    assert outputs[0].count(b"\nmdgpr,llro,t4,") == 17
     assert outputs[0] == outputs[1]
