@@ -112,7 +112,10 @@ class _RowSet:
         if child is None:
             n, m = self.order.shape
             j, c = divmod(i, m - 1)
-            threshold = float(self.xs[j, c] / 2.0 + self.xs[j, c + 1] / 2.0)  # a sum of two could overflow
+            lo, hi = self.xs[j, c], self.xs[j, c + 1]
+            threshold = float(lo / 2.0 + hi / 2.0)  # a sum of two could overflow
+            if not threshold < hi:  # adjacent floats: the midpoint rounded up to hi
+                threshold = float(lo)
             mask = x[self.rows, j] <= threshold  # the comparison predict_gbt makes
             sel = x[self.order, j] <= threshold
             child = self.children[i] = (
@@ -128,9 +131,11 @@ def _best_split(node: _RowSet, y: np.ndarray, node_y: np.ndarray) -> int | None:
     """Exact greedy search over every feature at once: a flat index into the gains.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values, which keeps at least one sample on each side. The gains of all
-    features form one matrix, so a single first-max ``argmax`` over it picks
-    the lowest feature, then the lowest threshold, among equal gains.
+    values, or the lower value where the midpoint of two adjacent floats
+    rounds up to the upper one, which keeps at least one sample on each side.
+    The gains of all features form one matrix, so a single first-max
+    ``argmax`` over it picks the lowest feature, then the lowest threshold,
+    among equal gains.
     Returns None when no split reduces the squared error by more than 1e-12.
     """
     m = node_y.size

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, explain, numerics, sparse_linear
+from . import evaluation, explain, numerics
 # fit_gbt, predict_gbt, fit_scaler and standardize are unused here but stay
 # module attributes: bench/tracing.py installs its wrappers through them.
 from .baselines import fit_gbt, predict_gbt  # noqa: F401
@@ -327,9 +327,14 @@ def _fit_linear_artifact(ds: Dataset, kind: str, seed: int) -> dict:
         for task, p in predictors.items()
     }
     if kind == "group-lasso":
-        models = {"joint": sparse_linear.linear_model_to_dict(predictors[tasks[0]].model)}
+        m = predictors[tasks[0]].model
+        models = {"joint": {"kind": kind, "weights": m.weights.tolist(),
+                            "intercepts": m.intercepts.tolist(), "lambda_group": m.lam,
+                            "tasks": list(m.tasks)}}
     else:
-        models = {t: sparse_linear.linear_model_to_dict(p.model) for t, p in predictors.items()}
+        models = {t: {"kind": kind, "weights": p.model.weights[:, 0].tolist(),
+                      "intercept": float(p.model.intercepts[0]), "lambda": p.model.lam}
+                  for t, p in predictors.items()}
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "tasks": tasks,
             "scalers": scalers, "models": models}
 
@@ -343,40 +348,50 @@ def _numbers(value, shape: tuple[int, ...] = ()) -> bool:
     return arr.dtype.kind in "iuf" and arr.shape == shape and bool(np.isfinite(arr).all())
 
 
-def _artifact_problem(a, kind: str) -> str | None:
-    """What a ``kind`` model file (as _fit_linear_artifact writes it) lacks, or None."""
+def _linear_weights(a, kind: str) -> dict[str, tuple[Scaler, np.ndarray]]:
+    """Each task's feature scaler and weight vector in a ``kind`` model file
+    (as _fit_linear_artifact writes it); a ValueError names what it lacks."""
     if not (isinstance(a, dict) and isinstance(a.get("tasks"), list)
             and all(isinstance(t, str) for t in a["tasks"])
             and isinstance(a.get("scalers"), dict) and isinstance(a.get("models"), dict)):
-        return "an object with kind, tasks, scalers and models"
+        raise ValueError("an object with kind, tasks, scalers and models")
     if a.get("kind") != kind:
-        return f"a {kind!r} model, not {a.get('kind')!r}"
+        raise ValueError(f"a {kind!r} model, not {a.get('kind')!r}")
     n, tasks = len(FEATURE_NAMES), a["tasks"]
+    if len(set(tasks)) != len(tasks):
+        raise ValueError("a tasks list that names each task once")
+    scalers = {}
     for task in tasks:
-        scaler = a["scalers"].get(task)
-        if not (isinstance(scaler, dict) and _numbers(scaler.get("mean"), (n,))
-                and _numbers(scaler.get("scale"), (n,))):
-            return f"scalers[{task!r}] with {n}-entry mean and scale"
+        s = a["scalers"].get(task)
+        if not (isinstance(s, dict) and _numbers(s.get("mean"), (n,))
+                and _numbers(s.get("scale"), (n,)) and min(s["scale"]) > 0):
+            raise ValueError(f"scalers[{task!r}] with {n}-entry mean and scale, every scale > 0")
+        scalers[task] = Scaler(np.asarray(s["mean"], dtype=float),
+                               np.asarray(s["scale"], dtype=float))
     if kind == "group-lasso":
         m = a["models"].get("joint")
         if not (isinstance(m, dict) and m.get("kind") == "group-lasso" and m.get("tasks") == tasks
                 and _numbers(m.get("weights"), (n, len(tasks)))
                 and _numbers(m.get("intercepts"), (len(tasks),)) and _numbers(m.get("lambda_group"))):
-            return f"models['joint'], a group-lasso model with {n} x {len(tasks)} weights"
-        return None
-    for task in tasks:
-        m = a["models"].get(task)
-        if not (isinstance(m, dict) and m.get("kind") == "lasso" and _numbers(m.get("weights"), (n,))
-                and _numbers(m.get("intercept")) and _numbers(m.get("lambda"))):
-            return f"models[{task!r}], a lasso model with {n} weights"
-    return None
+            raise ValueError(f"models['joint'], a group-lasso model with {n} x {len(tasks)} weights")
+        weights = np.asarray(m["weights"], dtype=float).T  # one row per task
+    else:
+        for task in tasks:
+            m = a["models"].get(task)
+            if not (isinstance(m, dict) and m.get("kind") == "lasso"
+                    and _numbers(m.get("weights"), (n,))
+                    and _numbers(m.get("intercept")) and _numbers(m.get("lambda"))):
+                raise ValueError(f"models[{task!r}], a lasso model with {n} weights")
+        weights = [np.asarray(a["models"][task]["weights"], dtype=float) for task in tasks]
+    return {task: (scalers[task], w) for task, w in zip(tasks, weights)}
 
 
-def _report_problem(payload) -> str | None:
-    """What a report.json (as cmd_evaluate writes it) lacks for render_table, or None."""
+def _report_results(payload) -> list:
+    """The results of a report.json (as cmd_evaluate writes it) for render_table;
+    a ValueError names what it lacks."""
     results = payload.get("results", []) if isinstance(payload, dict) else None
     if not isinstance(results, list):
-        return "an object with a results list"
+        raise ValueError("an object with a results list")
     for i, r in enumerate(results):
         if not (isinstance(r, dict) and isinstance(r.get("model"), dict)
                 and isinstance(r["model"].get("kind"), str) and isinstance(r.get("protocol"), str)
@@ -387,38 +402,22 @@ def _report_problem(payload) -> str | None:
                 and isinstance(r.get("tasks"), list)
                 and all(isinstance(t, dict) and isinstance(t.get("task"), str)
                         and isinstance(t.get("n_targets"), int) for t in r["tasks"])):
-            return (f"results[{i}] with model.kind, protocol, per_task_mae, macro_average_mae, "
-                    "low_data_average_mae and tasks")
-    return None
+            raise ValueError(f"results[{i}] with model.kind, protocol, per_task_mae, "
+                             "macro_average_mae, low_data_average_mae and tasks")
+    return results
 
 
-def _read_json(path: str, problem) -> dict:
-    """Parse a JSON input; a parse error or a structure ``problem`` names is a DataError."""
+def _read_json(path: str, parse):
+    """``parse`` of a JSON input; a JSON error, or the ValueError in which
+    ``parse`` names what the structure lacks, is a DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
         raise DataError(str(err), path=path) from err
-    missing = problem(payload)
-    if missing is not None:
-        raise DataError(f"malformed file, expected {missing}", path=path)
-    return payload
-
-
-def _attribution_rows_from_artifact(ds: Dataset, artifact: dict):
-    kind = artifact["kind"]
-    joint = kind == "group-lasso"  # one model over every task; lasso saves one per task
-    rows = []
-    for task in artifact["tasks"]:
-        if task not in ds.tasks:
-            continue
-        entry = artifact["scalers"][task]
-        scaler = Scaler(np.asarray(entry["mean"]), np.asarray(entry["scale"]))
-        x_std = scaler.transform(ds.feature_matrix(ds.task_records(task)))
-        background = x_std.mean(axis=0)
-        model = sparse_linear.linear_model_from_dict(artifact["models"]["joint" if joint else task])
-        values = explain.mean_abs_shap(model, task if joint else None, x_std, background)
-        rows.extend((kind, task, name, value, "linear-shap") for name, value in values.items())
-    return rows
+    try:
+        return parse(payload)
+    except ValueError as err:
+        raise DataError(f"malformed file, expected {err}", path=path) from None
 
 
 def _permutation_predictors(ds: Dataset, kind: str, seed: int):
@@ -441,19 +440,25 @@ def cmd_explain(args: argparse.Namespace) -> int:
         raise DataError(f"--repeats must be >= 1, got {args.repeats}")
     ds = load_dataset(args.scores, args.features, args.meta)
     artifact = None
+    rows = []
     if args.method == "linear-shap":
         if args.model_file:
-            artifact = _read_json(args.model_file, lambda a: _artifact_problem(a, args.model))
-            unlisted = sorted(ds.tasks - set(artifact["tasks"]))
+            artifact, weights = _read_json(args.model_file,
+                                           lambda a: (a, _linear_weights(a, args.model)))
+            unlisted = sorted(ds.tasks - weights.keys())
             if unlisted:
                 raise DataError(f"no model for task {', '.join(map(repr, unlisted))} "
                                 "of the scores", path=args.model_file)
         else:
             artifact = _fit_linear_artifact(ds, args.model, args.seed)
-        rows = _attribution_rows_from_artifact(ds, artifact)
+            weights = _linear_weights(artifact, args.model)
+        for task, (scaler, w) in weights.items():
+            if task in ds.tasks:
+                x_std = scaler.transform(ds.feature_matrix(ds.task_records(task)))
+                values = explain.mean_abs_shap(w, x_std, x_std.mean(axis=0))
+                rows.extend((args.model, task, name, v, "linear-shap") for name, v in values.items())
     else:
         predictors = _permutation_predictors(ds, args.model, args.seed)
-        rows = []
         for task in sorted(ds.tasks):
             recs = ds.task_records(task)
             if len(recs) < 2:
@@ -498,8 +503,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 # report subcommand
 
 def cmd_report(args: argparse.Namespace) -> int:
-    payload = _read_json(args.report, _report_problem)
-    table = evaluation.render_table(payload.get("results", []))
+    table = evaluation.render_table(_read_json(args.report, _report_results))
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

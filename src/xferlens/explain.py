@@ -51,17 +51,16 @@ def linear_shap(
 
 
 def mean_abs_shap(
-    model: LinearModel,
-    task: TaskId | None,
+    weights: np.ndarray,
     rows: np.ndarray,
     background_mean: np.ndarray,
     feature_names: Sequence[str] = FEATURE_NAMES,
 ) -> dict[str, float]:
-    """Mean |attribution| per feature over a set of rows."""
+    """Mean |attribution| per feature over a set of rows, for a linear model's
+    weight vector (the intercept cancels out of every attribution)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[0] < 1:
         raise ValueError("need at least one row")
-    weights, _ = model.coefficients(task)
     phi = np.abs(rows - background_mean) * np.abs(weights)
     means = phi.mean(axis=0)
     return {name: float(v) for name, v in zip(feature_names, means)}

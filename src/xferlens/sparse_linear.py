@@ -182,36 +182,3 @@ def predict_linear(model: LinearModel, x: np.ndarray, task: TaskId | None = None
         raise ValueError("dimension mismatch")
     return float(weights @ x + intercept)
 
-
-# ---------------------------------------------------------------------------
-# Minimal JSON round-trip for fitted linear models (used by the CLI)
-
-def linear_model_to_dict(model: LinearModel) -> dict:
-    if model.tasks == (None,):
-        return {
-            "kind": "lasso",
-            "weights": model.weights[:, 0].tolist(),
-            "intercept": float(model.intercepts[0]),
-            "lambda": model.lam,
-        }
-    return {
-        "kind": "group-lasso",
-        "weights": model.weights.tolist(),
-        "intercepts": model.intercepts.tolist(),
-        "lambda_group": model.lam,
-        "tasks": list(model.tasks),
-    }
-
-
-def linear_model_from_dict(payload: dict) -> LinearModel:
-    kind = payload.get("kind")
-    if kind == "lasso":
-        weights = np.asarray(payload["weights"], dtype=float)[:, None]
-        intercepts, lam, tasks = [payload["intercept"]], payload["lambda"], (None,)
-    elif kind == "group-lasso":
-        weights = np.asarray(payload["weights"], dtype=float)
-        intercepts, lam, tasks = payload["intercepts"], payload["lambda_group"], tuple(payload["tasks"])
-    else:
-        raise ValueError(f"unknown linear model kind {kind!r}")
-    return LinearModel(weights, np.asarray(intercepts, dtype=float), float(lam), tasks,
-                       converged=True, n_iter=0, objective_trace=())

@@ -295,7 +295,7 @@ def test_09_attribution_exactness():
         gl = LinearModel(weights, np.zeros(4), 0.1, ("a", "b", "c", "d"), True, 1, ())
         rows = rng.standard_normal((50, 9))
         for task in gl.tasks:
-            values = mean_abs_shap(gl, task, rows, np.zeros(9), feature_names=names)
+            values = mean_abs_shap(gl.coefficients(task)[0], rows, np.zeros(9), feature_names=names)
             assert values["f0"] == 0.0 and values["f2"] == 0.0 and values["f7"] == 0.0
 
 

@@ -346,6 +346,17 @@ class TestGbt:
         root = model.trees[0]
         assert isinstance(root, TreeNode) and 1e308 < root.threshold < 1.7e308
 
+    def test_adjacent_floats_split_at_the_lower_one(self):
+        # a / 2 + b / 2 rounds up to b here: x <= b sent every row left and
+        # growing the empty right child failed.
+        a = 0.3333333333333333
+        b = np.nextafter(a, 1.0)
+        assert a / 2.0 + b / 2.0 == b
+        model = fit_gbt(np.array([[0.0], [a], [b]]), np.array([0.0, 0.0, 1.0]))
+        root = model.trees[0]
+        assert isinstance(root, TreeNode) and root.threshold == a
+        assert predict_gbt(model, np.array([a])) < predict_gbt(model, np.array([b]))
+
     def test_overflowing_feature_skipped_like_reference(self):
         # The squared residuals summed in feature 1's order overflow, so its
         # gains hold NaN; the reference skips such a feature and splits on

@@ -737,7 +737,10 @@ class TestExplainCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("content", ['{"kind": "lasso"}', "[1, 2]"])
+    @pytest.mark.parametrize("content", [
+        '{"kind": "lasso"}', "[1, 2]",
+        '{"kind": "lasso", "tasks": ["A", "A"], "scalers": {}, "models": {}}',
+    ])
     def test_malformed_model_file_exit_two(self, toy_paths, tmp_path, capsys, content):
         model_file = tmp_path / "model.json"
         model_file.write_text(content)
@@ -754,6 +757,28 @@ class TestExplainCommand:
         )
         assert code == 2
         assert f"{model_file}: malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_model_file_with_a_scale_not_above_zero_exit_two(self, toy_paths, tmp_path, capsys,
+                                                            scale):
+        base_args = [
+            "explain",
+            "--scores", str(toy_paths["scores"]),
+            "--features", str(toy_paths["features"]),
+            "--model", "lasso",
+            "--method", "linear-shap",
+        ]
+        assert main(base_args + ["--out", str(tmp_path / "fit")]) == 0
+        artifact = json.loads((tmp_path / "fit" / "model.json").read_text())
+        artifact["scalers"]["A"]["scale"][1] = scale  # 0 divides the feature into inf and nan
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert main(base_args + ["--model-file", str(edited), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {edited}: malformed file, expected scalers['A'] with 9-entry mean and scale, "
+            "every scale > 0\n")
+        assert not (tmp_path / "out").exists()
 
     def test_gbt_linear_shap_exit_four(self, toy_paths, tmp_path, capsys):
         code = main(

@@ -63,7 +63,7 @@ class TestMeanAbsShap:
         model = lasso([2.0, -1.0, 0.0, 0.5])
         bg = np.zeros(4)
         row = np.array([0.5, 1.0, 3.0, -2.0])
-        values = mean_abs_shap(model, None, row[None, :], bg, feature_names=FEATS)
+        values = mean_abs_shap(model.coefficients(None)[0], row[None, :], bg, feature_names=FEATS)
         att = linear_shap(model, row, bg, feature_names=FEATS)
         for f in FEATS:
             assert values[f] == pytest.approx(abs(att.per_feature[f]))
@@ -72,7 +72,7 @@ class TestMeanAbsShap:
         model = lasso([1.0, 0.0, 2.0, 0.0])
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((10, 4))
-        values = mean_abs_shap(model, None, rows, np.zeros(4), feature_names=FEATS)
+        values = mean_abs_shap(model.coefficients(None)[0], rows, np.zeros(4), feature_names=FEATS)
         assert values["f1"] == 0.0 and values["f3"] == 0.0
 
     def test_group_zero_row_zero_in_every_task(self):
@@ -81,7 +81,7 @@ class TestMeanAbsShap:
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((6, 4))
         for task in ("a", "b"):
-            values = mean_abs_shap(model, task, rows, np.zeros(4), feature_names=FEATS)
+            values = mean_abs_shap(model.coefficients(task)[0], rows, np.zeros(4), feature_names=FEATS)
             assert values["f0"] == 0.0 and values["f2"] == 0.0
 
 

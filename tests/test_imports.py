@@ -16,6 +16,10 @@ Only ``numerics`` calls numpy's LAPACK gufuncs, behind its ``cholesky`` and
 package, so the wrappers' per-call overhead cannot come back unnoticed.
 Likewise only ``numerics`` imports ``ctypes``: it alone calls into numpy's
 LAPACK and OpenBLAS directly.
+
+The CLI reaches every fit through ``evaluation.fit_predictors``: ``cli``
+imports none of the solver modules, and from ``baselines`` only the names
+bench/tracing.py wraps through it.
 """
 
 import ast
@@ -114,6 +118,51 @@ def test_scipy_imports_sees_every_statement():
         "import numpy\nfrom . import scipy_like\nfrom .scipy import x\n"
     )
     assert sorted(imports_of(tree, "scipy")) == [1, 3, 5, 7, 9]
+
+
+SOLVERS = {"sparse_linear", "gp", "meta", "factorization"}
+
+
+def package_imports(tree: ast.Module):
+    """(module, name) for each package module a statement imports: the name
+    it takes from the module, or None for the module itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "xferlens" and len(parts) > 1:
+                    yield parts[1], None
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "xferlens":
+                    continue
+                parts = parts[1:]
+            for alias in node.names:
+                yield (parts[0], alias.name) if parts and parts[0] else (alias.name, None)
+
+
+def test_cli_reaches_every_fit_through_evaluation():
+    imports = list(package_imports(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))))
+    assert [(module, name) for module, name in imports if module in SOLVERS] == []
+    assert {("cli", name) for module, name in imports if module == "baselines"} <= TRACED
+    assert ("evaluation", None) in imports
+
+
+def test_package_imports_sees_every_spelling():
+    tree = ast.parse(
+        "from . import evaluation, gp\n"
+        "from .baselines import fit_gbt\n"
+        "import xferlens.meta\n"
+        "from xferlens import sparse_linear\n"
+        "from xferlens.factorization import fit_cmf as f\n"
+        "def g():\n    from .gp import fit_gp\n"
+        "import numpy\nfrom numpy import linalg\n"
+    )
+    assert set(package_imports(tree)) == {
+        ("evaluation", None), ("gp", None), ("baselines", "fit_gbt"), ("meta", None),
+        ("sparse_linear", None), ("factorization", "fit_cmf"), ("gp", "fit_gp"),
+    }
 
 
 WRAPPED = {"cholesky", "solve"}

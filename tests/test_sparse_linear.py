@@ -7,8 +7,6 @@ from xferlens.sparse_linear import (
     LinearModel,
     fit_group_lasso,
     fit_lasso,
-    linear_model_from_dict,
-    linear_model_to_dict,
     predict_linear,
 )
 
@@ -489,19 +487,3 @@ class TestPredictLinear:
         assert predict_linear(model, np.array([1.0, 1.0]), task="a") == pytest.approx(1.1)
         assert predict_linear(model, np.array([1.0, 1.0]), task="b") == pytest.approx(2.2)
 
-
-class TestSerialization:
-    def test_lasso_round_trip(self):
-        model = LinearModel(np.array([[0.5], [-0.1]]), np.array([0.3]), 0.01, (None,), True, 12, (1.0,))
-        again = linear_model_from_dict(linear_model_to_dict(model))
-        np.testing.assert_array_equal(again.weights, model.weights)
-        assert again.intercepts[0] == model.intercepts[0]
-        assert again.tasks == (None,)
-
-    def test_group_round_trip(self):
-        model = LinearModel(
-            np.array([[1.0, 2.0]]), np.array([0.1, 0.2]), 0.01, ("a", "b"), True, 3, ()
-        )
-        again = linear_model_from_dict(linear_model_to_dict(model))
-        np.testing.assert_array_equal(again.weights, model.weights)
-        assert again.tasks == model.tasks
