@@ -7,6 +7,13 @@ tree that makes the same split. Ties between equal-gain splits go to the
 lowest feature index, then the lowest threshold, so fits are deterministic;
 they are the trees that re-sorting at every node and searching one feature at
 a time would grow, bit for bit.
+
+A node of two rows has one cut per untied feature, and its gain depends only
+on which row sorts first, so only the lowest feature of each order can win.
+Its search works out those two gains in Python floats with the IEEE
+operations of the matrix search, in its order (x*x for numpy's **2, cumsum's
+running sums; its division by 1.0 is exact and left out), so it picks the
+same split, bit for bit.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ class _RowSet:
     a split's flat argmax index to (feature, threshold, left, right).
     """
 
-    __slots__ = ("rows", "order", "xs", "ties", "k", "m_k", "children")
+    __slots__ = ("rows", "order", "xs", "ties", "k", "m_k", "pair", "children")
 
     def __init__(self, rows: np.ndarray, order: np.ndarray):
         self.rows = rows
@@ -94,9 +101,21 @@ class _RowSet:
         self.children: dict = {}
 
     def build(self, x: np.ndarray) -> None:
-        """Sorted values, the no-cut mask between equal values and left/right sizes."""
+        """Sorted values, then the no-cut mask between equal values and left/right sizes.
+
+        A two-row set keeps instead ``pair``: (feature, whether its first row
+        sorts first) for the lowest untied feature of each order.
+        """
         n, m = self.order.shape
         self.xs = x[self.order, np.arange(n)[:, None]]
+        if m == 2:
+            a = int(self.rows[0])
+            firsts: dict = {}
+            for j, (r, (lo, hi)) in enumerate(zip(self.order[:, 0].tolist(), self.xs.tolist())):
+                if lo != hi:
+                    firsts.setdefault(r == a, j)
+            self.pair = sorted((j, a_first) for a_first, j in firsts.items())
+            return
         self.ties = self.xs[:, 1:] == self.xs[:, :-1]
         self.k = np.arange(1.0, m)  # left sizes
         self.m_k = m - self.k
@@ -139,6 +158,8 @@ def _best_split(node: _RowSet, y: np.ndarray, node_y: np.ndarray) -> int | None:
     Returns None when no split reduces the squared error by more than 1e-12.
     """
     m = node_y.size
+    if m == 2:
+        return _best_pair_split(node, node_y)
     sse_parent = float(_sum((node_y - _sum(node_y) / m) ** 2))
     ys = y[node.order]
     csum = ys.cumsum(axis=1)
@@ -158,6 +179,28 @@ def _best_split(node: _RowSet, y: np.ndarray, node_y: np.ndarray) -> int | None:
     if not flat[i] > 1e-12:
         return None
     return i
+
+
+def _best_pair_split(node: _RowSet, node_y: np.ndarray) -> int | None:
+    """``_best_split`` of a two-row set, whose flat index is the feature.
+
+    A NaN gain fails every comparison, so it is skipped as the matrix search
+    skips a feature whose gains hold NaN; on equal gains the lower feature wins.
+    """
+    ya, yb = node_y.tolist()
+    mean = (ya + yb) / 2
+    da, db = ya - mean, yb - mean
+    sse_parent = da * da + db * db
+    best, best_gain = None, 1e-12
+    for j, a_first in node.pair:
+        f, s = (ya, yb) if a_first else (yb, ya)
+        ff = f * f
+        sse_left = ff - ff  # 0.0, or NaN where f * f overflows
+        r = (f + s) - f
+        gain = (sse_parent - sse_left) - (((ff + s * s) - ff) - r * r)
+        if gain > best_gain:
+            best, best_gain = j, gain
+    return best
 
 
 def _grow(

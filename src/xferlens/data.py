@@ -447,20 +447,34 @@ class Scaler:
         return (self.impute(x) - self.mean) / self.scale
 
 
+def _moments(train: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column means of the present values, the matrix imputed with them, and population stds."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = np.nanmean(train, axis=0)
+        mean = np.where(np.isnan(mean), 0.0, mean)  # all-missing dimension
+        imputed = np.where(np.isnan(train), mean, train)
+        return mean, imputed, imputed.std(axis=0)
+
+
 def fit_scaler(train: np.ndarray) -> Scaler:
     train = np.asarray(train, dtype=float)
     if train.ndim != 2 or train.shape[0] == 0:
         raise ValueError("train feature matrix must be non-empty and 2-D")
-    with np.errstate(invalid="ignore"):
-        mean = np.nanmean(train, axis=0)
-    mean = np.where(np.isnan(mean), 0.0, mean)  # all-missing dimension
-    imputed = np.where(np.isnan(train), mean, train)
+    mean, imputed, std = _moments(train)
+    # A column of finite values whose sum or squares overflow: fit it divided
+    # by its largest |value| and scale the statistics back.
+    big = ~np.isfinite(std)
+    if big.any():
+        big &= ~np.isinf(train).any(axis=0)
+        peak = np.nanmax(np.abs(train[:, big]), axis=0)
+        big_mean, _, big_std = _moments(train[:, big] / peak)
+        mean[big], std[big] = big_mean * peak, big_std * peak
+        imputed = np.where(np.isnan(train), mean, train)
     # Detect constant dimensions by exact equality: their computed mean can be
     # off by an ulp, and dividing that noise by a rounding-level std would blow
     # it up to order-one values.
     constant = imputed.max(axis=0) == imputed.min(axis=0)
     mean = np.where(constant, imputed[0], mean)
-    std = imputed.std(axis=0)  # population std, matching the imputed train matrix
     scale = np.where(constant | (std == 0), 1.0, std)
     return Scaler(mean=mean, scale=scale)
 

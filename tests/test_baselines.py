@@ -448,3 +448,70 @@ class TestGbtRowSetReuse:
         assert len(builds) == len(distinct)
         if n_estimators == 100:  # later rounds split the row sets of earlier ones again
             assert len(builds) < n_estimators
+
+
+class TestGbtTwoRowSplit:
+    """Two-row row sets pick their split without the matrix search, with its bits."""
+
+    @staticmethod
+    def assert_matches_reference(x, y, n_estimators=1, max_depth=1, learning_rate=1.0):
+        x, y = np.array(x), np.array(y)
+        got = fit_gbt(x, y, n_estimators=n_estimators, max_depth=max_depth,
+                      learning_rate=learning_rate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_fit(x, y, n_estimators, max_depth, learning_rate)
+        assert_same_ensemble(got, want)
+        return got.trees[0]
+
+    def test_duplicate_rows_make_a_leaf(self):
+        tree = self.assert_matches_reference([[0.5, 2.0], [0.5, 2.0]], [0.3, -0.1])
+        assert isinstance(tree, Leaf)
+
+    @pytest.mark.parametrize("x, feature", [
+        ([[1.0, 3.0, 0.0], [1.0, 2.0, 0.0]], 1),
+        ([[1.0, 1.0, 0.0], [1.0, 1.0, 4.0]], 2),
+    ])
+    def test_ties_on_some_features_only(self, x, feature):
+        tree = self.assert_matches_reference(x, [0.2, 0.9])
+        assert isinstance(tree, TreeNode) and tree.feature == feature
+
+    @pytest.mark.parametrize("x, feature", [
+        ([[1.0, 0.0], [0.0, 1.0]], 0),  # feature 0 sorts the second row first
+        ([[0.0, 1.0], [1.0, 0.0]], 0),
+    ])
+    def test_equal_gains_of_both_orders_go_to_the_lower_feature(self, x, feature):
+        # 1.0 and 3.0 give both orders the gain 2.0 exactly.
+        tree = self.assert_matches_reference(x, [1.0, 3.0])
+        assert isinstance(tree, TreeNode) and tree.feature == feature
+
+    def test_the_larger_of_two_unequal_gains_wins(self):
+        # The root sends rows 0 and 1 left with residuals whose gains differ in
+        # the last bit between the two orders: feature 1, which sorts row 1
+        # first, has the larger one and wins over feature 0.
+        x = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [2.0, 2.0, 1.0]]
+        tree = self.assert_matches_reference(x, [-0.6, 0.0, 10.0], 1, 2, 1.0)
+        assert isinstance(tree.left, TreeNode) and tree.left.feature == 1
+
+    def test_negative_zero_residual(self):
+        # The mean is 0.0, so the two-row nodes hold the residuals -0.0 and 0.0.
+        x = [[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]]
+        self.assert_matches_reference(x, [0.1, -0.1, -0.0, 0.0], 3, 10, 0.1)
+        self.assert_matches_reference(x[2:], [-0.0, 0.0], 3, 10, 0.1)
+
+    def test_overflowing_squares_give_nan_gains_and_a_leaf(self):
+        tree = self.assert_matches_reference([[0.0, 1.0], [1.0, 0.0]], [1.5e154, -1.5e154])
+        assert isinstance(tree, Leaf)
+
+    def test_no_two_row_set_reaches_the_matrix_search(self, monkeypatch):
+        # The matrix search masks cuts between equal values with one putmask
+        # over its m - 1 columns of gains.
+        searched, built = [], []
+        real_putmask, real_build = np.putmask, baselines._RowSet.build
+        monkeypatch.setattr(np, "putmask", lambda a, mask, v: searched.append(a.shape[1] + 1)
+                            or real_putmask(a, mask, v))
+        monkeypatch.setattr(baselines._RowSet, "build", lambda node, x: built.append(node.rows.size)
+                            or real_build(node, x))
+        x, y = benchmark_shaped(7, seed=3)
+        fit_gbt(x, y, n_estimators=100, max_depth=10, learning_rate=0.1)
+        assert 2 in built and searched
+        assert min(searched) >= 3

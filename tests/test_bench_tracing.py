@@ -37,11 +37,13 @@ def test_bench_smoke_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["llro-multitask", "lolo-singletask"])
+@pytest.mark.parametrize("workload", ["llro-multitask", "lolo-singletask", "explain-permutation"])
 def test_traced_pass_is_correct(tmp_path, workload):
-    # One short traced pass of a workload that runs the GP and MAML kernels:
-    # "correct" holds every traced invariant (the counts the tracer derives
-    # from calls included) and each cell's MAE against bench/reference.json.
+    # One short traced pass of a workload that runs the GP, MAML or GBT
+    # kernels: "correct" holds every traced invariant (the counts the tracer
+    # derives from calls included, explain's one GBT fit per task and one
+    # predict_gbt per row among them) and each cell's MAE or attribution
+    # against bench/reference.json.
     # A copy of the checkout, so that the generated inputs stay in tmp_path.
     for name in ("bench", "src"):
         shutil.copytree(ROOT / name, tmp_path / name,

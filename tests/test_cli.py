@@ -675,6 +675,28 @@ class TestExplainCommand:
         reuse_csv = (tmp_path / "reuse" / "attribution.csv").read_bytes()
         assert fit_csv == reuse_csv
 
+    def test_lasso_on_a_feature_whose_squares_overflow(self, toy_paths, tmp_path):
+        # Every size cell at +-1e200: the scaler's std must not overflow to inf,
+        # so model.json holds finite scales that --model-file accepts.
+        lines = toy_paths["features"].read_text().splitlines()
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[2 + FEATURE_NAMES.index("size")] = "1e200" if i % 2 else "-1e200"
+            lines[i] = ",".join(cells)
+        toy_paths["features"].write_text("\n".join(lines) + "\n")
+        base_args = [
+            "explain",
+            "--scores", str(toy_paths["scores"]),
+            "--features", str(toy_paths["features"]),
+            "--model", "lasso",
+            "--method", "linear-shap",
+        ]
+        assert main(base_args + ["--out", str(tmp_path / "fit")]) == 0
+        model_file = tmp_path / "fit" / "model.json"
+        assert main(base_args + ["--model-file", str(model_file), "--out", str(tmp_path / "reuse")]) == 0
+        fit_csv = (tmp_path / "fit" / "attribution.csv").read_bytes()
+        assert fit_csv == (tmp_path / "reuse" / "attribution.csv").read_bytes()
+
     def test_model_file_without_a_task_of_the_scores_exit_two(self, toy_paths, tmp_path, capsys):
         base_args = [
             "explain",

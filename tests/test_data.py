@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,19 @@ class TestStandardize:
         scaler = fit_scaler(train)
         assert scaler.mean[0] == 2.0
         np.testing.assert_array_equal(scaler.transform(np.array([[np.nan]])), [[0.0]])
+
+    def test_overflowing_column_gets_a_finite_scale(self):
+        # The squares of +-1e200 overflow; a column of finite values is fitted
+        # without overflow, and its neighbour keeps the bits it has alone.
+        train = np.array([[1e200, 0.5], [-1e200, 0.25], [1e200, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaler = fit_scaler(train)
+            out = scaler.transform(train)
+        assert np.isfinite(scaler.mean).all() and np.isfinite(scaler.scale).all()
+        np.testing.assert_allclose(out[:, 0], [0.5**0.5, -(2**0.5), 0.5**0.5])
+        alone = fit_scaler(train[:, 1:])
+        assert (scaler.mean[1], scaler.scale[1]) == (alone.mean[0], alone.scale[0])
 
     def test_leakage_free(self):
         rng = np.random.default_rng(0)
