@@ -219,9 +219,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if kind not in MODEL_KINDS:
             raise DataError(f"unknown model kind {kind!r}, choose from {MODEL_KINDS}")
     tasks = cfg["tasks"] or sorted(ds.tasks)
-    for task in tasks:
-        if task not in ds.tasks:
-            raise DataError(f"unknown task {task!r}")
     for option, names in (("--models", kinds), ("--task", tasks)):
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
@@ -232,6 +229,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if unclassed:
                 raise DataError(f"no class for language {unclassed[0]!r}, a target of task "
                                 f"{task!r}: --protocol llro needs one", path=cfg["meta"])
+    # Before any fit: a task the protocol cannot split (or unknown) exits 2.
+    folds = {task: evaluation.protocol_folds(ds, cfg["protocol"], task) for task in tasks}
     seed = cfg["seed"]
     config_hash = _run_hash(cfg["scores"], cfg["features"], cfg["meta"],
                             models=kinds, protocol=cfg["protocol"], tasks=tasks, seed=seed)
@@ -248,7 +247,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         blocks = []
         for task in tasks:
             try:
-                blocks.append(evaluation.run_protocol(ds, spec, cfg["protocol"], task))
+                blocks.append(evaluation.run_folds(ds, spec, cfg["protocol"], task, folds[task]))
             except Exception as err:  # noqa: BLE001 - cell failures must not stop the run
                 failures.append({"model": kind, "task": task, "error": str(err)})
         if blocks:

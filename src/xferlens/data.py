@@ -3,7 +3,8 @@
 The dataset model is deliberately small: performance records keyed by
 (model, task, pivot, target), one feature vector per (pivot, target) pair,
 and optional per-language metadata (resource class, pre-training word count).
-Datasets and splits are immutable after construction.
+Datasets and folds are immutable after construction; a protocol's split
+maker returns a list of ``Fold``.
 """
 
 from __future__ import annotations
@@ -374,23 +375,26 @@ def save_dataset(ds: Dataset, directory: str | Path) -> dict[str, Path]:
 # Split construction
 
 @dataclass(frozen=True)
-class LoloSplit:
+class Fold:
+    """``test`` holds the eval-task rows of the held-out targets, ``train`` every
+    other row; ``held_out`` joins those targets, sorted, with ``;``."""
+
     train: Dataset
     test: Dataset
-    held_out: LangId
+    held_out: str
 
 
-def _partition(ds: Dataset, eval_task: TaskId, held_out: set[LangId]) -> tuple[Dataset, Dataset]:
-    """(train, test): eval-task rows whose target is in ``held_out`` go to
-    test, every other row to train, both in record order."""
+def _partition(ds: Dataset, eval_task: TaskId, held_out: set[LangId]) -> Fold:
+    """The fold holding out the eval-task rows whose target is in ``held_out``;
+    both sides keep record order."""
     train, test = [], []
     for r in ds.records:
         (test if r.task == eval_task and r.target in held_out else train).append(r)
-    return ds.restrict(train), ds.restrict(test)
+    return Fold(ds.restrict(train), ds.restrict(test), ";".join(sorted(held_out)))
 
 
-def make_lolo_splits(ds: Dataset, eval_task: TaskId) -> list[LoloSplit]:
-    """Leave-one-language-out folds for ``eval_task``.
+def make_lolo_splits(ds: Dataset, eval_task: TaskId) -> list[Fold]:
+    """Leave-one-language-out folds for ``eval_task``, one per target.
 
     Each fold holds out one target language of the eval task; the train side
     keeps the remaining eval-task records plus the complete data of every
@@ -401,11 +405,11 @@ def make_lolo_splits(ds: Dataset, eval_task: TaskId) -> list[LoloSplit]:
     targets = ds.targets(eval_task)
     if len(targets) < 2:
         raise ValueError(f"task {eval_task!r} has fewer than 2 target languages")
-    return [LoloSplit(*_partition(ds, eval_task, {t}), held_out=t) for t in targets]
+    return [_partition(ds, eval_task, {t}) for t in targets]
 
 
-def make_llro_split(ds: Dataset, eval_task: TaskId) -> tuple[Dataset, Dataset]:
-    """Leave-low-resource-languages-out split for ``eval_task``.
+def make_llro_split(ds: Dataset, eval_task: TaskId) -> list[Fold]:
+    """Leave-low-resource-languages-out split for ``eval_task``, a one-fold list.
 
     Eval-task targets of resource class <= 3 form the test side; classes 4 and
     5 stay in train. Helper tasks retain all of their languages.
@@ -421,7 +425,7 @@ def make_llro_split(ds: Dataset, eval_task: TaskId) -> tuple[Dataset, Dataset]:
         raise ValueError(f"empty test side: no class <= 3 targets in task {eval_task!r}")
     if len(low) == len(targets):
         raise ValueError(f"empty train side: no class 4-5 targets in task {eval_task!r}")
-    return _partition(ds, eval_task, low)
+    return [_partition(ds, eval_task, low)]
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +454,9 @@ class Scaler:
 def _moments(train: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column means of the present values, the matrix imputed with them, and population stds."""
     with np.errstate(invalid="ignore", over="ignore"):
-        mean = np.nanmean(train, axis=0)
-        mean = np.where(np.isnan(mean), 0.0, mean)  # all-missing dimension
+        empty = np.isnan(train).all(axis=0)  # mean 0, without np.nanmean's warning
+        mean = np.nanmean(np.where(empty, 0.0, train) if empty.any() else train, axis=0)
+        mean = np.where(np.isnan(mean), 0.0, mean)  # a column holding both +inf and -inf
         imputed = np.where(np.isnan(train), mean, train)
         return mean, imputed, imputed.std(axis=0)
 

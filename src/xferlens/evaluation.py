@@ -6,6 +6,9 @@ the eval task's train rows only; multi-task kinds additionally see the full
 data of every helper task, including the held-out language, mirroring the
 test protocols.
 
+A protocol maps (dataset, eval task) to a list of ``data.Fold``. One runner,
+``run_folds``, checks each fold with one guard, then fits and scores it.
+
 ``fit_predictors`` is the one estimator layer: it fits a kind once on a
 ``Dataset`` and returns a ``Predictor`` per requested task, mapping raw
 feature rows to scores. ``evaluate`` fits it on each fold's train side and
@@ -27,6 +30,7 @@ import numpy as np
 from . import baselines, factorization, gp, meta, sparse_linear
 from .data import (
     Dataset,
+    Fold,
     LangId,
     PerformanceRecord,
     Scaler,
@@ -320,62 +324,62 @@ def _fit_and_predict(
 # ---------------------------------------------------------------------------
 # Protocol runners
 
-def _check_fold_integrity(
-    train: Dataset, eval_task: TaskId, held_out_targets: set[LangId], full_counts: dict[TaskId, int]
-) -> None:
-    """Structural guards: no held-out eval rows in train, helpers at full size."""
-    for r in train.records:
-        if r.task == eval_task and r.target in held_out_targets:
-            raise RuntimeError(
-                f"leakage: held-out language {r.target!r} present in eval-task train rows"
-            )
-    counts: dict[TaskId, int] = {}
-    for r in train.records:
-        counts[r.task] = counts.get(r.task, 0) + 1
-    for task, full in full_counts.items():
-        if task != eval_task and counts.get(task, 0) != full:
-            raise RuntimeError(f"helper task {task!r} lost records in a fold")
+def protocol_folds(ds: Dataset, protocol: str, eval_task: TaskId) -> list[Fold]:
+    """The folds of ``eval_task`` under ``protocol``. bench/tracing.py wraps the
+    split makers by name, so they are called through this module's globals."""
+    if protocol == "lolo":
+        return make_lolo_splits(ds, eval_task)
+    if protocol == "llro":
+        return make_llro_split(ds, eval_task)
+    raise ValueError(f"unknown protocol {protocol!r}")
+
+
+def _check_fold(ds: Dataset, eval_task: TaskId, fold: Fold) -> None:
+    """Test holds only eval-task rows of the held-out targets, train none, and
+    together they hold every record object of ``ds``."""
+    held_out = set(fold.held_out.split(";"))
+    if not all(r.task == eval_task and r.target in held_out for r in fold.test.records):
+        raise RuntimeError(f"test side holds a row that is not an eval-task row of {fold.held_out!r}")
+    for r in fold.train.records:
+        if r.task == eval_task and r.target in held_out:
+            raise RuntimeError(f"leakage: held-out language {r.target!r} present in eval-task train rows")
+    if sorted(map(id, fold.train.records + fold.test.records)) != sorted(map(id, ds.records)):
+        raise RuntimeError("the fold's train and test sides do not hold every record")
 
 
 def _fold_seed(spec: ModelSpec, fold_index: int) -> int:
     return spec.seed * 100003 + fold_index
 
 
-def _run_folds(
-    ds: Dataset,
-    spec: ModelSpec,
-    eval_task: TaskId,
-    folds: Sequence[tuple[Dataset, Dataset, str]],
-) -> dict:
-    """Check, fit and score each (train, test, context) fold of ``eval_task``.
-
-    A fold's held-out targets are those of its test side; ``context`` names
-    the fold in the error raised when its fit or prediction fails, or when a
-    prediction is not finite. Returns the task's block of report.json: its
-    folds' records with their absolute errors, and ``mae``, the mean over
-    folds of each fold's MAE.
+def run_folds(ds: Dataset, spec: ModelSpec, protocol: str, eval_task: TaskId,
+              folds: Sequence[Fold]) -> dict:
+    """Check, fit and score each fold of ``eval_task``: the task's block of
+    report.json, its folds' records with their absolute errors, and ``mae``,
+    the mean over folds of each fold's MAE. A fold whose fit or prediction
+    fails, or predicts a value that is not finite, raises a RuntimeError that
+    names the held-out target under lolo and the protocol otherwise.
     """
-    full_counts = {t: len(ds.task_records(t)) for t in ds.tasks}
     fold_blocks, fold_maes = [], []
-    for i, (train, test, context) in enumerate(folds):
-        held_out = sorted({r.target for r in test.records})
-        _check_fold_integrity(train, eval_task, set(held_out), full_counts)
+    for i, fold in enumerate(folds):
+        _check_fold(ds, eval_task, fold)
+        test = fold.test.records
         try:
-            preds = _fit_and_predict(spec, train, test.records, eval_task, _fold_seed(spec, i))
+            preds = _fit_and_predict(spec, fold.train, test, eval_task, _fold_seed(spec, i))
             # A diverged fit predicts inf or nan: a failed fold, not an error of nan.
-            for r, yhat in zip(test.records, preds):
+            for r, yhat in zip(test, preds):
                 if not math.isfinite(yhat):
                     raise ValueError(f"prediction {yhat} for target {r.target!r} is not finite")
         except Exception as err:
+            context = f", held-out {fold.held_out!r}" if protocol == "lolo" else f" under {protocol}"
             raise RuntimeError(
                 f"model {spec.kind!r} failed on task {eval_task!r}{context}: {err}"
             ) from err
         records = [
             {"pivot": r.pivot, "target": r.target, "y": r.score, "yhat": yhat,
              "abs_err": abs(r.score - yhat)}
-            for r, yhat in zip(test.records, map(float, preds))
+            for r, yhat in zip(test, map(float, preds))
         ]
-        fold_blocks.append({"held_out": ";".join(held_out), "records": records})
+        fold_blocks.append({"held_out": fold.held_out, "records": records})
         fold_maes.append(float(np.mean([r["abs_err"] for r in records])))
     return {
         "task": eval_task,
@@ -387,24 +391,12 @@ def _run_folds(
 
 def run_lolo(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> dict:
     """One fold per target language of the eval task; helpers keep all data."""
-    folds = [
-        (s.train, s.test, f", held-out {s.held_out!r}") for s in make_lolo_splits(ds, eval_task)
-    ]
-    return _run_folds(ds, spec, eval_task, folds)
+    return run_folds(ds, spec, "lolo", eval_task, protocol_folds(ds, "lolo", eval_task))
 
 
 def run_llro(ds: Dataset, spec: ModelSpec, eval_task: TaskId) -> dict:
     """Single split: train on class 4-5 target languages, test on class <= 3."""
-    train, test = make_llro_split(ds, eval_task)
-    return _run_folds(ds, spec, eval_task, [(train, test, " under llro")])
-
-
-def run_protocol(ds: Dataset, spec: ModelSpec, protocol: str, eval_task: TaskId) -> dict:
-    if protocol == "lolo":
-        return run_lolo(ds, spec, eval_task)
-    if protocol == "llro":
-        return run_llro(ds, spec, eval_task)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    return run_folds(ds, spec, "llro", eval_task, protocol_folds(ds, "llro", eval_task))
 
 
 def aggregate(spec: ModelSpec, protocol: str, task_blocks: Iterable[dict]) -> dict:

@@ -571,6 +571,40 @@ class TestEvaluateCommand:
         )
         assert not (tmp_path / "all").exists()
 
+    @pytest.mark.parametrize("protocol, extra, message", [
+        ("lolo", [], "task 'A' has fewer than 2 target languages"),
+        ("llro", [], "empty test side: no class <= 3 targets in task 'A'"),
+        ("lolo", ["--task", "B", "--task", "Z"], "unknown task 'Z'"),
+    ])
+    def test_task_the_protocol_cannot_split_exit_two_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, protocol, extra, message):
+        # A's one target is of class 5; B splits under either protocol.
+        langs = lang_codes(3)
+        classes = {langs[0]: 5, langs[1]: 2, langs[2]: 5}
+        ds = planted_dataset({"A": langs[:1], "B": langs}, np.zeros(9), seed=2, classes=classes)
+        paths = save_dataset(ds, tmp_path / "d")
+        fits = []
+        fit = evaluation.fit_predictors
+        monkeypatch.setattr(evaluation, "fit_predictors", lambda *a, **k: fits.append(a) or fit(*a, **k))
+        out = tmp_path / "out"
+        code = main(["evaluate", "--scores", str(paths["scores"]), "--features",
+                     str(paths["features"]), "--meta", str(paths["meta"]), "--models",
+                     "awt,lasso", "--protocol", protocol, "--out", str(out), *extra])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert fits == [] and not out.exists()
+
+    def test_folds_built_once_per_task_through_evaluation(self, toy_paths, tmp_path, monkeypatch):
+        # bench/tracing.py times split construction by wrapping
+        # evaluation.make_lolo_splits by name: evaluate must call the split
+        # makers through that module attribute, once per eval task.
+        calls = []
+        make = evaluation.make_lolo_splits
+        monkeypatch.setattr(evaluation, "make_lolo_splits",
+                            lambda ds, task: calls.append(task) or make(ds, task))
+        assert self.run_eval(toy_paths, tmp_path / "out") == 0
+        assert calls == ["A", "B"]
+
     def test_helper_curve_emitted(self, toy_paths, tmp_path):
         code = main(
             [

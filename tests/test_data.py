@@ -365,7 +365,8 @@ class TestLlroSplit:
             seed=5,
             classes={"de": 5, "fr": 5, "sw": 1},
         )
-        train, test = make_llro_split(ds, "A")
+        (fold,) = make_llro_split(ds, "A")
+        train, test = fold.train, fold.test
         assert {r.target for r in test.records} == {"sw"}
         assert {r.target for r in train.records if r.task == "A"} == {"de", "fr"}
         # Helper task keeps all languages, including low-resource ones.
@@ -385,7 +386,8 @@ class TestLlroSplit:
             seed=7,
             classes={"fr": 5, "hi": 3, "bn": 3},
         )
-        train, test = make_llro_split(ds, "A")
+        (fold,) = make_llro_split(ds, "A")
+        train, test = fold.train, fold.test
         assert {r.target for r in test.records} == {"hi", "bn"}
 
     def test_missing_taxonomy_errors(self):
@@ -401,7 +403,8 @@ class TestLlroSplit:
             seed=9,
             classes={"de": 5, "fr": 4, "sw": 0, "hi": 2},
         )
-        train, test = make_llro_split(ds, "A")
+        (fold,) = make_llro_split(ds, "A")
+        train, test = fold.train, fold.test
         train_langs = {r.target for r in train.records if r.task == "A"}
         test_langs = {r.target for r in test.records}
         assert not train_langs & test_langs
@@ -450,7 +453,8 @@ class TestSplitProperties:
                 with pytest.raises(ValueError, match="empty train side"):
                     make_llro_split(ds, eval_task)
             else:
-                train, test = make_llro_split(ds, eval_task)
+                (fold,) = make_llro_split(ds, eval_task)
+                train, test = fold.train, fold.test
                 self.assert_fold(ds, eval_task, train, test, low)
 
 
@@ -488,6 +492,18 @@ class TestStandardize:
         np.testing.assert_allclose(out[:, 0], [0.5**0.5, -(2**0.5), 0.5**0.5])
         alone = fit_scaler(train[:, 1:])
         assert (scaler.mean[1], scaler.scale[1]) == (alone.mean[0], alone.scale[0])
+
+    def test_all_missing_column_imputes_zero_without_a_warning(self):
+        train = np.array([[np.nan, 0.5, 1.0], [np.nan, 0.25, 2.0], [np.nan, 2.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaler = fit_scaler(train)
+            out = scaler.transform(train)
+        assert (scaler.mean[0], scaler.scale[0]) == (0.0, 1.0)
+        np.testing.assert_array_equal(out[:, 0], [0.0, 0.0, 0.0])
+        alone = fit_scaler(train[:, 1:])
+        np.testing.assert_array_equal(scaler.mean[1:], alone.mean)
+        np.testing.assert_array_equal(scaler.scale[1:], alone.scale)
 
     def test_leakage_free(self):
         rng = np.random.default_rng(0)

@@ -4,13 +4,16 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import lang_codes, planted_dataset, random_feature_vector, random_layouts
 from xferlens import factorization, meta
 from xferlens.cli import main
 from xferlens.data import (
     Dataset,
+    Fold,
     PerformanceRecord,
+    _partition,
     load_dataset,
     make_llro_split,
     make_lolo_splits,
@@ -19,10 +22,12 @@ from xferlens.data import (
 from xferlens.evaluation import (
     MODEL_KINDS,
     ModelSpec,
+    _check_fold,
     aggregate,
     fit_predictors,
     helper_curve,
     render_table,
+    run_folds,
     run_llro,
     run_lolo,
 )
@@ -163,6 +168,56 @@ class TestProtocolIntegrity:
             assert len(block["folds"]) == len(ds.targets(task))
 
 
+class TestFoldGuard:
+    """run_folds rejects, before its fit, a fold that breaks one condition of
+    the guard. Each bad fold below breaks exactly one: the other two hold."""
+
+    @staticmethod
+    def two_pivot_dataset():
+        langs = lang_codes(3)
+        tasks = {"A": langs, "B": langs}
+        en = planted_dataset(tasks, np.zeros(9), seed=0, pivot="en")
+        zu = planted_dataset(tasks, np.zeros(9), seed=1, pivot="zu")
+        return Dataset(en.records + zu.records, {**en.features, **zu.features}, en.meta)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("eval row of a held-out target in train", "leakage: held-out language 'aa'"),
+        ("helper row in test", "test side holds a row that is not an eval-task row of 'aa'"),
+        ("helper row dropped", "do not hold every record"),
+    ])
+    def test_bad_fold_raises(self, bad, message):
+        ds = self.two_pivot_dataset()
+        good = make_lolo_splits(ds, "A")[0]
+        assert good.held_out == "aa" and len(good.test.records) == 2  # one per pivot
+        train, test = good.train.records, good.test.records
+        helper = next(r for r in train if r.task == "B" and r.target == "aa")
+        without = tuple(r for r in train if r is not helper)
+        sides = {
+            "eval row of a held-out target in train": (train + test[:1], test[1:]),
+            "helper row in test": (without, test + (helper,)),
+            "helper row dropped": (without, test),
+        }[bad]
+        fold = Fold(ds.restrict(sides[0]), ds.restrict(sides[1]), good.held_out)
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            run_folds(ds, ModelSpec("awt"), "lolo", "A", [fold])
+
+    @given(random_layouts(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_proper_subset_of_targets_partitions_and_passes(self, ds, data):
+        for eval_task in sorted(ds.tasks):
+            targets = ds.targets(eval_task)
+            if len(targets) < 2:
+                continue
+            held = data.draw(st.sets(st.sampled_from(targets), min_size=1,
+                                     max_size=len(targets) - 1))
+            fold = _partition(ds, eval_task, held)
+            _check_fold(ds, eval_task, fold)
+            is_held = [r.task == eval_task and r.target in held for r in ds.records]
+            assert fold.test.records == tuple(r for r, h in zip(ds.records, is_held) if h)
+            assert fold.train.records == tuple(r for r, h in zip(ds.records, is_held) if not h)
+            assert fold.held_out == ";".join(sorted(held))
+
+
 class TestFoldProperties:
     """awt gives one fold per split, over random multi-pivot layouts with
     missing feature cells."""
@@ -183,7 +238,7 @@ class TestFoldProperties:
             for fold, split in zip(block["folds"], splits):
                 self.assert_fold_rows(fold, split.test)
             try:
-                _, test = make_llro_split(ds, eval_task)
+                [test] = [f.test for f in make_llro_split(ds, eval_task)]
             except ValueError as err:
                 with pytest.raises(ValueError, match=re.escape(str(err))):
                     run_llro(ds, spec, eval_task)
