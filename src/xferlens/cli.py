@@ -151,12 +151,16 @@ def cmd_features(args: argparse.Namespace) -> int:
     pivots = _names(args.pivots) or None
     if args.vocab_dir and not missing("vocab", args.vocab_dir):
         files = sorted(Path(args.vocab_dir).glob("*.txt"))
-        # A pivot without a file would keep every other vocabulary waiting.
-        stems = {vf.stem for vf in files}
-        resources.vocabs = vocab_overlaps(
-            (load_vocab_file(vf, vf.stem) for vf in files),
-            None if pivots is None else [p for p in pivots if p in stems],
-        )
+        named = set(pivots or (vf.stem for vf in files))  # every file is a pivot without --pivots
+        try:
+            resources.vocabs = vocab_overlaps(
+                (load_vocab_file(vf, vf.stem) for vf in files if vf.stem in named),
+                (load_vocab_file(vf, vf.stem) for vf in files if vf.stem not in named),
+            )
+        except DataError:
+            for vf in files:  # report the first bad file in sorted order, not the first read
+                load_vocab_file(vf, vf.stem)
+            raise
     if args.typology and not missing("typology", args.typology):
         resources.typology = load_typology_csv(args.typology)
     if args.wals and not missing("wals", args.wals):

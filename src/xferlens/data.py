@@ -456,7 +456,6 @@ def _moments(train: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", over="ignore"):
         empty = np.isnan(train).all(axis=0)  # mean 0, without np.nanmean's warning
         mean = np.nanmean(np.where(empty, 0.0, train) if empty.any() else train, axis=0)
-        mean = np.where(np.isnan(mean), 0.0, mean)  # a column holding both +inf and -inf
         imputed = np.where(np.isnan(train), mean, train)
         return mean, imputed, imputed.std(axis=0)
 
@@ -465,12 +464,14 @@ def fit_scaler(train: np.ndarray) -> Scaler:
     train = np.asarray(train, dtype=float)
     if train.ndim != 2 or train.shape[0] == 0:
         raise ValueError("train feature matrix must be non-empty and 2-D")
+    infinite = np.isinf(train).any(axis=0)
+    if infinite.any():
+        raise ValueError(f"train feature column {int(np.argmax(infinite))} holds an infinite value")
     mean, imputed, std = _moments(train)
-    # A column of finite values whose sum or squares overflow: fit it divided
-    # by its largest |value| and scale the statistics back.
+    # A column whose sum or squares overflow: fit it divided by its largest
+    # |value| and scale the statistics back.
     big = ~np.isfinite(std)
     if big.any():
-        big &= ~np.isinf(train).any(axis=0)
         peak = np.nanmax(np.abs(train[:, big]), axis=0)
         big_mean, _, big_std = _moments(train[:, big] / peak)
         mean[big], std[big] = big_mean * peak, big_std * peak

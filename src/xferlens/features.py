@@ -7,10 +7,11 @@ feature-values, and the two tokenizer-quality metrics.
 
 Each resource is parsed once: a typology row only up to its last non-empty
 cell, a vocabulary line stripped once. The vocabularies stream through
-:func:`vocab_overlaps`, which keeps the pivots' and drops every other one as
-soon as its overlaps are computed. Work shared by all pairs is done once per
-table: the WALS feature-value ranking (:func:`feature_value_ranks`) and the
-geographic scale (:func:`max_geo_distance`).
+:func:`vocab_overlaps`, the pivots' first; it keeps the pivots' and drops
+every other one as soon as its overlaps are computed. Work shared by all
+pairs is done once per table: the WALS feature-value ranking
+(:func:`feature_value_ranks`) and the geographic scale
+(:func:`max_geo_distance`).
 """
 
 from __future__ import annotations
@@ -248,36 +249,28 @@ class VocabOverlaps:
     overlaps: Mapping[tuple[LangId, LangId], float] = field(default_factory=dict)
 
 
-def vocab_overlaps(
-    vocabs: Iterable[VocabSet], pivots: Iterable[LangId] | None = None
-) -> VocabOverlaps:
+def vocab_overlaps(pivots: Iterable[VocabSet], others: Iterable[VocabSet] = ()) -> VocabOverlaps:
     """Subword overlap of each pivot's vocabulary with every other one.
 
-    ``vocabs`` is consumed once, one VocabSet at a time; with no ``pivots``
-    every vocabulary is a pivot. Only the pivots' vocabularies are kept. A
-    non-pivot is compared with the pivots already seen and dropped, unless a
-    pivot is still to come: then it waits for the last one. Name as
-    ``pivots`` only languages that ``vocabs`` holds, since a pivot that never
-    comes keeps every non-pivot waiting until the end.
+    Each iterable is consumed once, one VocabSet at a time, the pivots first.
+    A pivot is compared both ways with the pivots before it and kept; any
+    other vocabulary is compared with every pivot and dropped. So the pivots
+    and one other vocabulary are all that is alive at once. With no
+    ``others``, every vocabulary is a pivot.
     """
-    pivot_set = None if pivots is None else set(pivots)
-    unseen = set(pivot_set or ())  # pivots still to come
-    held: list[VocabSet] = []  # the pivots seen so far
-    pending: list[VocabSet] = []  # non-pivots that a pivot still to come needs
+    held: list[VocabSet] = []
     langs: set[LangId] = set()
     overlaps: dict[tuple[LangId, LangId], float] = {}
-    for vocab in vocabs:
+    for vocab in pivots:
         langs.add(vocab.lang)
-        # Comprehensions, so that no loop variable keeps a dropped vocabulary.
-        overlaps.update({(p.lang, vocab.lang): subword_overlap(p, vocab) for p in held})
-        if pivot_set is None or vocab.lang in pivot_set:
-            overlaps.update({(vocab.lang, o.lang): subword_overlap(vocab, o) for o in held + pending})
-            held.append(vocab)
-            unseen.discard(vocab.lang)
-            if not unseen:
-                pending.clear()
-        elif unseen:
-            pending.append(vocab)
+        for p in held:
+            overlaps[(p.lang, vocab.lang)] = subword_overlap(p, vocab)
+            overlaps[(vocab.lang, p.lang)] = subword_overlap(vocab, p)
+        held.append(vocab)
+    for vocab in others:
+        langs.add(vocab.lang)
+        for p in held:
+            overlaps[(p.lang, vocab.lang)] = subword_overlap(p, vocab)
     return VocabOverlaps(frozenset(langs), overlaps)
 
 

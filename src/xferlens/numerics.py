@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 MAX_JITTER = 1e-2
-# First non-zero rung of the escalation ladder when the caller asked for none.
+# First non-zero rung of the escalation ladder.
 BASE_JITTER = 1e-6
 # The native float64 dtype, which np.asarray(a, dtype=float) would return ``a`` as.
 _FLOAT64 = np.dtype(float)
@@ -39,24 +39,23 @@ def _as_float64(a) -> np.ndarray:
     return a if type(a) is np.ndarray and a.dtype is _FLOAT64 else np.asarray(a, dtype=float)
 
 
-def cholesky(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, float]:
+def cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower-triangular factor of ``a + jitter*I``, escalating jitter on failure.
 
-    The requested jitter is tried first; every failure multiplies it by 10
-    (starting from ``BASE_JITTER`` when the request was 0) until ``MAX_JITTER``.
-    Returns ``(L, jitter_used)`` so callers can report the final value. Each
-    factor has the bits ``np.linalg.cholesky`` gives.
+    No jitter is tried first; every failure raises it, to ``BASE_JITTER`` and
+    then by a factor of 10 up to ``MAX_JITTER``. Returns ``(L, jitter_used)``
+    so callers can report the final value. Each factor has the bits
+    ``np.linalg.cholesky`` gives.
 
     Raises ``ValueError`` for a non-square or non-symmetric matrix (NaN
-    entries included) and for a jitter that is negative or not finite, and
-    ``numpy.linalg.LinAlgError`` if the matrix is not positive definite even
-    at the maximum jitter.
+    entries included), and ``numpy.linalg.LinAlgError`` if the matrix is not
+    positive definite even at the maximum jitter.
     """
     with np.errstate(**_LAPACK_QUIET):
-        return cholesky_quiet(a, jitter)
+        return cholesky_quiet(a)
 
 
-def cholesky_quiet(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, float]:
+def cholesky_quiet(a: np.ndarray) -> tuple[np.ndarray, float]:
     """:func:`cholesky` for a caller already inside an errstate scope that
     ignores "invalid": a failed rung would otherwise warn, or raise
     ``FloatingPointError`` under ``invalid="raise"``."""
@@ -68,9 +67,7 @@ def cholesky_quiet(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, floa
     if not (_all(a == a.T, None) or np.allclose(a, a.T, rtol=1e-10, atol=1e-12)):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
-    current = float(jitter)
-    if not 0.0 <= current < math.inf:  # a NaN or negative rung would never reach the top
-        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
+    current = 0.0
     while True:
         bumped = a if current == 0.0 else a + current * np.eye(n)
         chol = _cholesky_lo(bumped, signature="d->d")
@@ -78,8 +75,7 @@ def cholesky_quiet(a: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, floa
             return chol, current
         if current >= MAX_JITTER:
             raise np.linalg.LinAlgError(f"matrix not positive definite at max jitter {MAX_JITTER:g}")
-        current = BASE_JITTER if current == 0.0 else current * 10.0
-        current = min(current, MAX_JITTER)
+        current = min(current * 10.0, MAX_JITTER) if current else BASE_JITTER
 
 
 def _singular(err: str, flag: int) -> None:

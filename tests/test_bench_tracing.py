@@ -37,13 +37,16 @@ def test_bench_smoke_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["llro-multitask", "lolo-singletask", "explain-permutation"])
+@pytest.mark.parametrize(
+    "workload", ["llro-multitask", "lolo-singletask", "multipivot-pipeline", "explain-permutation"]
+)
 def test_traced_pass_is_correct(tmp_path, workload):
-    # One short traced pass of a workload that runs the GP, MAML or GBT
-    # kernels: "correct" holds every traced invariant (the counts the tracer
-    # derives from calls included, explain's one GBT fit per task and one
-    # predict_gbt per row among them) and each cell's MAE or attribution
-    # against bench/reference.json.
+    # One short traced pass of each workload: the GP, MAML and GBT kernels,
+    # and the one run of `features`. "correct" holds every traced invariant
+    # (the counts the tracer derives from calls included: explain's one GBT
+    # fit per task and one predict_gbt per row, one wmrr per feature pair),
+    # outputs such as features.csv byte-identical across the two passes, and
+    # each cell's MAE or attribution against bench/reference.json.
     # A copy of the checkout, so that the generated inputs stay in tmp_path.
     for name in ("bench", "src"):
         shutil.copytree(ROOT / name, tmp_path / name,

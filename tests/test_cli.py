@@ -181,14 +181,25 @@ class TestFeaturesCommand:
         assert sorted({pivot for pivot, _ in load_features_csv(out)}) == ["ab", "ac"]
 
     def test_first_bad_vocab_file_in_sorted_order_reported(self, tmp_path, capsys):
-        # ab comes before the pivot ac, so it is loaded and held before ac's
-        # file is read; ac's error must not be the one reported.
+        # ab sorts before the pivot ac, whose file is read first; ac's error
+        # must not be the one reported.
         vocab_dir, _, _, _, meta = write_resources(tmp_path)
         (vocab_dir / "ab.txt").write_text(" \n\n")
         (vocab_dir / "ac.txt").write_text("\n")
         out = tmp_path / "f.csv"
         code = main(["features", "--vocab-dir", str(vocab_dir), "--meta", str(meta),
                      "--pivots", "ac", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {vocab_dir / 'ab.txt'}: empty vocabulary file\n"
+        assert not out.exists()
+
+    def test_bad_pivot_file_reported_before_a_later_bad_file(self, tmp_path, capsys):
+        vocab_dir, _, _, _, meta = write_resources(tmp_path)
+        (vocab_dir / "ab.txt").write_text("\n")
+        (vocab_dir / "ac.txt").write_bytes(b"\xff\n")
+        out = tmp_path / "f.csv"
+        code = main(["features", "--vocab-dir", str(vocab_dir), "--meta", str(meta),
+                     "--pivots", "ab", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {vocab_dir / 'ab.txt'}: empty vocabulary file\n"
         assert not out.exists()

@@ -505,6 +505,18 @@ class TestStandardize:
         np.testing.assert_array_equal(scaler.mean[1:], alone.mean)
         np.testing.assert_array_equal(scaler.scale[1:], alone.scale)
 
+    @pytest.mark.parametrize(
+        "column", [[np.inf, -np.inf, 1.0], [1.0, np.nan, -np.inf], [1e200, np.inf, 1e200]]
+    )
+    def test_infinite_column_rejected_by_index(self, column):
+        # Its scale would be nan, and transform would turn the whole column into nan.
+        train = np.array([[0.5, 1.0], [0.25, 2.0], [2.0, 4.0]])
+        train = np.insert(train, 1, column, axis=1)
+        with pytest.raises(ValueError, match=r"^train feature column 1 holds an infinite value$"):
+            fit_scaler(train)
+        with pytest.raises(ValueError, match="column 1"):
+            standardize(train, train)
+
     def test_leakage_free(self):
         rng = np.random.default_rng(0)
         train = rng.standard_normal((5, 3))

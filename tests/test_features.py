@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xferlens import features
+from xferlens import cli, features
 from xferlens.data import FEATURE_NAMES, DataError, LanguageMeta, load_features_csv, write_features_csv
 from xferlens.features import (
     FeatureResources,
@@ -480,9 +480,9 @@ class TestBuildFeatureTable:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(features, name, counted)
+        vocabs = [VocabSet(lang, frozenset({"x", f"t{i}", f"t{i + 1}"})) for i, lang in enumerate(langs)]
         res.vocabs = vocab_overlaps(
-            (VocabSet(lang, frozenset({"x", f"t{i}", f"t{i + 1}"})) for i, lang in enumerate(langs)),
-            pivots,
+            (v for v in vocabs if v.lang in pivots), (v for v in vocabs if v.lang not in pivots)
         )
         table = build_feature_table(res, pivots=pivots)
         assert len(table) == 12
@@ -501,33 +501,53 @@ class TestVocabOverlaps:
 
     @pytest.mark.parametrize("pivots", [["ab", "ae"], ["aa", "ab"], ["ah"], ["ac", "zz"], None])
     def test_holds_only_pivots_and_pending(self, pivots):
-        # Only the pivots stay live, plus the non-pivots that came while a
-        # pivot was still to come (a pivot with no vocabulary never comes),
-        # plus the one VocabSet the consumer's loop variable holds.
+        # Only the pivots stay live, plus the one other VocabSet that the
+        # consumer's loop variable still holds while the next one is made.
         live = weakref.WeakSet()
-        pivot_set = set(self.LANGS if pivots is None else pivots)
-        seen: list[str] = []
+        named = set(self.LANGS if pivots is None else pivots)
+        bound = len(named & set(self.LANGS)) + 1
 
-        def stream():
+        def stream(is_pivot):
             for i, lang in enumerate(self.LANGS):
-                waiting = pivot_set - set(seen)
-                held = [s for s in seen if s in pivot_set or waiting]
-                assert len(live) <= len(held) + 1, (lang, sorted(vs.lang for vs in live))
-                vocab = self.vocab(i, lang)
-                live.add(vocab)
-                seen.append(lang)
-                yield vocab
-                del vocab
+                if (lang in named) == is_pivot:
+                    assert len(live) <= bound, (lang, sorted(v.lang for v in live))
+                    vocab = self.vocab(i, lang)
+                    live.add(vocab)
+                    yield vocab
+                    del vocab
 
-        result = vocab_overlaps(stream(), pivots)
+        result = vocab_overlaps(stream(True), stream(False))
         assert len(live) == 0  # the result keeps no vocabulary
         assert result.langs == frozenset(self.LANGS)
         vocabs = {lang: self.vocab(i, lang) for i, lang in enumerate(self.LANGS)}
         expected = {
             (p, t): subword_overlap(vocabs[p], vocabs[t])
-            for p in sorted(pivot_set & set(vocabs)) for t in self.LANGS if t != p
+            for p in sorted(named & set(vocabs)) for t in self.LANGS if t != p
         }
         assert result.overlaps == expected
+
+    @pytest.mark.parametrize("pivots", [["ad", "ah"], ["ah"]])
+    def test_cli_holds_only_pivots_and_one_more(self, tmp_path, monkeypatch, pivots):
+        # Pivots that sort in the middle and last of the directory: the CLI
+        # reads their files first, so no other vocabulary waits for them.
+        vocab_dir = tmp_path / "vocabs"
+        vocab_dir.mkdir()
+        for i, lang in enumerate(self.LANGS):
+            (vocab_dir / f"{lang}.txt").write_text("\n".join(sorted(self.vocab(i, lang).tokens)) + "\n")
+        live = weakref.WeakSet()
+        real = cli.load_vocab_file
+
+        def load(path, lang):
+            assert len(live) <= len(pivots) + 1, (lang, sorted(v.lang for v in live))
+            vocab = real(path, lang)
+            live.add(vocab)
+            return vocab
+
+        monkeypatch.setattr(cli, "load_vocab_file", load)
+        assert cli.main(["features", "--vocab-dir", str(vocab_dir), "--pivots", ",".join(pivots),
+                         "--out", str(tmp_path / "features.csv")]) == 0
+        table = load_features_csv(tmp_path / "features.csv")
+        assert set(table) == {(p, t) for p in pivots for t in self.LANGS if t != p}
 
 
 class TestTypologyCsv:

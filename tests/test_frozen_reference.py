@@ -540,11 +540,15 @@ class TestFeaturesAgainstFrozen:
     @settings(max_examples=200, deadline=None)
     def test_feature_table_and_wmrr(self, problem):
         # The frozen table holds every vocabulary; the package streams the
-        # same ones, in language order, through vocab_overlaps. A pivot may
-        # lack a vocabulary, and a language may have nothing else.
+        # same ones through vocab_overlaps, the pivots' first, each group in
+        # language order. A pivot may lack a vocabulary, and a language may
+        # have nothing else.
         res, pivots = problem
+        named = set(pivots or res.vocabs)
+        langs = sorted(res.vocabs)
         streamed = features.FeatureResources(
-            vocabs=features.vocab_overlaps((res.vocabs[lang] for lang in sorted(res.vocabs)), pivots),
+            vocabs=features.vocab_overlaps((res.vocabs[lang] for lang in langs if lang in named),
+                                           (res.vocabs[lang] for lang in langs if lang not in named)),
             typology=res.typology, wals=res.wals, stats=res.stats, meta=res.meta,
         )
         assert streamed.languages() == res.languages()

@@ -368,14 +368,14 @@ class TestLineSearchMatchesReference:
         real = gp_module.cholesky
         initial = []
 
-        def fails_on_a_third(a, jitter=0.0):
+        def fails_on_a_third(a):
             # Keyed on the matrix bytes, so both fits fail on the same
             # candidates; the initial covariance (shared by both) always factors.
             key = a.tobytes()
             initial[:] = initial or [key]
             if key != initial[0] and zlib.crc32(key) % 3 == 0:
                 raise np.linalg.LinAlgError("injected")
-            return real(a, jitter)
+            return real(a)
 
         monkeypatch.setattr(gp_module, "cholesky", fails_on_a_third)
         data = random_tasks(4, (7, 5), 2)
@@ -402,11 +402,11 @@ class TestLineSearchOverflow:
         real = gp_module.cholesky
         calls = []
 
-        def fails_after_init(a, jitter=0.0):
+        def fails_after_init(a):
             calls.append(a.shape)
             if len(calls) > 1:
                 raise ValueError("expected a square matrix")
-            return real(a, jitter)
+            return real(a)
 
         monkeypatch.setattr(gp_module, "cholesky", fails_after_init)
         with pytest.raises(ValueError, match="square"):
