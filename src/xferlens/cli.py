@@ -150,7 +150,11 @@ def cmd_features(args: argparse.Namespace) -> int:
 
     pivots = _names(args.pivots) or None
     if args.vocab_dir and not missing("vocab", args.vocab_dir):
+        if not Path(args.vocab_dir).is_dir():
+            raise DataError("--vocab-dir is not a directory", path=args.vocab_dir)
         files = sorted(Path(args.vocab_dir).glob("*.txt"))
+        if not files:
+            warnings.append(f"warning: vocab directory {args.vocab_dir!r} has no *.txt file, features left missing")
         named = set(pivots or (vf.stem for vf in files))  # every file is a pivot without --pivots
         try:
             resources.vocabs = vocab_overlaps(
@@ -243,8 +247,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _stamp(config_hash, seed)
 
-    results = []
-    failures = []
+    results, failures = [], []
     curves: list[tuple[str, str, int, float]] = []
     for kind in kinds:
         spec = ModelSpec(kind, {}, seed)
@@ -298,8 +301,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if cfg["helper_curve"]:
         max_by_pair: dict[tuple[str, str], float] = {}
         for kind, task, _, mae in curves:
-            key = (kind, task)
-            max_by_pair[key] = max(max_by_pair.get(key, 0.0), mae)
+            max_by_pair[kind, task] = max(max_by_pair.get((kind, task), 0.0), mae)
         curve_rows = [
             [kind, task, str(k), repr(mae), repr(mae / max_by_pair[(kind, task)] if max_by_pair[(kind, task)] > 0 else 0.0)]
             for kind, task, k, mae in curves
@@ -392,7 +394,7 @@ def _linear_weights(a, kind: str) -> dict[str, tuple[Scaler, np.ndarray]]:
 def _report_results(payload) -> list:
     """The results of a report.json (as cmd_evaluate writes it) for render_table;
     a ValueError names what it lacks."""
-    results = payload.get("results", []) if isinstance(payload, dict) else None
+    results = payload.get("results") if isinstance(payload, dict) else None
     if not isinstance(results, list):
         raise ValueError("an object with a results list")
     for i, r in enumerate(results):
@@ -442,8 +444,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.method == "permutation" and args.repeats < 1:
         raise DataError(f"--repeats must be >= 1, got {args.repeats}")
     ds = load_dataset(args.scores, args.features, args.meta)
-    artifact = None
-    rows = []
+    out_dir = Path(args.out)
+    # Checked before any fit, but not created: a fit that rejects its data writes nothing.
+    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        raise DataError("--out is not a directory and cannot be made one", path=args.out)
+    artifact, rows = None, []
     if args.method == "linear-shap":
         if args.model_file:
             artifact, weights = _read_json(args.model_file,
@@ -483,7 +488,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         options["artifact"] = {k: v for k, v in artifact.items() if k not in ("config_hash", "seed")}
     config_hash = _run_hash(args.scores, args.features, args.meta, **options)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if artifact is not None and not args.model_file:
         artifact_out = dict(artifact, config_hash=config_hash, seed=args.seed)
@@ -572,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # a DataError, a fit that rejects its data, numpy's LinAlgError
+    except (ValueError, OSError) as err:  # a DataError, a fit's ValueError or LinAlgError, an unwritable --out
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

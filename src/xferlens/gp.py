@@ -11,13 +11,12 @@ Targets are centered per task before fitting and the means re-added at
 prediction time, so the GP prior mean is zero.
 
 The fit's vector ``[W0, b0, ..., log_ls, log_sv, log_noise (T), A (T x T,
-multi-task only)]`` holds the network's flat vector. The factor comes from
-numpy's LAPACK gufunc (``gp.cholesky`` is :func:`numerics.cholesky_quiet`),
-the solves from the same LAPACK (``gp.cho_solve`` runs a bound
-:class:`numerics.Solve`). ``fit_gp`` runs in one ``np.errstate`` scope and
-owns its scratch: two :class:`_Likelihood` points, the current one and the
-candidate, swapped on an accepted step. The fitted state keeps the accepted
-point's arrays.
+multi-task only)]`` holds the network's flat vector. Factors and solves have
+the bits of ``np.linalg`` and scipy's LAPACK wrappers. ``fit_gp`` runs in one
+``np.errstate`` scope, the one :func:`numerics.cholesky` needs, and owns its
+scratch: two :class:`_Likelihood` points, the current one and the candidate,
+swapped on an accepted step. The fitted state keeps the accepted point's
+arrays. ``predict_gp`` opens its own scope.
 """
 
 from __future__ import annotations
@@ -36,13 +35,13 @@ from .numerics import (
     MlpParams,
     Solve,
     batch_rows,
+    cholesky,
     init_mlp,
     mlp_forward,
     mlp_from_vector,
     require_finite,
     require_int,
 )
-from .numerics import cholesky_quiet as cholesky
 from .numerics import mlp_backward  # noqa: F401
 
 cho_solve = Solve.__call__  # one solve from a point's factor

@@ -12,13 +12,15 @@ its scratch: per helper task, one :class:`~xferlens.numerics.MlpKernel` for
 its support rows and one for its query rows, over buffers that every epoch
 refills, all sharing one parameter vector (the adapted network) and one
 gradient vector. It calls ``adapt`` once per (epoch, helper), through the
-module attribute, on the support kernel. The bits are those of fresh arrays.
-An ``adapt`` called from outside checks its inputs and binds its own kernel,
-so the network it returns is never overwritten.
+module attribute, on the support kernel, and that call opens no scope. The
+bits are those of fresh arrays. An ``adapt`` called from outside checks its
+inputs and opens its own scope; it binds its own kernel, so the network it
+returns is never overwritten.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -60,6 +62,7 @@ class MamlConfig:
 #: A diverging fit (a large inner_lr) overflows to inf and nan without
 #: warnings, as the GP's does. One scope per public call.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
+_NO_SCOPE = contextlib.nullcontext()
 
 
 def adapt(
@@ -74,28 +77,24 @@ def adapt(
     ``kernel`` is private to :func:`meta_train`: a kernel bound to the
     support rows ``support_x``, with ``support_y`` as a column, inside its
     errstate scope. The result then lives in the kernel's parameters, which
-    the next call on them overwrites; without ``kernel`` the result is a new
-    network.
+    the next call on them overwrites; without ``kernel`` the inputs are
+    checked and the result is a new network, computed in a scope of its own.
     """
-    if kernel is not None:
-        return _adapt(theta, support_y, cfg, kernel)
-    x, y = batch_rows("support set", support_x, support_y)
-    if len(y) == 0:
-        raise ValueError("empty support set")
-    if x.shape[1] != theta.layer_sizes[0]:
-        raise ValueError("input width does not match first layer")
-    sizes = theta.layer_sizes
-    kernel = MlpKernel(mlp_from_vector(sizes), mlp_from_vector(sizes), x)
-    with np.errstate(**_QUIET):
-        return _adapt(theta, y[:, None], cfg, kernel)
-
-
-def _adapt(theta: MlpParams, y: np.ndarray, cfg: MamlConfig, kernel: MlpKernel) -> MlpParams:
+    scope = _NO_SCOPE
+    if kernel is None:
+        x, y = batch_rows("support set", support_x, support_y)
+        if len(y) == 0:
+            raise ValueError("empty support set")
+        if x.shape[1] != theta.layer_sizes[0]:
+            raise ValueError("input width does not match first layer")
+        kernel = MlpKernel(mlp_from_vector(theta.layer_sizes), mlp_from_vector(theta.layer_sizes), x)
+        support_y, scope = y[:, None], np.errstate(**_QUIET)
     params, grad = kernel.params.flat, kernel.grad.flat
-    np.copyto(params, theta.flat)
-    for _ in range(cfg.inner_steps):
-        kernel.mse_backward(y)
-        params -= np.multiply(grad, cfg.inner_lr, grad)
+    with scope:
+        np.copyto(params, theta.flat)
+        for _ in range(cfg.inner_steps):
+            kernel.mse_backward(support_y)
+            params -= np.multiply(grad, cfg.inner_lr, grad)
     return kernel.params
 
 

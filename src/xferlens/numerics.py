@@ -5,9 +5,10 @@ checks the solvers share.
 
 All of it runs in float64 on the one LAPACK numpy links. :func:`cholesky` and
 :func:`solve` give ``np.linalg``'s bits, :class:`Solve` those of scipy's
-``dpotrs``/``dtrtrs`` wrappers. An :class:`MlpKernel` or a :class:`Solve` is
-bound once to arrays its caller owns and refills in place; a call checks
-nothing. :func:`cholesky_quiet` opens no errstate scope (the GP fit has one).
+``dpotrs``/``dtrtrs`` wrappers. :func:`solve` opens its own errstate scope;
+:func:`cholesky` opens none, and its caller's must ignore "invalid". An
+:class:`MlpKernel` or a :class:`Solve` is bound once to arrays its caller owns
+and refills in place; a call checks nothing.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ _cholesky_lo = _umath_linalg.cholesky_lo
 _solve, _solve1 = _umath_linalg.solve, _umath_linalg.solve1
 _all = np.logical_and.reduce
 
-#: np.linalg's own scope around its gufuncs, with a failure's "invalid" flag
-#: ignored: the Cholesky ladder reads the failure from the factor.
-_LAPACK_QUIET = {"invalid": "ignore", "over": "ignore", "divide": "ignore", "under": "ignore"}
-
 
 def _as_float64(a) -> np.ndarray:
     return a if type(a) is np.ndarray and a.dtype is _FLOAT64 else np.asarray(a, dtype=float)
@@ -47,18 +44,12 @@ def cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     so callers can report the final value. Each factor has the bits
     ``np.linalg.cholesky`` gives.
 
+    Opens no errstate scope: the caller's must ignore "invalid", or a failed
+    rung warns (raises ``FloatingPointError`` under ``invalid="raise"``).
     Raises ``ValueError`` for a non-square or non-symmetric matrix (NaN
     entries included), and ``numpy.linalg.LinAlgError`` if the matrix is not
     positive definite even at the maximum jitter.
     """
-    with np.errstate(**_LAPACK_QUIET):
-        return cholesky_quiet(a)
-
-
-def cholesky_quiet(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`cholesky` for a caller already inside an errstate scope that
-    ignores "invalid": a failed rung would otherwise warn, or raise
-    ``FloatingPointError`` under ``invalid="raise"``."""
     a = _as_float64(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")

@@ -204,6 +204,25 @@ class TestFeaturesCommand:
         assert capsys.readouterr().err == f"error: {vocab_dir / 'ab.txt'}: empty vocabulary file\n"
         assert not out.exists()
 
+    def test_vocab_dir_that_is_a_file_exits_two_naming_it(self, tmp_path, capsys):
+        _, _, wals, _, meta = write_resources(tmp_path)
+        out = tmp_path / "f.csv"
+        assert main(["features", "--vocab-dir", str(wals), "--meta", str(meta),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {wals}: --vocab-dir is not a directory\n"
+        assert not out.exists()
+
+    def test_vocab_dir_without_a_vocabulary_warns(self, tmp_path, capsys):
+        *_, meta = write_resources(tmp_path)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "f.csv"
+        assert main(["features", "--vocab-dir", str(empty), "--meta", str(meta),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (f"warning: vocab directory {str(empty)!r} has no "
+                                           "*.txt file, features left missing\n")
+        assert all("o_sw" in fv.missing for fv in load_features_csv(out).values())
+
     def test_output_independent_of_hash_seed(self, tmp_path):
         # wmrr sums one reciprocal rank per feature-value of a language; the
         # values sit in a frozenset whose order follows the string hash seed.
@@ -973,6 +992,22 @@ class TestReportCommand:
         assert main(["report", "--report", str(report)]) == 2
         assert f"{report}: malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [{}, {"schema_version": 1, "kind": "lasso", "tasks": ["A"],
+                                              "scalers": {}, "models": {}}])
+    def test_object_without_results_exit_two(self, tmp_path, capsys, payload):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(payload))
+        assert main(["report", "--report", str(report)]) == 2
+        assert capsys.readouterr().err == (f"error: {report}: malformed file, expected an object "
+                                           "with a results list\n")
+
+    def test_empty_results_list_renders_no_results(self, tmp_path, capsys):
+        # What an evaluate run whose every cell failed writes.
+        report = tmp_path / "report.json"
+        report.write_text('{"results": []}')
+        assert main(["report", "--report", str(report)]) == 0
+        assert capsys.readouterr().out == "(no results)\n"
+
 
 def single_row_task_scores(toy_paths):
     """The toy scores with task B cut to its first row."""
@@ -1009,6 +1044,28 @@ def test_input_error_exits_two_with_one_line(toy_paths, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate", "explain", "report"])
+def test_out_under_a_regular_file_exits_two(toy_paths, tmp_path, capsys, monkeypatch, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    data = ["--scores", str(toy_paths["scores"]), "--features", str(toy_paths["features"])]
+    argv = {
+        "features": ["features", "--meta", str(write_resources(tmp_path)[4])],
+        "evaluate": ["evaluate", *data, "--models", "awt", "--protocol", "lolo"],
+        "explain": ["explain", *data, "--model", "lasso", "--method", "permutation"],
+        "report": ["report", "--report", str(tmp_path / "run" / "report.json")],
+    }[command]
+    if command == "report":
+        assert TestEvaluateCommand().run_eval(toy_paths, tmp_path / "run") == 0
+        capsys.readouterr()
+    fits = []
+    monkeypatch.setattr(evaluation, "fit_predictors", lambda *a: fits.append(a))
+    assert main([*argv, "--out", str(blocker / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err and err.count("\n") == 1, err
+    assert "Traceback" not in err and not fits
 
 
 @pytest.mark.parametrize("file", ["scores", "config", "vocab"])
