@@ -223,9 +223,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     kinds = _names(cfg["models"])
     if not kinds:
         raise DataError("--models names no model kind")
-    for kind in kinds:
-        if kind not in MODEL_KINDS:
-            raise DataError(f"unknown model kind {kind!r}, choose from {MODEL_KINDS}")
+    seed = cfg["seed"]
+    specs = [ModelSpec(kind, {}, seed) for kind in kinds]
     tasks = cfg["tasks"] or sorted(ds.tasks)
     for option, names in (("--models", kinds), ("--task", tasks)):
         repeated = sorted({n for n in names if names.count(n) > 1})
@@ -239,7 +238,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                 f"{task!r}: --protocol llro needs one", path=cfg["meta"])
     # Before any fit: a task the protocol cannot split (or unknown) exits 2.
     folds = {task: evaluation.protocol_folds(ds, cfg["protocol"], task) for task in tasks}
-    seed = cfg["seed"]
     config_hash = _run_hash(cfg["scores"], cfg["features"], cfg["meta"],
                             models=kinds, protocol=cfg["protocol"], tasks=tasks, seed=seed)
 
@@ -249,9 +247,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     results, failures = [], []
     curves: list[tuple[str, str, int, float]] = []
-    for kind in kinds:
-        spec = ModelSpec(kind, {}, seed)
-        blocks = []
+    for spec in specs:
+        kind, blocks = spec.kind, []
         for task in tasks:
             try:
                 blocks.append(evaluation.run_folds(ds, spec, cfg["protocol"], task, folds[task]))
@@ -259,7 +256,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 failures.append({"model": kind, "task": task, "error": str(err)})
         if blocks:
             results.append(evaluation.aggregate(spec, cfg["protocol"], blocks))
-        if cfg["helper_curve"] and kind in ("group-lasso", "cmf", "mdgpr"):
+        if cfg["helper_curve"] and kind in evaluation.JOINT_KINDS:
             for task in tasks:
                 try:
                     for n_helpers, mae in evaluation.helper_curve(ds, spec, task):
@@ -470,6 +467,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         for task in sorted(ds.tasks):
             recs = ds.task_records(task)
             if len(recs) < 2:
+                print(f"warning: task {task!r} has one record, too few to permute", file=sys.stderr)
                 continue
             x_raw = ds.feature_matrix(recs)
             y = ds.scores(recs)

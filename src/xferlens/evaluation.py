@@ -21,7 +21,6 @@ given; ``explain`` gives none, so its cmf rows are all cold-start.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -75,7 +74,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"unknown model kind {self.kind!r}, choose from {MODEL_KINDS}")
         unknown = set(self.hyperparameters) - set(_DEFAULT_HYPERPARAMS[self.kind])
         if unknown:
             raise ValueError(f"unknown hyperparameters for {self.kind}: {sorted(unknown)}")
@@ -106,8 +105,9 @@ class Predictor:
     to scores; ``pairs`` holds each row's (pivot, target). awt and aat read
     only the pairs. cmf predicts a pair seen in training from its factors
     when the pairs are given, and every row cold-start from its features
-    when they are not. ``model`` and ``scaler`` are the fitted linear model
-    and feature scaler of lasso and group-lasso, for linear attributions.
+    when they are not. A score that is not finite (a diverged fit) is a
+    ValueError. ``model`` and ``scaler`` are the fitted linear model and
+    feature scaler of lasso and group-lasso, for linear attributions.
     """
 
     rows: RowPredict
@@ -115,7 +115,12 @@ class Predictor:
     scaler: Scaler | None = None
 
     def predict(self, x: np.ndarray, pairs: Sequence[Pair] | None = None) -> np.ndarray:
-        return np.asarray(self.rows(np.atleast_2d(np.asarray(x, dtype=float)), pairs), dtype=float)
+        out = np.asarray(self.rows(np.atleast_2d(np.asarray(x, dtype=float)), pairs), dtype=float)
+        if not np.isfinite(out).all():
+            i = int(np.flatnonzero(~np.isfinite(out))[0])
+            where = f"row {i}" if pairs is None else f"target {pairs[i][1]!r}"
+            raise ValueError(f"prediction {out[i]} for {where} is not finite")
+        return out
 
 
 def _gp_hidden(hp: dict) -> tuple[int, ...]:
@@ -277,8 +282,9 @@ def _fit_maml(
 _PER_TASK_FITS = {
     "awt": _fit_awt, "aat": _fit_aat, "lasso": _fit_lasso, "gbt": _fit_gbt, "dgpr": _fit_dgpr,
 }
-#: Kinds fit once, jointly, on every task of the dataset.
+#: Kinds fit once, jointly, on every task of the dataset; the helper curve's kinds.
 _JOINT_FITS = {"group-lasso": _fit_group_lasso, "cmf": _fit_cmf, "mdgpr": _fit_mdgpr}
+JOINT_KINDS = tuple(_JOINT_FITS)
 
 
 def fit_predictors(
@@ -356,8 +362,8 @@ def run_folds(ds: Dataset, spec: ModelSpec, protocol: str, eval_task: TaskId,
     """Check, fit and score each fold of ``eval_task``: the task's block of
     report.json, its folds' records with their absolute errors, and ``mae``,
     the mean over folds of each fold's MAE. A fold whose fit or prediction
-    fails, or predicts a value that is not finite, raises a RuntimeError that
-    names the held-out target under lolo and the protocol otherwise.
+    fails (a prediction that is not finite included) raises a RuntimeError
+    that names the held-out target under lolo and the protocol otherwise.
     """
     fold_blocks, fold_maes = [], []
     for i, fold in enumerate(folds):
@@ -365,10 +371,6 @@ def run_folds(ds: Dataset, spec: ModelSpec, protocol: str, eval_task: TaskId,
         test = fold.test.records
         try:
             preds = _fit_and_predict(spec, fold.train, test, eval_task, _fold_seed(spec, i))
-            # A diverged fit predicts inf or nan: a failed fold, not an error of nan.
-            for r, yhat in zip(test, preds):
-                if not math.isfinite(yhat):
-                    raise ValueError(f"prediction {yhat} for target {r.target!r} is not finite")
         except Exception as err:
             context = f", held-out {fold.held_out!r}" if protocol == "lolo" else f" under {protocol}"
             raise RuntimeError(

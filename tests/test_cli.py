@@ -927,6 +927,31 @@ class TestExplainCommand:
         one = (tmp_path / "one" / "attribution.csv").read_bytes()
         assert one == (tmp_path / "two" / "attribution.csv").read_bytes()
 
+    def test_diverged_maml_exit_two_and_writes_nothing(self, five_task_paths, tmp_path, capsys,
+                                                         monkeypatch):
+        # The hyperparameters that fail evaluate's maml cell (exit 3) make every
+        # prediction nan: explain has no cell to fail, so the run is an input error.
+        diverging = {**evaluation._DEFAULT_HYPERPARAMS["maml"], "meta_epochs": 20, "inner_lr": 2.0}
+        monkeypatch.setitem(evaluation._DEFAULT_HYPERPARAMS, "maml", diverging)
+        out = tmp_path / "out"
+        assert self.run_permutation(five_task_paths, "maml", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_permutation_warns_of_a_one_record_task(self, tmp_path, capsys):
+        # Only cmf fits a task with one record; permutation importance needs two.
+        langs = lang_codes(5)
+        w = np.zeros(9)
+        w[1] = 0.1
+        ds = planted_dataset({"A": langs[:4], "B": langs[:1], "C": langs}, w, seed=0)
+        paths = save_dataset(ds, tmp_path / "data")
+        assert self.run_permutation(paths, "cmf", tmp_path / "out") == 0
+        assert capsys.readouterr().err == "warning: task 'B' has one record, too few to permute\n"
+        with open(tmp_path / "out" / "attribution.csv", newline="") as fh:
+            body = [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
+        assert sorted(row[1] for row in body) == ["A"] * 9 + ["C"] * 9
+
     def test_stamp_covers_repeats_and_meta(self, toy_paths, tmp_path):
         stamps = set()
         for i, extra in enumerate((["--repeats", "1"], ["--repeats", "2"],

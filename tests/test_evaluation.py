@@ -22,6 +22,7 @@ from xferlens.data import (
 from xferlens.evaluation import (
     MODEL_KINDS,
     ModelSpec,
+    Predictor,
     _check_fold,
     aggregate,
     fit_predictors,
@@ -268,6 +269,17 @@ class TestAllKindsSmoke:
         block = run_lolo(ds, spec, "A")
         assert len(block["folds"]) == 4
         assert np.isfinite(block["mae"])
+
+
+class TestPredictorGuard:
+    @pytest.mark.parametrize("pairs, where", [
+        (None, "row 1"),
+        ([("en", "aa"), ("en", "ab"), ("en", "ac")], "target 'ab'"),
+    ])
+    def test_first_non_finite_score_is_a_value_error(self, pairs, where):
+        predictor = Predictor(lambda x, pairs: [0.5, float("inf"), float("nan")])
+        with pytest.raises(ValueError, match=re.escape(f"prediction inf for {where} is not finite")):
+            predictor.predict(np.zeros((3, 9)), pairs)
 
 
 class TestFitPredictors:
