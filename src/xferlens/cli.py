@@ -445,7 +445,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     # Checked before any fit, but not created: a fit that rejects its data writes nothing.
     if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
         raise DataError("--out is not a directory and cannot be made one", path=args.out)
-    artifact, rows = None, []
+    artifact, per_task = None, []  # (task, one value per feature)
     if args.method == "linear-shap":
         if args.model_file:
             artifact, weights = _read_json(args.model_file,
@@ -460,8 +460,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         for task, (scaler, w) in weights.items():
             if task in ds.tasks:
                 x_std = scaler.transform(ds.feature_matrix(ds.task_records(task)))
-                values = explain.mean_abs_shap(w, x_std, x_std.mean(axis=0))
-                rows.extend((args.model, task, name, v, "linear-shap") for name, v in values.items())
+                phi = explain.linear_shap(w, x_std, x_std.mean(axis=0))
+                per_task.append((task, np.abs(phi).mean(axis=0)))
     else:
         predictors = _permutation_predictors(ds, args.model, args.seed)
         for task in sorted(ds.tasks):
@@ -469,15 +469,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
             if len(recs) < 2:
                 print(f"warning: task {task!r} has one record, too few to permute", file=sys.stderr)
                 continue
-            x_raw = ds.feature_matrix(recs)
-            y = ds.scores(recs)
-            imp = explain.permutation_importance(
-                predictors[task].predict, x_raw, y, repeats=args.repeats, seed=args.seed
-            )
-            rows.extend(
-                (args.model, task, name, float(v), "permutation")
-                for name, v in zip(FEATURE_NAMES, imp)
-            )
+            x_raw, y = ds.feature_matrix(recs), ds.scores(recs)
+            try:  # permuting a column keeps the rows: row i is the task's i-th record
+                per_task.append((task, explain.permutation_importance(
+                    predictors[task].predict, x_raw, y, repeats=args.repeats, seed=args.seed)))
+            except ValueError as err:
+                raise ValueError(f"model {args.model!r} failed on task {task!r}: {err}") from err
     options = {"model": args.model, "method": args.method, "repeats": args.repeats,
                "seed": args.seed}
     if artifact is not None:
@@ -493,13 +490,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
             json.dumps(artifact_out, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     path = out_dir / "attribution.csv"
-    write_csv(
-        path,
-        ["model", "task", "feature", "value", "method"],
-        [[kind, task, feature, repr(float(value)), method]
-         for kind, task, feature, value, method in rows],
-        _stamp(config_hash, args.seed),
-    )
+    rows = [[args.model, task, name, repr(float(v)), args.method]
+            for task, values in per_task for name, v in zip(FEATURE_NAMES, values)]
+    write_csv(path, ["model", "task", "feature", "value", "method"], rows, _stamp(config_hash, args.seed))
     print(f"wrote {len(rows)} attribution rows to {path}")
     return EXIT_OK
 

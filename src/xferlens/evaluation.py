@@ -233,14 +233,11 @@ def _fit_cmf(
 
     def cmf_rows(task: TaskId) -> RowPredict:
         def rows(x, pairs):
-            x = imputer.impute(x)
-            if pairs is None:
-                return [factorization.predict_cold_start(model, task, row) for row in x]
             return [
                 factorization.predict_cmf(model, task, pair)
                 if pair in model.pair_index
                 else factorization.predict_cold_start(model, task, row)
-                for pair, row in zip(pairs, x)
+                for pair, row in zip(pairs or [None] * len(x), imputer.impute(x))
             ]
 
         return rows

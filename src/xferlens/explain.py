@@ -1,69 +1,28 @@
 """Feature attribution: exact additive attributions for linear models and
 permutation importance for everything else.
 
-For a linear model the Shapley value of feature j at input x has the closed
-form w_j * (x_j - background_j), which satisfies local accuracy exactly:
-base value plus attributions reconstructs the prediction.
+For a linear model the Shapley value of feature j at row x has the closed
+form w_j * (x_j - background_j) (Lundberg & Lee 2017). It satisfies local
+accuracy exactly: the base value w . background + b plus a row's
+attributions reconstructs the prediction, and the intercept cancels out of
+every attribution. Permutation importance is the increase in MAE when one
+feature column is shuffled, for any predict function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .data import FEATURE_NAMES, TaskId
-from .sparse_linear import LinearModel
 
-
-@dataclass
-class Attribution:
-    task: TaskId | None
-    per_feature: dict[str, float]
-    base_value: float
-    method: str  # "linear-shap" or "permutation"
-
-
-def linear_shap(
-    model: LinearModel,
-    x: np.ndarray,
-    background_mean: np.ndarray,
-    task: TaskId | None = None,
-    feature_names: Sequence[str] = FEATURE_NAMES,
-) -> Attribution:
-    """Exact additive attribution of one prediction against a background mean."""
-    weights, intercept = model.coefficients(task)
-    x = np.asarray(x, dtype=float)
-    background_mean = np.asarray(background_mean, dtype=float)
-    if x.shape != weights.shape or background_mean.shape != weights.shape:
-        raise ValueError("dimension mismatch")
-    if len(feature_names) != len(weights):
-        raise ValueError("feature name list does not match the weight vector")
-    phi = weights * (x - background_mean)
-    base = float(weights @ background_mean + intercept)
-    return Attribution(
-        task=task,
-        per_feature={name: float(v) for name, v in zip(feature_names, phi)},
-        base_value=base,
-        method="linear-shap",
-    )
-
-
-def mean_abs_shap(
-    weights: np.ndarray,
-    rows: np.ndarray,
-    background_mean: np.ndarray,
-    feature_names: Sequence[str] = FEATURE_NAMES,
-) -> dict[str, float]:
-    """Mean |attribution| per feature over a set of rows, for a linear model's
-    weight vector (the intercept cancels out of every attribution)."""
+def linear_shap(weights: np.ndarray, rows: np.ndarray, background_mean: np.ndarray) -> np.ndarray:
+    """The rows x features attributions of a weight vector against a background mean."""
+    weights, background_mean = np.asarray(weights, dtype=float), np.asarray(background_mean, dtype=float)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[0] < 1:
-        raise ValueError("need at least one row")
-    phi = np.abs(rows - background_mean) * np.abs(weights)
-    means = phi.mean(axis=0)
-    return {name: float(v) for name, v in zip(feature_names, means)}
+    if not weights.shape == background_mean.shape == rows.shape[1:]:
+        raise ValueError("dimension mismatch")
+    return weights * (rows - background_mean)
 
 
 def permutation_importance(

@@ -306,8 +306,9 @@ def build_feature_table(
 ) -> dict[tuple[LangId, LangId], FeatureVector]:
     """One FeatureVector per directed (pivot, target) pair: all ordered pairs
     over the resource languages, optionally restricted to the given pivots.
-    A pivot that no resource names, and a pair with no computable feature at
-    all, are errors.
+    A pivot that no resource names, a pivot whose vocabulary
+    :func:`vocab_overlaps` read as a non-pivot, and a pair with no computable
+    feature at all are errors.
     """
     langs = resources.languages()
     pivot_set = sorted(set(pivots)) if pivots is not None else langs
@@ -333,6 +334,8 @@ def build_feature_table(
         values: dict[str, float] = {}
 
         if pivot in resources.vocabs.langs and target in resources.vocabs.langs:
+            if (pivot, target) not in resources.vocabs.overlaps:
+                raise ValueError(f"pivot {pivot!r} was not among vocab_overlaps' pivots")
             values["o_sw"] = resources.vocabs.overlaps[(pivot, target)]
 
         for kind, name in _KIND_FEATURE.items():

@@ -654,6 +654,22 @@ class TestEvaluateCommand:
         rows = [l for l in lines if l.startswith("group-lasso")]
         assert len(rows) == 2  # helpers 0 and 1
 
+    def test_failing_helper_curve_is_a_failed_cell(self, toy_paths, tmp_path, capsys, monkeypatch):
+        def failing_curve(ds, spec, task):
+            raise ValueError(f"no curve for {task}")
+
+        monkeypatch.setattr(evaluation, "helper_curve", failing_curve)
+        out = tmp_path / "out"
+        assert self.run_eval(toy_paths, out, ["--models", "group-lasso", "--helper-curve"]) == 3
+        assert capsys.readouterr().err == ("failed: group-lasso on A: helper curve: no curve for A\n"
+                                           "failed: group-lasso on B: helper curve: no curve for B\n")
+        payload = json.loads((out / "report.json").read_text())
+        assert [f["error"] for f in payload["failures"]] == [
+            "helper curve: no curve for A", "helper curve: no curve for B"]
+        assert [r["model"]["kind"] for r in payload["results"]] == ["group-lasso"]
+        assert (out / "helper_curve.csv").read_text().splitlines()[1:] == [
+            "model,task,n_helpers,mae,mae_scaled"]
+
     def test_cmf_helper_curve_starts_at_zero_helpers(self, five_task_paths, tmp_path):
         code = main(
             [
@@ -938,6 +954,7 @@ class TestExplainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1, err
         assert not out.exists()
+        assert err.startswith("error: model 'maml' failed on task 'A': prediction nan for row "), err
 
     def test_permutation_warns_of_a_one_record_task(self, tmp_path, capsys):
         # Only cmf fits a task with one record; permutation importance needs two.
@@ -1068,6 +1085,104 @@ def test_input_error_exits_two_with_one_line(toy_paths, tmp_path, capsys, comman
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def edited_row(path, line, column, value):
+    """A copy of a CSV input whose 1-based ``line`` has ``value`` in ``column``."""
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[line - 1] = ",".join(cells)
+    edited = path.with_name(f"edited_{path.name}")
+    edited.write_text("\n".join(lines) + "\n")
+    return edited
+
+
+def edited_model_file(toy_paths, tmp_path, kind, edit):
+    """A model file that ``explain`` fitted for ``kind``, after ``edit(models)``."""
+    assert main(["explain", "--scores", str(toy_paths["scores"]), "--features",
+                 str(toy_paths["features"]), "--model", kind, "--out", str(tmp_path / "fit")]) == 0
+    artifact = json.loads((tmp_path / "fit" / "model.json").read_text())
+    edit(artifact["models"])
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(artifact))
+    return edited
+
+
+def rejected_input(case, toy_paths, tmp_path, out):
+    """Arguments that exit 2 on one input error of ``case``, and its whole stderr."""
+    scores, features, meta = (str(toy_paths[key]) for key in ("scores", "features", "meta"))
+    evaluate = ["evaluate", "--features", features, "--models", "awt", "--protocol", "lolo",
+                "--out", str(out)]
+    if case == "evaluate-without-scores":
+        return evaluate, "missing required option --scores"
+    if case.startswith("config-"):
+        cfg = tmp_path / "c.cfg"
+        line = {"config-protocol-x": "protocol=x", "config-line-without-equals": "protocol lolo"}[case]
+        cfg.write_text(f"schema_version=1\n{line}\n# comment\n\nscores={scores}\n"
+                       f"features={features}\nmodels=awt\nout={out}\n")
+        return ["evaluate", "--config", str(cfg)], {
+            "config-protocol-x": "protocol must be one of ('lolo', 'llro')",
+            "config-line-without-equals": f"{cfg}:2: expected key=value, got 'protocol lolo'"}[case]
+    if case == "llro-unknown-task":
+        return ["evaluate", "--scores", scores, "--features", features, "--meta", meta, "--models",
+                "awt", "--protocol", "llro", "--task", "nope", "--out", str(out)], "unknown task 'nope'"
+    if case == "scores-empty-task":
+        bad = edited_row(toy_paths["scores"], 2, "task", "")
+        return [*evaluate, "--scores", str(bad)], f"{bad}:2: task name must be non-empty"
+    if case == "scores-scale-percentt":
+        lines = toy_paths["scores"].read_text().splitlines()
+        bad = tmp_path / "scale.csv"
+        bad.write_text("\n".join([lines[0] + ",scale", lines[1] + ",percentt",
+                                   *(line + ",unit" for line in lines[2:])]) + "\n")
+        return [*evaluate, "--scores", str(bad)], \
+            f"{bad}:2: scale must be 'unit' or 'percent', got 'percentt'"
+    if case in ("features-o_sw-1.5", "features-d_geo--1"):
+        column, value = case.split("-", 2)[1:]
+        bad = edited_row(toy_paths["features"], 3, column, value)
+        return [*evaluate, "--scores", scores, "--features", str(bad)], {
+            "o_sw": f"{bad}:3: o_sw out of range [0, 1]: 1.5",
+            "d_geo": f"{bad}:3: d_geo must be non-negative: -1.0"}[column]
+    if case.startswith("model-file-"):
+        kind, edit, entry = {
+            "model-file-ragged-joint": ("group-lasso", lambda m: m["joint"]["weights"][8].pop(), "joint"),
+            "model-file-mis-shaped-joint": (
+                "group-lasso", lambda m: m["joint"].update(weights=[[0.0] * 3] * 9), "joint"),
+            "model-file-lasso-without-lambda": ("lasso", lambda m: m["A"].pop("lambda"), "A"),
+        }[case]
+        bad = edited_model_file(toy_paths, tmp_path, kind, edit)
+        model = "a group-lasso model with 9 x 2 weights" if kind == "group-lasso" \
+            else "a lasso model with 9 weights"
+        return ["explain", "--scores", scores, "--features", features, "--model", kind,
+                "--model-file", str(bad), "--out", str(out)], \
+            f"{bad}: malformed file, expected models[{entry!r}], {model}"
+    _, typology, wals, stats, _ = write_resources(tmp_path)
+    if case == "typology-geography-with-a-gap":
+        bad = edited_row(typology, 2, "d0", "")
+        return ["features", "--typology", str(bad), "--out", str(out)], \
+            f"{bad}:2: geography vectors must be fully observed"
+    if case == "wals-row-without-value":
+        wals.write_text(wals.read_text() + "aa,\n")
+        return ["features", "--wals", str(wals), "--out", str(out)], \
+            f"{wals}:6: empty feature-value identifier"
+    bad = edited_row(stats, 2, "word_count", "0")
+    return ["features", "--stats", str(bad), "--out", str(out)], f"{bad}:2: word_count must be positive"
+
+
+@pytest.mark.parametrize("case", [
+    "evaluate-without-scores", "config-protocol-x", "config-line-without-equals",
+    "llro-unknown-task", "scores-empty-task", "scores-scale-percentt", "features-o_sw-1.5",
+    "features-d_geo--1", "model-file-ragged-joint", "model-file-mis-shaped-joint",
+    "model-file-lasso-without-lambda", "typology-geography-with-a-gap", "wals-row-without-value",
+    "stats-word-count-zero",
+])
+def test_rejected_input_exits_two_with_its_error_line(toy_paths, tmp_path, capsys, case):
+    out = tmp_path / "out"
+    argv, message = rejected_input(case, toy_paths, tmp_path, out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

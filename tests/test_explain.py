@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xferlens.explain import (
-    linear_shap,
-    mean_abs_shap,
-    permutation_importance,
-)
+from xferlens.explain import linear_shap, permutation_importance
 from xferlens.sparse_linear import LinearModel, predict_linear
-
-FEATS = tuple(f"f{i}" for i in range(4))
 
 
 def lasso(w, b=0.0):
@@ -20,69 +14,80 @@ def lasso(w, b=0.0):
 class TestLinearShap:
     def test_background_point_gets_zero(self):
         model = lasso([1.0, -2.0, 0.5, 3.0], b=0.2)
+        w, b = model.coefficients(None)
         bg = np.array([0.3, 0.1, -0.2, 0.7])
-        att = linear_shap(model, bg, bg, feature_names=FEATS)
-        assert all(v == 0.0 for v in att.per_feature.values())
-        assert att.base_value == pytest.approx(predict_linear(model, bg))
+        assert (linear_shap(w, bg, bg) == 0.0).all()
+        assert w @ bg + b == pytest.approx(predict_linear(model, bg))
 
     def test_single_active_weight(self):
-        model = lasso([1.0, 0.0, 0.0, 0.0])
-        bg = np.zeros(4)
         x = np.array([0.3, 5.0, -2.0, 1.0])
-        att = linear_shap(model, x, bg, feature_names=FEATS)
-        assert att.per_feature["f0"] == pytest.approx(0.3)
-        assert all(att.per_feature[f] == 0.0 for f in FEATS[1:])
+        phi = linear_shap(np.array([1.0, 0.0, 0.0, 0.0]), x, np.zeros(4))
+        assert phi.shape == (1, 4)
+        assert phi[0, 0] == pytest.approx(0.3)
+        assert (phi[0, 1:] == 0.0).all()
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_local_accuracy_identity(self, seed):
         rng = np.random.default_rng(seed)
         model = lasso(rng.standard_normal(4), b=float(rng.standard_normal()))
+        w, b = model.coefficients(None)
         x = rng.standard_normal(4)
         bg = rng.standard_normal(4)
-        att = linear_shap(model, x, bg, feature_names=FEATS)
-        reconstruction = att.base_value + sum(att.per_feature.values())
+        reconstruction = w @ bg + b + linear_shap(w, x, bg).sum()
         assert abs(reconstruction - predict_linear(model, x)) < 1e-12
 
     def test_group_lasso_task_column(self):
         w = np.array([[1.0, 0.0], [0.0, 2.0]])
         model = LinearModel(w, np.array([0.0, 0.5]), 0.0, ("a", "b"), True, 1, ())
-        x = np.array([1.0, 1.0])
-        bg = np.zeros(2)
-        att = linear_shap(model, x, bg, task="b", feature_names=("f0", "f1"))
-        assert att.per_feature == {"f0": 0.0, "f1": 2.0}
-        assert att.base_value == 0.5
+        weights, intercept = model.coefficients("b")
+        assert linear_shap(weights, np.ones(2), np.zeros(2)).tolist() == [[0.0, 2.0]]
+        assert intercept == 0.5
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            linear_shap(lasso([1.0, 2.0, 3.0, 4.0]), np.zeros(3), np.zeros(4), feature_names=FEATS)
+        for rows, bg in ((np.zeros(3), np.zeros(4)), (np.zeros((2, 4)), np.zeros(3)),
+                         (np.zeros((2, 5)), np.zeros(4))):
+            with pytest.raises(ValueError, match="dimension"):
+                linear_shap(np.array([1.0, 2.0, 3.0, 4.0]), rows, bg)
 
 
 class TestMeanAbsShap:
+    """The mean |attribution| per feature over a task's rows, as ``explain`` writes it."""
+
     def test_single_row(self):
-        model = lasso([2.0, -1.0, 0.0, 0.5])
-        bg = np.zeros(4)
-        row = np.array([0.5, 1.0, 3.0, -2.0])
-        values = mean_abs_shap(model.coefficients(None)[0], row[None, :], bg, feature_names=FEATS)
-        att = linear_shap(model, row, bg, feature_names=FEATS)
-        for f in FEATS:
-            assert values[f] == pytest.approx(abs(att.per_feature[f]))
+        # A batch of rows attributes each row as that row alone does.
+        w = np.array([2.0, -1.0, 0.0, 0.5])
+        rows = np.random.default_rng(5).standard_normal((7, 4))
+        bg = rows.mean(axis=0)
+        singles = np.vstack([linear_shap(w, row, bg) for row in rows])
+        assert np.array_equal(linear_shap(w, rows, bg), singles)
 
     def test_zero_weight_feature_is_zero(self):
-        model = lasso([1.0, 0.0, 2.0, 0.0])
-        rng = np.random.default_rng(0)
-        rows = rng.standard_normal((10, 4))
-        values = mean_abs_shap(model.coefficients(None)[0], rows, np.zeros(4), feature_names=FEATS)
-        assert values["f1"] == 0.0 and values["f3"] == 0.0
+        rows = np.random.default_rng(0).standard_normal((10, 4))
+        values = np.abs(linear_shap(np.array([1.0, 0.0, 2.0, 0.0]), rows, np.zeros(4))).mean(axis=0)
+        assert values[1] == 0.0 and values[3] == 0.0
 
     def test_group_zero_row_zero_in_every_task(self):
         w = np.array([[0.0, 0.0], [1.5, -0.5], [0.0, 0.0], [2.0, 1.0]])
         model = LinearModel(w, np.zeros(2), 0.1, ("a", "b"), True, 1, ())
-        rng = np.random.default_rng(1)
-        rows = rng.standard_normal((6, 4))
+        rows = np.random.default_rng(1).standard_normal((6, 4))
         for task in ("a", "b"):
-            values = mean_abs_shap(model.coefficients(task)[0], rows, np.zeros(4), feature_names=FEATS)
-            assert values["f0"] == 0.0 and values["f2"] == 0.0
+            values = np.abs(linear_shap(model.coefficients(task)[0], rows, np.zeros(4))).mean(axis=0)
+            assert values[0] == 0.0 and values[2] == 0.0
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_abs_of_product_is_product_of_abs_bitwise(self, seed):
+        # |fl(w d)| = fl(|w| |d|) under round-to-nearest, at any magnitude:
+        # the mean |attribution| has the bits of the product of the absolutes.
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-300, 300, size=(3, 4))
+        w, bg = rng.standard_normal(4) * scale[0], rng.standard_normal(4) * scale[1]
+        rows = rng.standard_normal((5, 4)) * scale[2]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            expected = np.abs(rows - bg) * np.abs(w)
+            got = np.abs(linear_shap(w, rows, bg))
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPermutationImportance:

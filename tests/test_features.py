@@ -462,6 +462,14 @@ class TestBuildFeatureTable:
         table = build_feature_table(self.full_resources(), pivots=["aa"])
         assert set(table) == {("aa", "ab")}
 
+    def test_pivot_read_as_a_non_pivot_vocabulary_errors(self):
+        # ab's overlaps were computed from aa's side only: (ab, aa) is unknown.
+        res = FeatureResources()
+        res.vocabs = vocab_overlaps([VocabSet("aa", frozenset({"x", "y"}))],
+                                    [VocabSet(lang, frozenset({"y", lang})) for lang in ("ab", "ac")])
+        with pytest.raises(ValueError, match="pivot 'ab' was not among vocab_overlaps' pivots"):
+            build_feature_table(res, pivots=["ab"])
+
     def test_one_formula_call_per_pair(self, monkeypatch):
         # The benchmark's traced invariant counts one wmrr call per pair; a
         # per-target memo in build_feature_table would break it.
